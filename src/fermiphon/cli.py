@@ -23,7 +23,7 @@ from . import focklab
 from .bogoliubov import solve_closed_form, spectrum
 from .correlators import (CorrelatorSpec, InsertionPoint, exponents,
                           klein_sign, npoint_continuum)
-from .errors import (BadArgument, BadGeometry, FermiphonError, GridTooSmall,
+from .errors import (BadArgument, BadGeometry, FermiphonError,
                      UnstableCouplings)
 from .params import ModelParams, momentum_grid, validate_params
 from .vertex import finite_correlator
@@ -68,6 +68,10 @@ def load_config(path: str) -> RunConfig:
     sg = (float(sc.get("lambda_min", 0.0)), float(sc.get("lambda_max", 0.0)),
           int(sc.get("n_lambda", 1)), float(sc.get("g_min", 0.0)),
           float(sc.get("g_max", 0.0)), int(sc.get("n_g", 1)))
+    for name, count in (("points", cg[2]), ("n_lambda", sg[2]),
+                        ("n_g", sg[5])):
+        if count <= 0:
+            raise BadArgument(f"{name} must be positive, got {count}")
     out = cp["output"] if cp.has_section("output") else {}
     return RunConfig(model=model, K=K, ell=ell, regulator=regulator,
                      insertions=insertions,
@@ -122,11 +126,7 @@ def _map_ordered(fn, items):
 
 
 def cmd_solve(cfg: RunConfig, out) -> int:
-    try:
-        sol = solve_closed_form(cfg.model)
-    except UnstableCouplings as exc:
-        print(f"unstable couplings: {exc}", file=sys.stderr)
-        return 2
+    sol = solve_closed_form(cfg.model)
     tab = exponents(sol)
     doc = {
         "model": {
@@ -212,13 +212,9 @@ def cmd_verify(cfg: RunConfig, out) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, e_max: float, out) -> int:
-    try:
-        sol = solve_closed_form(cfg.model)
-        grid = momentum_grid(L=cfg.model.L, K=cfg.K, a=cfg.model.a)
-        entries = spectrum(cfg.model, sol, e_max, grid)
-    except (UnstableCouplings, GridTooSmall, BadGeometry) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sol = solve_closed_form(cfg.model)
+    grid = momentum_grid(L=cfg.model.L, K=cfg.K, a=cfg.model.a)
+    entries = spectrum(cfg.model, sol, e_max, grid)
     rows = []
     for e in entries:
         modes = ";".join(f"{fl}:{m}:{n}" for fl, m, n in e.occupations)
@@ -231,11 +227,7 @@ def cmd_spectrum(cfg: RunConfig, e_max: float, out) -> int:
 
 
 def cmd_correlate(cfg: RunConfig, mode: str, out) -> int:
-    try:
-        sol = solve_closed_form(cfg.model)
-    except UnstableCouplings as exc:
-        print(f"unstable couplings: {exc}", file=sys.stderr)
-        return 2
+    sol = solve_closed_form(cfg.model)
     grid = momentum_grid(L=cfg.model.L, K=cfg.K, a=cfg.model.a)
     x_min, x_max, n, t = cfg.correlate_grid
     word = [(p.r, p.q) for p in cfg.insertions]
@@ -334,13 +326,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a FermiphonError becomes exit 2 with one line on
+    stderr."""
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except UnstableCouplings as exc:
+        print(f"unstable couplings: {exc}", file=sys.stderr)
+    except FermiphonError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
+def _run(args) -> int:
     try:
         cfg = load_config(args.config)
         validate_params(cfg.model)
-    except UnstableCouplings as exc:
-        print(f"unstable couplings: {exc}", file=sys.stderr)
-        return 2
     except (BadGeometry, BadArgument, KeyError, ValueError,
             configparser.Error, OSError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)

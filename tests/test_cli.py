@@ -277,6 +277,31 @@ def test_json_format_option(config_file, tmp_path):
     assert isinstance(doc, list) and doc[0]["stable"] in ("0", "1")
 
 
+@pytest.mark.parametrize("edit, args", [
+    (None, ["correlate", "--mode", "finite", "--regulator", "0"]),
+    (None, ["correlate", "--mode", "continuum", "--regulator", "0"]),
+    (None, ["correlate", "--mode", "finite", "--regulator=-1e-3"]),
+    (("points = 5", "points = 0"), ["correlate"]),
+    (("points = 5", "points = -3"), ["correlate"]),
+    (("n_lambda = 13", "n_lambda = 0"), ["scan"]),
+    (("n_g = 1", "n_g = -2"), ["scan"]),
+    # g = 0 with colliding branches (v_tilde_F = v_P): DegenerateBranches
+    (("v_p = 0.3", "v_p = 0.6", "lambda = 1.0", "lambda = 5.026548245743669",
+      "g = 0.2", "g = 0.0"), ["solve"]),
+], ids=["finite-reg0", "continuum-reg0", "finite-reg-neg", "points0",
+        "points-neg", "n_lambda0", "n_g-neg", "g0-degenerate"])
+def test_bad_input_exit_2_one_line(config_file, tmp_path, capsys, edit, args):
+    text = GENERIC_INI
+    for old, new in zip(edit[::2], edit[1::2]) if edit else ():
+        text = text.replace(old, new)
+    cfg = config_file(text)
+    out = str(tmp_path / "out")
+    assert run_cli(["--config", cfg, "--output", out] + args) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_invalid_config_exit_2(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[model]\nv_f = -1.0\nv_p = 0.3\nlambda = 0\ng = 0\n"

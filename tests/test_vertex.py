@@ -7,12 +7,13 @@ import pytest
 from fermiphon import ModelParams, momentum_grid
 from fermiphon.bogoliubov import solve_closed_form
 from fermiphon.correlators import (CorrelatorSpec, InsertionPoint,
-                                   free_finite_L, klein_sign)
+                                   free_finite_L, klein_sign, two_point)
 from fermiphon.errors import BadRegulator
 from fermiphon.vertex import (field_vertex, finite_correlator,
                               normal_order_product, pair_contraction,
                               vacuum_expectation, z_renorm, _klein_word_sign,
-                              _channel_contraction)
+                              _channel_contraction, _direct_rounding,
+                              _log_sums, _DIRECT_SUM_MAX)
 
 L, A = 20.0, 0.05
 TWO_PI = 2.0 * math.pi
@@ -281,3 +282,71 @@ def test_finite_correlator_antiperiodicity(coupled_setup):
             CorrelatorSpec(insertions=tuple(shifted), ell=1.0, regulator=reg),
             params, sol, grid)["value"]
         assert abs(v + ref) < 1e-12 * abs(ref)
+
+
+def _chunked_direct_sum(zeta, n, chunk=1 << 20):
+    """sum_{m=1}^{n} zeta^m / m added term by term in numpy, a chunk at a
+    time so that n = 1e7 stays small in memory."""
+    total = 0.0j
+    for start in range(1, n + 1, chunk):
+        m = np.arange(start, min(n, start + chunk - 1) + 1, dtype=np.float64)
+        total += complex(np.sum(zeta ** m / m))
+    return total
+
+
+def test_mode_sum_closed_form_matches_direct_sum():
+    # above the threshold the head and tail come from the Euler-Maclaurin
+    # closed form; the direct sum is the oracle, and the two agree within
+    # the sum of their error bounds (the direct sum's grows like n u log n,
+    # the closed form's does not).  zeta = e^{i theta - eps s}.
+    rng = np.random.default_rng(2024)
+    s = TWO_PI / L
+    pinned = [(math.pi - 1e-9, 1e-3, _DIRECT_SUM_MAX + 1),
+              (0.0, 1e-3, 10 ** 7),
+              (0.0, 0.0, 54321)]           # w = 0: the harmonic number
+    drawn = [(rng.uniform(-math.pi, math.pi), rng.uniform(0.0, 0.05),
+              int(10 ** rng.uniform(math.log10(_DIRECT_SUM_MAX + 1), 7)))
+             for _ in range(9)]
+    for theta, eps, n in pinned + drawn:
+        zeta = cmath.exp(complex(-eps * s, theta))
+        head, tail, err = _log_sums(zeta, n)
+        assert err < 1e-13     # the closed form keeps near full precision
+        direct = _chunked_direct_sum(zeta, n)
+        bound = err + _direct_rounding(zeta, n)
+        assert abs(head - direct) <= bound, (theta, eps, n)
+        if zeta != 1.0:
+            assert abs(tail + cmath.log(1.0 - zeta) + direct) <= bound
+        else:
+            assert math.isinf(tail.real)
+    # a regulator so large that zeta underflows to 0 on either path
+    for n in (_DIRECT_SUM_MAX, 10 ** 6):
+        assert _log_sums(0.0j, n) == (0.0, 0.0, 0.0)
+
+
+def test_continuum_ladder_diagnostic():
+    # diagnostic, not a gate: acceptance criterion 7's ladder carried on to
+    # s = 64 and 256 (n_a up to 3.3e9, out of reach of a direct mode sum)
+    ell = 1.0
+    for x, t in ((1.0, 0.0), (1.3, 0.4), (0.7, -0.2)):
+        errs = []
+        for scale in (1, 4, 16, 64, 256):
+            length, a, eps = scale * 1e3 * ell, ell / (scale * 1e2), \
+                ell / (scale * 1e1)
+            params = ModelParams(v_f=1.0, v_p=0.3, lam=1.0, g=0.2, a=a,
+                                 L=length)
+            sol = solve_closed_form(params)
+            grid = momentum_grid(L=length, K=4, a=a)
+            spec = CorrelatorSpec(
+                insertions=(InsertionPoint(+1, -1, x, t),
+                            InsertionPoint(+1, +1, 0.0, 0.0)),
+                ell=ell, regulator=eps)
+            value = finite_correlator(spec, params, sol, grid)["value"]
+            ssum = sol.sigma_f ** 2 + sol.sigma_p ** 2
+            renorm = (TWO_PI * ell / length) ** ssum \
+                / z_renorm(params, sol, eps)["Z"]
+            target = two_point(+1, x, t, sol, ell=ell, regulator=1e-8 * ell)
+            errs.append(abs(renorm ** 2 * value - target) / abs(target))
+        print(f"ladder (x, t) = ({x}, {t}): "
+              + ", ".join(f"s={sc}: {e:.3e}"
+                          for sc, e in zip((1, 4, 16, 64, 256), errs)))
+        assert all(math.isfinite(e) for e in errs)
