@@ -14,7 +14,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import DegenerateBranches, GridTooSmall, ZeroMode
+from .errors import BadArgument, DegenerateBranches, GridTooSmall, ZeroMode
 from .params import (TWO_PI, DerivedCouplings, ModelParams, MomentumGrid,
                      derived_couplings, validate_params)
 
@@ -148,6 +148,8 @@ def solve_closed_form(params: ModelParams) -> BogoliubovSolution:
     For g = 0 the phonons decouple exactly and the Thirring-limit formulas
     apply (sigma_F carries the sign of lambda); otherwise the generic
     expressions are used verbatim with principal square roots.
+    E0 = (1/2) sum_X sum_{0<|p|<=pi/a} (vtilde_X - v_X) |p| diverges like
+    O(L / a^2) as a -> 0 at fixed couplings.
     """
     validate_params(params)
     cpl = derived_couplings(params)
@@ -177,6 +179,11 @@ def solve_closed_form(params: ModelParams) -> BogoliubovSolution:
         # on its cancellation-free side via W^2 - d^2 = e
         gap_f = e / (2.0 * (W + d)) if d > 0 else (W - d) / 2.0
         gap_p = e / (2.0 * (W - d)) if d < 0 else (W + d) / 2.0
+        if gap_f == 0.0 or gap_p == 0.0:
+            # e ~ g^2 underflowed, so the mixing angle is lost
+            raise BadArgument(
+                f"g = {params.g:.3g} is too small to resolve the branch "
+                "mixing (g^2 underflows)")
         den_f = 2.0 * math.sqrt(W) * math.sqrt(gap_f)
         den_p = 2.0 * math.sqrt(W) * math.sqrt(gap_p)
         rho_f = math.sqrt(vf / vt_f) * g2 * vp * (vt_f + vf * (1.0 - g1)) / den_f
@@ -187,23 +194,6 @@ def solve_closed_form(params: ModelParams) -> BogoliubovSolution:
     return BogoliubovSolution(
         params=params, couplings=cpl, vtilde_f=vt_f, vtilde_p=vt_p,
         rho_f=rho_f, rho_p=rho_p, sigma_f=sigma_f, sigma_p=sigma_p, e0=e0)
-
-
-def free_solution(v_f: float, v_p: float, a: float, L: float,
-                  omega0: float = 0.0) -> BogoliubovSolution:
-    """Convenience: the lambda = g = 0 solution."""
-    return solve_closed_form(ModelParams(v_f=v_f, v_p=v_p, lam=0.0, g=0.0,
-                                         a=a, L=L, omega0=omega0))
-
-
-def ground_state_energy(params: ModelParams,
-                        solution: BogoliubovSolution) -> float:
-    """E0 = (1/2) sum_X sum_{0<|p|<=pi/a} (vtilde_X - v_X) |p|.
-
-    Diverges like O(L / a^2) as a -> 0 at fixed couplings.
-    """
-    dv = (solution.vtilde_f - params.v_f) + (solution.vtilde_p - params.v_p)
-    return 0.5 * dv * _sum_abs_p_inside(params)
 
 
 def _vtilde_at(params, solution, flavor: str, m: int) -> float:

@@ -3,7 +3,7 @@
 Outputs are deterministic: fixed summation orders, floats printed with 17
 significant digits, CSV with '.' decimals and complex values split into
 re/im columns.  Exit codes: 0 success, 1 verification failure, 2 invalid
-input or instability.
+input, instability or an output that cannot be written.
 """
 
 from __future__ import annotations
@@ -13,11 +13,9 @@ import configparser
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple
 
 from . import focklab
 from .bogoliubov import solve_closed_form, spectrum
@@ -40,22 +38,20 @@ class RunConfig:
     ell: float
     regulator: float
     insertions: List[InsertionPoint]
-    out_format: str
-    out_path: Optional[str]
     correlate_grid: tuple        # (x_min, x_max, n, t)
     scan_grid: tuple             # (lam_min, lam_max, n_lam, g_min, g_max, n_g)
 
 
 def load_config(path: str) -> RunConfig:
-    """Parse the INI-style config (sections model/grid/correlator/output/scan)."""
+    """Parse the INI-style config (sections model/grid/correlator/scan)."""
     cp = configparser.ConfigParser()
     with open(path) as fh:
         cp.read_file(fh)
     m = cp["model"]
     model = ModelParams(
-        v_f=m.getfloat("v_f"), v_p=m.getfloat("v_p"),
-        lam=m.getfloat("lambda"), g=m.getfloat("g"),
-        a=m.getfloat("a"), L=m.getfloat("L"),
+        v_f=float(m["v_f"]), v_p=float(m["v_p"]),
+        lam=float(m["lambda"]), g=float(m["g"]),
+        a=float(m["a"]), L=float(m["L"]),
         omega0=m.getfloat("omega0", fallback=0.0))
     K = cp.getint("grid", "K", fallback=2)
     co = cp["correlator"] if cp.has_section("correlator") else {}
@@ -72,11 +68,8 @@ def load_config(path: str) -> RunConfig:
                         ("n_g", sg[5])):
         if count <= 0:
             raise BadArgument(f"{name} must be positive, got {count}")
-    out = cp["output"] if cp.has_section("output") else {}
     return RunConfig(model=model, K=K, ell=ell, regulator=regulator,
-                     insertions=insertions,
-                     out_format=out.get("format", "csv"),
-                     out_path=out.get("path"), correlate_grid=cg, scan_grid=sg)
+                     insertions=insertions, correlate_grid=cg, scan_grid=sg)
 
 
 def _parse_insertions(text: str) -> List[InsertionPoint]:
@@ -92,40 +85,32 @@ def _parse_insertions(text: str) -> List[InsertionPoint]:
     return out
 
 
-def _open_out(path):
-    return open(path, "w", newline="") if path else sys.stdout
+class Table(NamedTuple):
+    """Rows of already-formatted strings, written as CSV or JSON."""
+
+    header: List[str]
+    rows: List[List[str]]
 
 
-def _write_rows(out, fmt: str, header, rows):
-    """Rows of already-formatted strings, as CSV or a JSON list of objects."""
-    if fmt == "json":
-        json.dump([dict(zip(header, row)) for row in rows], out, indent=2)
-        out.write("\n")
-    else:
-        w = csv.writer(out)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _n_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    n = _n_threads()
-    if n == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
+def _write(out, fmt: str, payload):
+    """A Table as CSV or as a JSON list of objects; any other payload as a
+    JSON document."""
+    if isinstance(payload, Table):
+        if fmt == "csv":
+            w = csv.writer(out)
+            w.writerow(payload.header)
+            w.writerows(payload.rows)
+            return
+        payload = [dict(zip(payload.header, row)) for row in payload.rows]
+    json.dump(payload, out, indent=2)
+    out.write("\n")
 
 
 # --------------------------------------------------------------------------
+# Each command returns (exit code, payload); the caller writes the payload.
 
 
-def cmd_solve(cfg: RunConfig, out) -> int:
+def cmd_solve(cfg: RunConfig):
     sol = solve_closed_form(cfg.model)
     tab = exponents(sol)
     doc = {
@@ -143,15 +128,12 @@ def cmd_solve(cfg: RunConfig, out) -> int:
             "delta_cdw": tab.delta_cdw, "delta_sc": tab.delta_sc,
             "fermion_dimension": tab.fermion_dimension},
     }
-    json.dump(doc, out, indent=2)
-    out.write("\n")
-    return 0
+    return 0, doc
 
 
-def cmd_verify(cfg: RunConfig, out) -> int:
+def cmd_verify(cfg: RunConfig):
     if cfg.K > 5:
-        print("error: verify requires K <= 5", file=sys.stderr)
-        return 2
+        raise BadArgument("verify requires K <= 5")
     K = cfg.K
     grid = momentum_grid(L=2.0 * math.pi, K=K, a=math.pi / 2.0)
     space = focklab.build_space(grid)
@@ -205,13 +187,10 @@ def cmd_verify(cfg: RunConfig, out) -> int:
         "residual": "0" if rec_ok else "mismatch", "pass": rec_ok,
         "worst_pair": rec_worst})
     ok = ok and rec_ok
-
-    json.dump(reports, out, indent=2)
-    out.write("\n")
-    return 0 if ok else 1
+    return (0 if ok else 1), reports
 
 
-def cmd_spectrum(cfg: RunConfig, e_max: float, out) -> int:
+def cmd_spectrum(cfg: RunConfig, e_max: float):
     sol = solve_closed_form(cfg.model)
     grid = momentum_grid(L=cfg.model.L, K=cfg.K, a=cfg.model.a)
     entries = spectrum(cfg.model, sol, e_max, grid)
@@ -220,13 +199,11 @@ def cmd_spectrum(cfg: RunConfig, e_max: float, out) -> int:
         modes = ";".join(f"{fl}:{m}:{n}" for fl, m, n in e.occupations)
         rows.append([str(e.q_plus), str(e.q_minus), str(e.m_p0), modes,
                      str(e.degeneracy), _fmt(e.energy)])
-    _write_rows(out, cfg.out_format,
-                ["q_plus", "q_minus", "m_p0", "modes", "degeneracy", "energy"],
-                rows)
-    return 0
+    return 0, Table(
+        ["q_plus", "q_minus", "m_p0", "modes", "degeneracy", "energy"], rows)
 
 
-def cmd_correlate(cfg: RunConfig, mode: str, out) -> int:
+def cmd_correlate(cfg: RunConfig, mode: str):
     sol = solve_closed_form(cfg.model)
     grid = momentum_grid(L=cfg.model.L, K=cfg.K, a=cfg.model.a)
     x_min, x_max, n, t = cfg.correlate_grid
@@ -249,56 +226,34 @@ def cmd_correlate(cfg: RunConfig, mode: str, out) -> int:
             return finite_correlator(spec, cfg.model, sol, grid)["value"]
         return npoint_continuum(spec, sol)
 
-    values = _map_ordered(one, xs)
+    values = [one(x) for x in xs]
     rows = [[_fmt(x), _fmt(t), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))]
             for x, v in zip(xs, values)]
-    _write_rows(out, cfg.out_format, ["x", "t", "re", "im", "abs"], rows)
-    return 0
+    return 0, Table(["x", "t", "re", "im", "abs"], rows)
 
 
-def cmd_scan(cfg: RunConfig, out) -> int:
+def cmd_scan(cfg: RunConfig):
     lam_min, lam_max, n_lam, g_min, g_max, n_g = cfg.scan_grid
-    points = []
-    for i in range(n_lam):
-        lam = lam_min + (lam_max - lam_min) * i / max(n_lam - 1, 1)
-        for j in range(n_g):
-            g = g_min + (g_max - g_min) * j / max(n_g - 1, 1)
-            points.append((lam, g))
-
     base = cfg.model
 
-    def one(pt):
-        lam, g = pt
+    def row(lam, g):
         params = ModelParams(v_f=base.v_f, v_p=base.v_p, lam=lam, g=g,
                              a=base.a, L=base.L, omega0=base.omega0)
         try:
-            validate_params(params)
             sol = solve_closed_form(params)
-        except FermiphonError as exc:
-            return (lam, g, None, str(exc))
+        except FermiphonError:
+            return [_fmt(lam), _fmt(g), "", "", "", "", "", "", "0"]
         tab = exponents(sol)
-        return (lam, g, (sol.couplings.gamma1, sol.couplings.gamma2,
-                         sol.vtilde_f, sol.vtilde_p, tab.delta_cdw,
-                         tab.delta_sc), "")
+        return [_fmt(lam), _fmt(g), _fmt(sol.couplings.gamma1),
+                _fmt(sol.couplings.gamma2), _fmt(sol.vtilde_f),
+                _fmt(sol.vtilde_p), _fmt(tab.delta_cdw), _fmt(tab.delta_sc),
+                "1"]
 
-    try:
-        results = _map_ordered(one, points)
-        rows = []
-        for lam, g, vals, err in results:
-            if vals is None:
-                rows.append([_fmt(lam), _fmt(g), "", "", "", "", "", "", "0"])
-            else:
-                g1, g2, vtf, vtp, dcdw, dsc = vals
-                rows.append([_fmt(lam), _fmt(g), _fmt(g1), _fmt(g2),
-                             _fmt(vtf), _fmt(vtp), _fmt(dcdw), _fmt(dsc),
-                             "1"])
-        _write_rows(out, cfg.out_format,
-                    ["lambda", "g", "gamma1", "gamma2", "vtilde_f",
+    rows = [row(lam_min + (lam_max - lam_min) * i / max(n_lam - 1, 1),
+                g_min + (g_max - g_min) * j / max(n_g - 1, 1))
+            for i in range(n_lam) for j in range(n_g)]
+    return 0, Table(["lambda", "g", "gamma1", "gamma2", "vtilde_f",
                      "vtilde_p", "delta_cdw", "delta_sc", "stable"], rows)
-    except OSError as exc:
-        print(f"I/O failure: {exc}", file=sys.stderr)
-        return 2
-    return 0
 
 
 # --------------------------------------------------------------------------
@@ -309,8 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fermiphon",
         description="Exact solution engine for the 1D fermion-phonon model")
     ap.add_argument("--config", required=True, help="path to INI config")
-    ap.add_argument("--output", default=None, help="output path (default stdout)")
-    ap.add_argument("--format", choices=("csv", "json"), default=None)
+    ap.add_argument("--output", default=None,
+                    help="output path (default stdout); written only once "
+                         "the command has a result")
+    ap.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = ap.add_subparsers(dest="command", required=True)
     sub.add_parser("solve")
     sub.add_parser("verify")
@@ -326,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a FermiphonError becomes exit 2 with one line on
-    stderr."""
+    """Run one subcommand; a FermiphonError or an I/O failure becomes exit 2
+    with one line on stderr."""
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
@@ -335,6 +292,8 @@ def main(argv=None) -> int:
         print(f"unstable couplings: {exc}", file=sys.stderr)
     except FermiphonError as exc:
         print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"I/O failure: {exc}", file=sys.stderr)
     return 2
 
 
@@ -346,31 +305,28 @@ def _run(args) -> int:
             configparser.Error, OSError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
-    if args.output:
-        cfg.out_path = args.output
-    if args.format:
-        cfg.out_format = args.format
     if getattr(args, "regulator", None) is not None:
         cfg.regulator = args.regulator
     if getattr(args, "ell", None) is not None:
         cfg.ell = args.ell
 
-    out = _open_out(cfg.out_path)
-    try:
-        if args.command == "solve":
-            return cmd_solve(cfg, out)
-        if args.command == "verify":
-            return cmd_verify(cfg, out)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg, args.e_max, out)
-        if args.command == "correlate":
-            return cmd_correlate(cfg, args.mode, out)
-        if args.command == "scan":
-            return cmd_scan(cfg, out)
-        return 2
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    if args.command == "solve":
+        code, payload = cmd_solve(cfg)
+    elif args.command == "verify":
+        code, payload = cmd_verify(cfg)
+    elif args.command == "spectrum":
+        code, payload = cmd_spectrum(cfg, args.e_max)
+    elif args.command == "correlate":
+        code, payload = cmd_correlate(cfg, args.mode)
+    else:
+        code, payload = cmd_scan(cfg)
+    # opened only now, so a command that fails leaves an existing file alone
+    if args.output:
+        with open(args.output, "w", newline="") as out:
+            _write(out, args.format, payload)
+    else:
+        _write(sys.stdout, args.format, payload)
+    return code
 
 
 if __name__ == "__main__":

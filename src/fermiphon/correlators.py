@@ -42,10 +42,13 @@ class CorrelatorSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "insertions", tuple(self.insertions))
-        if self.ell <= 0:
-            raise BadArgument("ell must be positive")
-        if self.regulator <= 0:
-            raise BadArgument("regulator must be positive")
+        for p in self.insertions:
+            if not (math.isfinite(p.x) and math.isfinite(p.t)):
+                raise BadArgument("insertion x and t must be finite")
+        if not (math.isfinite(self.ell) and self.ell > 0):
+            raise BadArgument("ell must be finite and positive")
+        if not (math.isfinite(self.regulator) and self.regulator > 0):
+            raise BadArgument("regulator must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,6 @@ class IdentityReport:
         return self.max_residual == 0
 
 
-def _interior(space, window):
-    return space.interior_indices(window)
-
-
 def _max_block(space, checks, window):
     """Max residual over (op, op_window) pairs; each op is restricted to the
     smaller of the identity window and its own momentum-dependent validity

@@ -177,9 +177,6 @@ class SparseOperator:
                         best = v
         return best
 
-    def restricted_equal(self, other, rows, cols) -> bool:
-        return (self - other).max_abs_on(rows, cols) == 0
-
 
 def _common_radicand(s1: Fraction, s2: Fraction):
     """Scalings (rad, c1, c2) with sqrt(s1) = c1 sqrt(rad), sqrt(s2) = c2 sqrt(rad)."""

@@ -25,23 +25,20 @@ from .exact import QC
 from .operators import density_op, klein_factor
 from .space import FockSpace
 
+
 def _cached_density(space, r, m):
-    cache = getattr(space, "_density_cache", None)
-    if cache is None:
-        cache = space._density_cache = {}
-    op = cache.get((r, m))
+    key = ("density", r, m)
+    op = space.op_cache.get(key)
     if op is None:
-        op = cache[(r, m)] = density_op(space, r, m)
+        op = space.op_cache[key] = density_op(space, r, m)
     return op
 
 
 def _cached_klein(space, r, dagger):
-    cache = getattr(space, "_klein_cache", None)
-    if cache is None:
-        cache = space._klein_cache = {}
-    op = cache.get((r, dagger))
+    key = ("klein", r, dagger)
+    op = space.op_cache.get(key)
     if op is None:
-        op = cache[(r, dagger)] = klein_factor(space, r, dagger)
+        op = space.op_cache[key] = klein_factor(space, r, dagger)
     return op
 
 

@@ -62,6 +62,8 @@ class FockSpace:
             self._pos[(-1, nu)] = 2 * K + i
         self.basis = [self._make_state(m) for m in range(self.dim)]
         self.vacuum = 0
+        # operators built once per space, keyed by their kind and labels
+        self.op_cache = {}
 
     def _make_state(self, mask: int) -> OccupationState:
         qp = qm = 0
@@ -99,10 +101,6 @@ class FockSpace:
         """Indices of basis states with energy <= window."""
         w = self.interior_window() if window is None else Fraction(window)
         return [i for i, st in enumerate(self.basis) if st.energy <= w]
-
-    def index_of(self, mask: int) -> int:
-        # masks are their own indices by construction
-        return mask
 
     def create_sign(self, mask: int, pos: int):
         """Apply c^dagger at bit pos to a basis mask.

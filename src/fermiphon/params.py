@@ -35,8 +35,9 @@ class ModelParams:
     omega0: float = 0.0
 
     def __post_init__(self):
-        if self.omega0 == 0.0:
+        if self.omega0 == 0.0 and self.L != 0.0:
             # one boson-mode spacing; only omega0 > 0 is physically required
+            # (validate_params rejects L = 0)
             object.__setattr__(self, "omega0", TWO_PI * self.v_p / self.L)
 
 
@@ -83,7 +84,8 @@ class MomentumGrid:
 def validate_params(raw: ModelParams) -> ModelParams:
     """Check geometry and stability; return the params unchanged if valid.
 
-    Raises BadGeometry on violated positivity/ordering constraints and
+    Raises BadGeometry on violated positivity/ordering constraints, or when
+    v_f^2 or the mode count n_a = floor(L / 2a) overflows, and
     UnstableCouplings when gamma1 >= 1 or gamma2^2 >= 1 + gamma1 (the model
     then describes an unstable system).
     """
@@ -94,8 +96,12 @@ def validate_params(raw: ModelParams) -> ModelParams:
         raise BadGeometry("velocities must be positive")
     if raw.v_p >= raw.v_f:
         raise BadGeometry("phonon velocity must satisfy v_p < v_f")
+    if not math.isfinite(raw.v_f * raw.v_f):
+        raise BadGeometry("v_f is too large: v_f^2 overflows")
     if raw.a <= 0 or raw.L <= 0 or raw.a >= raw.L:
         raise BadGeometry("lengths must satisfy 0 < a < L")
+    if not math.isfinite(raw.L / (2.0 * raw.a)):
+        raise BadGeometry("L / 2a overflows; the mode count n_a is infinite")
     if raw.omega0 <= 0:
         raise BadGeometry("omega0 must be positive")
     gamma1 = raw.lam / (TWO_PI * raw.v_f)

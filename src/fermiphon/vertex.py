@@ -28,7 +28,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .bogoliubov import BogoliubovSolution
-from .correlators import CorrelatorSpec
+from .correlators import CorrelatorSpec, klein_sign
 from .errors import BadRegulator, TailTooLarge
 from .params import TWO_PI, ModelParams, MomentumGrid
 
@@ -82,7 +82,6 @@ class VertexFactor:
 
 @dataclass
 class NormalOrderedProduct:
-    factors: Tuple[VertexFactor, ...]
     prefactor: complex
     klein: Tuple[Tuple[int, int], ...]
     zero_c: Tuple[complex, complex]
@@ -312,40 +311,16 @@ def normal_order_product(factors) -> NormalOrderedProduct:
     klein = tuple(letter for f in factors for letter in f.klein)
     zero_c = (sum(f.zero_c[0] for f in factors),
               sum(f.zero_c[1] for f in factors))
-    return NormalOrderedProduct(factors=factors, prefactor=prefactor,
-                                klein=klein, zero_c=zero_c,
-                                rounding=rounding)
-
-
-def _klein_word_sign(word) -> int:
-    """VEV sign of a Klein word by stepwise reordering: adjacent
-    transpositions of letters on opposite chiralities contribute
-    (-1)^(w w'); the reordered word must reduce to zero net winding per
-    chirality.  Independent of correlators.klein_sign."""
-    letters = list(word)
-    sign = 1
-    # bubble all + letters to the front
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(letters) - 1):
-            if letters[i][0] == -1 and letters[i + 1][0] == +1:
-                w1, w2 = letters[i][1], letters[i + 1][1]
-                if (w1 * w2) % 2:
-                    sign = -sign
-                letters[i], letters[i + 1] = letters[i + 1], letters[i]
-                changed = True
-    net_plus = sum(w for r, w in letters if r == +1)
-    net_minus = sum(w for r, w in letters if r == -1)
-    if net_plus != 0 or net_minus != 0:
-        return 0
-    return sign
+    return NormalOrderedProduct(prefactor=prefactor, klein=klein,
+                                zero_c=zero_c, rounding=rounding)
 
 
 def vacuum_expectation(product: NormalOrderedProduct) -> complex:
     """<Omega, product Omega>: prefactor times the Klein-word sign; the
-    leftover zero-mode exponentials act trivially on the vacuum."""
-    return product.prefactor * _klein_word_sign(product.klein)
+    leftover zero-mode exponentials act trivially on the vacuum.  A letter
+    (r, w) has winding w = q r, so its dagger flag is q = w r."""
+    word = [(r, w * r) for r, w in product.klein]
+    return product.prefactor * klein_sign(word)
 
 
 @lru_cache(maxsize=64)
@@ -404,7 +379,10 @@ def finite_correlator(spec: CorrelatorSpec, params: ModelParams,
                for p in spec.insertions]
     product = normal_order_product(factors)
     value = vacuum_expectation(product)
-    bound = abs(value) * math.expm1(2.0 * product.rounding)
+    # e^{2r} - 1 overflows above r = 354; the bound is infinite there
+    growth = math.expm1(2.0 * product.rounding) \
+        if product.rounding < 354.0 else math.inf
+    bound = abs(value) * growth
     if tolerance is not None and bound > tolerance:
         raise TailTooLarge(
             f"rounding bound {bound:.3e} exceeds tolerance {tolerance:.3e}")

@@ -5,7 +5,6 @@ import pytest
 
 from fermiphon import ModelParams, derived_couplings, momentum_grid
 from fermiphon.bogoliubov import (block_matrices, diagonalize_numeric,
-                                  free_solution, ground_state_energy,
                                   solve_closed_form, spectrum)
 from fermiphon.errors import DegenerateBranches, GridTooSmall, ZeroMode
 from fermiphon.focklab import degeneracy_counts
@@ -119,18 +118,19 @@ def test_e0_two_mode_oracle():
 
 
 def test_ground_state_energy_examples():
-    free = free_solution(1.0, 0.3, a=0.01, L=100.0)
-    assert ground_state_energy(free.params, free) == 0.0
+    free = solve_closed_form(ModelParams(v_f=1.0, v_p=0.3, lam=0.0, g=0.0,
+                                         a=0.01, L=100.0))
+    assert free.e0 == 0.0
     # n_a = 1 at L = 2 pi, a = pi: single-mode sum
     params = ModelParams(v_f=1.0, v_p=0.3, lam=1.0, g=0.2, a=math.pi, L=TWO_PI)
     sol = solve_closed_form(params)
     dv = sol.vtilde_f - 1.0 + sol.vtilde_p - 0.3
-    assert math.isclose(ground_state_energy(params, sol), dv, rel_tol=1e-14)
+    assert math.isclose(sol.e0, dv, rel_tol=1e-14)
     # halving a roughly quadruples E0 (a << L)
     p1 = ModelParams(v_f=1.0, v_p=0.3, lam=1.0, g=0.2, a=1e-3, L=100.0)
     p2 = ModelParams(v_f=1.0, v_p=0.3, lam=1.0, g=0.2, a=5e-4, L=100.0)
-    e1 = ground_state_energy(p1, solve_closed_form(p1))
-    e2 = ground_state_energy(p2, solve_closed_form(p2))
+    e1 = solve_closed_form(p1).e0
+    e2 = solve_closed_form(p2).e0
     assert math.isclose(e2 / e1, 4.0, rel_tol=5e-4)
 
 

@@ -1,8 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import fermiphon
 
 from fermiphon import cli
 from fermiphon.bogoliubov import solve_closed_form
@@ -258,13 +267,12 @@ def test_scan_rows(config_file, tmp_path):
             assert vb < va
 
 
-def test_scan_threads_deterministic(config_file, tmp_path, monkeypatch):
+def test_scan_deterministic(config_file, tmp_path):
     cfg = config_file(GENERIC_INI)
     out1 = str(tmp_path / "s1.csv")
     out2 = str(tmp_path / "s2.csv")
-    run_cli(["--config", cfg, "--output", out1, "scan"])
-    monkeypatch.setenv("THREADS", "4")
-    run_cli(["--config", cfg, "--output", out2, "scan"])
+    assert run_cli(["--config", cfg, "--output", out1, "scan"]) == 0
+    assert run_cli(["--config", cfg, "--output", out2, "scan"]) == 0
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
@@ -288,15 +296,33 @@ def test_json_format_option(config_file, tmp_path):
     # g = 0 with colliding branches (v_tilde_F = v_P): DegenerateBranches
     (("v_p = 0.3", "v_p = 0.6", "lambda = 1.0", "lambda = 5.026548245743669",
       "g = 0.2", "g = 0.0"), ["solve"]),
+    (None, ["correlate", "--mode", "finite", "--regulator", "nan"]),
+    (None, ["correlate", "--mode", "continuum", "--regulator", "inf"]),
+    (None, ["correlate", "--mode", "continuum", "--ell", "nan"]),
+    (None, ["correlate", "--mode", "finite", "--ell", "inf"]),
+    # L / 2a overflows to inf
+    (("a = 0.05", "a = 1e-300", "L = 20.0", "L = 1e10"), ["solve"]),
+    (("t = 0.0", "t = inf"), ["correlate", "--mode", "continuum"]),
+    (("v_f = 1.0", "v_f = 1e200"), ["solve"]),
+    # g^2 underflows in the mixing coefficients
+    (("g = 0.2", "g = 1e-200"), ["solve"]),
+    # output that cannot be opened; {tmp} is the test's directory
+    (None, ["--output", "{tmp}/no/such/dir/x.csv", "scan"]),
+    (None, ["--output", "{tmp}", "solve"]),
 ], ids=["finite-reg0", "continuum-reg0", "finite-reg-neg", "points0",
-        "points-neg", "n_lambda0", "n_g-neg", "g0-degenerate"])
+        "points-neg", "n_lambda0", "n_g-neg", "g0-degenerate",
+        "finite-reg-nan", "continuum-reg-inf", "continuum-ell-nan",
+        "finite-ell-inf", "n_a-overflow", "t-inf", "v_f-overflow",
+        "g-underflow", "output-missing-dir", "output-is-dir"])
 def test_bad_input_exit_2_one_line(config_file, tmp_path, capsys, edit, args):
     text = GENERIC_INI
     for old, new in zip(edit[::2], edit[1::2]) if edit else ():
         text = text.replace(old, new)
     cfg = config_file(text)
-    out = str(tmp_path / "out")
-    assert run_cli(["--config", cfg, "--output", out] + args) == 2
+    args = [a.replace("{tmp}", str(tmp_path)) for a in args]
+    if "--output" not in args:
+        args = ["--output", str(tmp_path / "out")] + args
+    assert run_cli(["--config", cfg] + args) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
@@ -308,3 +334,107 @@ def test_invalid_config_exit_2(tmp_path):
                     "a = 0.01\nL = 10\n")
     assert cli.main(["--config", str(path), "solve"]) == 2
     assert cli.main(["--config", str(tmp_path / "missing.ini"), "solve"]) == 2
+
+
+@pytest.mark.parametrize("edit, args", [
+    (("K = 8", "K = 1"), ["spectrum", "--e-max", "0.6"]),
+    (("K = 8", "K = 6"), ["verify"]),
+], ids=["spectrum-grid-too-small", "verify-k6"])
+def test_failed_command_keeps_existing_output(config_file, tmp_path, edit,
+                                              args):
+    cfg = config_file(GENERIC_INI.replace(*edit))
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"earlier result\n")
+    assert run_cli(["--config", cfg, "--output", str(out)] + args) == 2
+    assert out.read_bytes() == b"earlier result\n"
+
+
+# Config values for the property test: every key starts from a range where
+# the model is valid, so runs get past validation; a few are then left out
+# or given a finite (plausible or extreme), zero, negative, non-finite or
+# unparsable value.
+_BAD = st.one_of(
+    st.floats(min_value=-10.0, max_value=50.0).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["0", "0.0", "-0.0", "-1", "nan", "inf", "-inf", "1e999",
+                     "", "abc", "1,5", "0x10"]))
+
+
+def _real(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(repr)
+
+
+def _count(hi):
+    return st.integers(1, hi).map(str)
+
+
+_SECTIONS = {
+    "model": {"v_f": _real(0.5, 2.0), "v_p": _real(0.05, 0.45),
+              "lambda": _real(-3.0, 3.0), "g": _real(-0.3, 0.3),
+              "a": _real(1e-7, 1.0), "L": _real(2.0, 100.0),
+              "omega0": _real(1e-3, 1.0)},
+    "grid": {"K": _count(6)},
+    "correlator": {
+        "ell": _real(0.1, 10.0), "regulator": _real(1e-9, 0.5),
+        "x_min": _real(-5.0, 5.0), "x_max": _real(-5.0, 5.0),
+        "t": _real(-2.0, 2.0), "points": _count(4),
+        "insertions": st.sampled_from([
+            "+:-:0:0 ; +:+:0:0", "+:-:0:0 ; +:+:-1:0 ; -:-:-2:0.1 ; -:+:-3:0",
+            "-:+:0:0 ; -:-:0:0", "+:-:0:0", "+:-:nan:0 ; +:+:0:inf"])},
+    "scan": {"lambda_min": _real(-10.0, 10.0),
+             "lambda_max": _real(-10.0, 10.0), "n_lambda": _count(3),
+             "g_min": _real(-1.0, 1.0), "g_max": _real(-1.0, 1.0),
+             "n_g": _count(3)},
+}
+
+
+_KEYS = [(title, key) for title, keys in _SECTIONS.items() for key in keys]
+
+
+@st.composite
+def _configs(draw):
+    """INI text with a valid value for every key the config reads, then up
+    to three keys left out (None) or given a bad value.  Counts stay small
+    (points <= 4, n_lambda and n_g <= 3): no bad value parses as a larger
+    count."""
+    values = {(title, key): draw(good) for title, keys in _SECTIONS.items()
+              for key, good in keys.items()}
+    for where, bad in draw(st.lists(st.tuples(st.sampled_from(_KEYS),
+                                              st.none() | _BAD), max_size=3)):
+        values[where] = bad
+    lines = []
+    for title, keys in _SECTIONS.items():
+        lines.append(f"[{title}]")
+        lines += [f"{key} = {values[title, key]}" for key in keys
+                  if values[title, key] is not None]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["solve"], ["scan"], ["correlate", "--mode", "finite"],
+    ["correlate", "--mode", "continuum"]], ids=lambda a: "-".join(a[-1:]))
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(text=_configs())
+def test_random_config_exits_0_or_2(args, text):
+    """Any config: exit 0 or 2, never a traceback.  `spectrum` and `verify`
+    are left out because their cost is not yet capped."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.ini")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["--config", cfg, "--output",
+                             os.path.join(tmp, "out"), *args])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_cli_import_loads_no_mpmath_or_thread_pool():
+    src = os.path.dirname(os.path.dirname(fermiphon.__file__))
+    code = ("import sys, fermiphon.cli; print([m for m in "
+            "('mpmath', 'concurrent.futures') if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert res.stdout.strip() == "[]"

@@ -41,6 +41,10 @@ def test_bad_geometry():
     with pytest.raises(BadGeometry):
         validate_params(ModelParams(v_f=1.0, v_p=0.3, lam=float("nan"),
                                     g=0.0, a=0.01, L=100.0, omega0=0.1))
+    # L / 2a = inf: the mode count n_a cannot be formed
+    with pytest.raises(BadGeometry):
+        validate_params(ModelParams(v_f=1.0, v_p=0.3, lam=1.0, g=0.2,
+                                    a=1e-300, L=1e10))
 
 
 def test_free_couplings_collapse(free_params):

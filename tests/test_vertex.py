@@ -9,9 +9,9 @@ from fermiphon.bogoliubov import solve_closed_form
 from fermiphon.correlators import (CorrelatorSpec, InsertionPoint,
                                    free_finite_L, klein_sign, two_point)
 from fermiphon.errors import BadRegulator
-from fermiphon.vertex import (field_vertex, finite_correlator,
-                              normal_order_product, pair_contraction,
-                              vacuum_expectation, z_renorm, _klein_word_sign,
+from fermiphon.vertex import (NormalOrderedProduct, field_vertex,
+                              finite_correlator, normal_order_product,
+                              pair_contraction, vacuum_expectation, z_renorm,
                               _channel_contraction, _direct_rounding,
                               _log_sums, _DIRECT_SUM_MAX)
 
@@ -150,6 +150,32 @@ def test_exchange_consistency(free_setup):
         assert abs(a / b + 1.0) < 6.0 * eps
 
 
+def _klein_word_sign(word) -> int:
+    """VEV sign of a Klein word of vertex letters (r, w) by stepwise
+    reordering (von Delft & Schoeller, cond-mat/9805275): adjacent
+    transpositions of letters on opposite chiralities contribute
+    (-1)^(w w'); the reordered word must reduce to zero net winding per
+    chirality.  Independent of correlators.klein_sign."""
+    letters = list(word)
+    sign = 1
+    # bubble all + letters to the front
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(letters) - 1):
+            if letters[i][0] == -1 and letters[i + 1][0] == +1:
+                w1, w2 = letters[i][1], letters[i + 1][1]
+                if (w1 * w2) % 2:
+                    sign = -sign
+                letters[i], letters[i + 1] = letters[i + 1], letters[i]
+                changed = True
+    net_plus = sum(w for r, w in letters if r == +1)
+    net_minus = sum(w for r, w in letters if r == -1)
+    if net_plus != 0 or net_minus != 0:
+        return 0
+    return sign
+
+
 def test_klein_word_sign_matches_correlators():
     rng = np.random.default_rng(5)
     for _ in range(1000):
@@ -159,6 +185,10 @@ def test_klein_word_sign_matches_correlators():
         # vertex letters are (r, w) with w = q r; correlators take (r, q)
         letters = tuple((r, q * r) for r, q in word)
         assert _klein_word_sign(letters) == klein_sign(word)
+        # the production path: vacuum_expectation on the same Klein word
+        product = NormalOrderedProduct(prefactor=1.0 + 0.0j, klein=letters,
+                                       zero_c=(0.0j, 0.0j), rounding=0.0)
+        assert vacuum_expectation(product) == _klein_word_sign(letters)
 
 
 def test_z_renorm(coupled_setup):
@@ -236,6 +266,16 @@ def test_finite_correlator_selection(free_setup):
     spec = CorrelatorSpec(insertions=(InsertionPoint(+1, -1, 0.5, 0.0),),
                           regulator=1e-3)
     assert finite_correlator(spec, params, sol, grid)["value"] == 0
+
+
+def test_finite_correlator_bound_infinite_when_phase_is_lost(free_setup):
+    # at x = 5e19 the zero-mode phase keeps no digits and e^{2r} - 1
+    # overflows: the bound is infinite rather than an OverflowError
+    params, sol, grid = free_setup
+    spec = CorrelatorSpec(insertions=(InsertionPoint(+1, -1, 5e19, 0.0),
+                                      InsertionPoint(+1, +1, 0.0, 0.0)),
+                          regulator=1e-3)
+    assert finite_correlator(spec, params, sol, grid)["tail_bound"] == math.inf
 
 
 def test_finite_correlator_free_time_dependence(free_setup):
