@@ -203,6 +203,22 @@ def _vtilde_at(params, solution, flavor: str, m: int) -> float:
     return solution.vtilde_p if inside else params.v_p
 
 
+def _occupations(modes, idx, spent, e_max, occ):
+    """(energy, occupations) of every boson occupation of modes[idx:] on top
+    of `spent`, up to e_max, depth first: each state before its extensions."""
+    yield spent, tuple(occ)
+    for i in range(idx, len(modes)):
+        fl, m, e = modes[i]
+        if spent + e > e_max:
+            break
+        n = 1
+        while spent + n * e <= e_max:
+            occ.append((fl, m, n))
+            yield from _occupations(modes, i + 1, spent + n * e, e_max, occ)
+            occ.pop()
+            n += 1
+
+
 def spectrum(params: ModelParams, solution: BogoliubovSolution, e_max: float,
              grid: MomentumGrid) -> List[SpectrumEntry]:
     """All eigenvalue labels with energy - E0 <= e_max, sorted ascending.
@@ -241,22 +257,6 @@ def spectrum(params: ModelParams, solution: BogoliubovSolution, e_max: float,
                           )) + 1 if e_max > 0 else 0
 
     entries: List[SpectrumEntry] = []
-
-    def fill_modes(idx, spent, occ, qp, qm, mp0):
-        entries.append(SpectrumEntry(
-            q_plus=qp, q_minus=qm, m_p0=mp0, occupations=tuple(occ),
-            energy=solution.e0 + spent))
-        for i in range(idx, len(modes)):
-            fl, m, e = modes[i]
-            if spent + e > e_max:
-                break
-            n = 1
-            while spent + n * e <= e_max:
-                occ.append((fl, m, n))
-                fill_modes(i + 1, spent + n * e, occ, qp, qm, mp0)
-                occ.pop()
-                n += 1
-
     for qp in range(-qmax, qmax + 1):
         for qm in range(-qmax, qmax + 1):
             e_q = charge_energy(qp, qm)
@@ -264,7 +264,11 @@ def spectrum(params: ModelParams, solution: BogoliubovSolution, e_max: float,
                 continue
             mp0 = 0
             while e_q + mp0 * params.omega0 <= e_max:
-                fill_modes(0, e_q + mp0 * params.omega0, [], qp, qm, mp0)
+                for spent, occ in _occupations(
+                        modes, 0, e_q + mp0 * params.omega0, e_max, []):
+                    entries.append(SpectrumEntry(
+                        q_plus=qp, q_minus=qm, m_p0=mp0, occupations=occ,
+                        energy=solution.e0 + spent))
                 mp0 += 1
 
     entries.sort(key=lambda s: (s.energy, -s.q_plus, -s.q_minus))

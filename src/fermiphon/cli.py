@@ -137,57 +137,26 @@ def cmd_verify(cfg: RunConfig):
     K = cfg.K
     grid = momentum_grid(L=2.0 * math.pi, K=K, a=math.pi / 2.0)
     space = focklab.build_space(grid)
-    reports = []
-    ok = True
-    for rep in focklab.run_identity_suite(space):
-        reports.append({
-            "identity": rep.identity, "K": rep.K, "L": grid.L,
-            "window": str(rep.window), "residual": str(rep.max_residual),
-            "pass": rep.passed,
-            "worst_pair": list(rep.worst_pair) if rep.worst_pair else None})
-        ok = ok and rep.passed
 
-    counts = focklab.degeneracy_counts(space, space.K - 1)
+    def row(name, window, residual, passed, worst=None):
+        return {"identity": name, "K": K, "L": grid.L, "window": str(window),
+                "residual": residual, "pass": passed,
+                "worst_pair": list(worst) if worst else None}
+
+    def report_row(rep):
+        return row(rep.identity, rep.window, str(rep.max_residual),
+                   rep.passed, rep.worst_pair)
+
+    reports = [report_row(rep) for rep in focklab.run_identity_suite(space)]
+    counts = focklab.degeneracy_counts(space, K - 1)
     deg_ok = all(f == b for f, b in counts.values())
-    reports.append({
-        "identity": "DEGENERACY", "K": K, "L": grid.L,
-        "window": str(space.K - 1),
-        "residual": "0" if deg_ok else "mismatch", "pass": deg_ok,
-        "worst_pair": None})
-    ok = ok and deg_ok
-
+    reports.append(row("DEGENERACY", K - 1, "0" if deg_ok else "mismatch",
+                       deg_ok))
     resid, tail = focklab.jacobi_check(0.5, 60)
-    jac_ok = resid <= tail + 1e-12
-    reports.append({
-        "identity": "JACOBI", "K": K, "L": grid.L, "window": "z=0.5,order=60",
-        "residual": _fmt(resid), "pass": jac_ok, "worst_pair": None})
-    ok = ok and jac_ok
-
-    rec_ok = True
-    rec_worst = None
-    interior = space.interior_indices()
-    rows = set(interior)
-    for r in (+1, -1):
-        for nu in space.fermion_modes():
-            psi = focklab.field_op(space, r, nu)
-            for col in interior:
-                vec = focklab.reconstructed_field(space, r, nu, col)
-                ref = psi.cols.get(col, {})
-                keys = (set(vec) | set(ref)) & rows
-                for row in keys:
-                    a = vec.get(row)
-                    b = ref.get(row)
-                    if (a is None) != (b is None) or (a is not None and
-                                                     not (a - b).is_zero()):
-                        rec_ok = False
-                        rec_worst = rec_worst or [row, col]
-    reports.append({
-        "identity": "RECONSTRUCTION", "K": K, "L": grid.L,
-        "window": str(space.interior_window()),
-        "residual": "0" if rec_ok else "mismatch", "pass": rec_ok,
-        "worst_pair": rec_worst})
-    ok = ok and rec_ok
-    return (0 if ok else 1), reports
+    reports.append(row("JACOBI", "z=0.5,order=60", _fmt(resid),
+                       resid <= tail + 1e-12))
+    reports.append(report_row(focklab.reconstruction_report(space)))
+    return (0 if all(r["pass"] for r in reports) else 1), reports
 
 
 def cmd_spectrum(cfg: RunConfig, e_max: float):

@@ -3,16 +3,17 @@ tolerance-free verification of the bosonization identities."""
 
 from .counting import degeneracy_counts, jacobi_check
 from .identities import (SUPPORTED_IDENTITIES, IdentityReport,
-                         identity_residual, run_identity_suite)
+                         identity_residual, reconstruction_report,
+                         run_identity_suite)
 from .operators import (SparseOperator, boson_ladder, charge_op, density_op,
                         field_op, free_hamiltonian, klein_factor, ladder_op)
 from .reconstruction import reconstructed_field
-from .space import FockSpace, OccupationState, build_space
+from .space import FockSpace, build_space
 
 __all__ = [
-    "FockSpace", "OccupationState", "build_space", "SparseOperator",
+    "FockSpace", "build_space", "SparseOperator",
     "ladder_op", "field_op", "density_op", "free_hamiltonian", "charge_op",
     "klein_factor", "boson_ladder", "identity_residual", "run_identity_suite",
     "IdentityReport", "SUPPORTED_IDENTITIES", "degeneracy_counts",
-    "jacobi_check", "reconstructed_field",
+    "jacobi_check", "reconstructed_field", "reconstruction_report",
 ]

@@ -20,9 +20,9 @@ def degeneracy_counts(space: FockSpace, e_max) -> dict:
     """
     e_max = Fraction(e_max)
     fermi = {}
-    for st in space.basis:
-        if st.energy <= e_max:
-            fermi[st.energy] = fermi.get(st.energy, 0) + 1
+    for mask in space.interior_indices(e_max):
+        e = space.energy(mask)
+        fermi[e] = fermi.get(e, 0) + 1
 
     # boson-mode part: number of multisets over modes |p| = 1, 2, ... with
     # two signs of p each, at total integer energy e

@@ -4,6 +4,8 @@ Each identity is evaluated as a matrix difference between truncated
 operators; the residual is the exact maximum L1 magnitude of the difference
 over the interior block (bra and ket energies <= the interior window).  In
 the window every residual is expected to be exactly zero -- no tolerances.
+Operators are column functions, so only the interior columns (and the
+states they reach) are ever computed.
 
 Lab units: 2 pi / L = 1, so pi / L = 1/2 and L / (2 pi) = 1.
 """
@@ -12,11 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from ..errors import UnknownIdentity
 from .exact import QC
 from .operators import (SparseOperator, charge_op, density_op, field_op,
                         free_hamiltonian, klein_factor)
+from .reconstruction import reconstructed_field
 from .space import CHIRALITIES, FockSpace
 
 SUPPORTED_IDENTITIES = (
@@ -38,13 +42,14 @@ class IdentityReport:
 
 
 def _max_block(space, checks, window):
-    """Max residual over (op, op_window) pairs; each op is restricted to the
-    smaller of the identity window and its own momentum-dependent validity
-    window."""
+    """Max residual over (op, op_window) pairs and the number of pairs; each
+    op is restricted to the smaller of the identity window and its own
+    momentum-dependent validity window."""
     best = Fraction(0)
     worst = None
     cache = {}
-    for op, w_op in checks:
+    n = 0
+    for n, (op, w_op) in enumerate(checks, 1):
         w = window if w_op is None else min(window, Fraction(w_op))
         if w < 0:
             continue
@@ -61,7 +66,7 @@ def _max_block(space, checks, window):
                     v = amp.l1()
                     if v > best:
                         best, worst = v, (r, c)
-    return best, worst
+    return best, worst, n
 
 
 def _car_residuals(space):
@@ -69,15 +74,13 @@ def _car_residuals(space):
     fields = {m: field_op(space, *m) for m in modes}
     fields_dag = {m: field_op(space, *m, dagger=True) for m in modes}
     ident = SparseOperator.identity(space)
-    out = []
     for m1 in modes:
         for m2 in modes:
             res = fields[m1].anticommutator(fields_dag[m2])
             if m1 == m2:
                 res = res - ident
-            out.append((res, None))
-            out.append((fields[m1].anticommutator(fields[m2]), None))
-    return out
+            yield res, None
+            yield fields[m1].anticommutator(fields[m2]), None
 
 
 def _schwinger_residuals(space):
@@ -89,7 +92,6 @@ def _schwinger_residuals(space):
     mrange = range(1, space.K)
     dens = {(r, sm * m): density_op(space, r, sm * m)
             for r in CHIRALITIES for m in mrange for sm in (1, -1)}
-    out = []
     for r in CHIRALITIES:
         for rp in CHIRALITIES:
             for m in mrange:
@@ -106,15 +108,13 @@ def _schwinger_residuals(space):
                                 w = None  # commutator with itself: exact zero
                             else:
                                 w = edge - m - mp + Fraction(1, 2)
-                            out.append((lhs, w))
-    return out
+                            yield lhs, w
 
 
 def _j_psi_residuals(space):
     # [J_r(p), psi^dag_r'(k)] = delta_{r,r'} psi^dag_r(k - p), exact on the
     # whole lattice whenever both modes sit in the window and the density
     # cutoff keeps the connecting term.
-    out = []
     for r in CHIRALITIES:
         for m in range(1, 2 * space.K):
             for sm in (1, -1):
@@ -128,24 +128,20 @@ def _j_psi_residuals(space):
                         res = J.commutator(field_op(space, rp, nu, dagger=True))
                         if r == rp and abs(nu - Fraction(p, 2)) <= cutoff:
                             res = res - field_op(space, rp, nu - p, dagger=True)
-                        out.append((res, None))
-    return out
+                        yield res, None
 
 
 def _h0_j_residuals(space):
     # [H0, J^Lambda_r(p)] = -r p J^Lambda_r(p), exact on the whole lattice.
     h0 = free_hamiltonian(space)
-    out = []
     for r in CHIRALITIES:
         for m in range(1, 2 * space.K):
             for p in (m, -m):
                 J = density_op(space, r, p)
-                out.append((h0.commutator(J) + J * QC(r * p), None))
-    return out
+                yield h0.commutator(J) + J * QC(r * p), None
 
 
 def _j_r_residuals(space):
-    out = []
     kleins = {r: klein_factor(space, r) for r in CHIRALITIES}
     for r in CHIRALITIES:
         for rp in CHIRALITIES:
@@ -154,26 +150,23 @@ def _j_r_residuals(space):
                 res = density_op(space, r, m).commutator(R)
                 if r == rp and m == 0:
                     res = res - R * QC(r)
-                out.append((res, space.edge() - abs(m) - Fraction(1, 2)))
-    return out
+                yield res, space.edge() - abs(m) - Fraction(1, 2)
 
 
 def _h0_r_residuals(space):
     # [H0, R_r] = r (pi / L) {J_r(0), R_r}; pi / L = 1/2 in lab units.
     h0 = free_hamiltonian(space)
-    out = []
     for r in CHIRALITIES:
         R = klein_factor(space, r)
         res = h0.commutator(R) - charge_op(space, r).anticommutator(R) * QC(
             Fraction(r, 2))
-        out.append((res, None))
-    return out
+        yield res, None
 
 
 def _rr_residuals(space):
     rp = klein_factor(space, +1)
     rm = klein_factor(space, -1)
-    return [(rp.anticommutator(rm), None)]
+    yield rp.anticommutator(rm), None
 
 
 def _kronig_residuals(space):
@@ -184,7 +177,7 @@ def _kronig_residuals(space):
         rhs = rhs + (q @ q) * QC(Fraction(1, 2))
         for m in range(1, space.K + 1):
             rhs = rhs + density_op(space, r, -r * m) @ density_op(space, r, r * m)
-    return [(h0 - rhs, None)]
+    yield h0 - rhs, None
 
 
 _BUILDERS = {
@@ -199,16 +192,33 @@ _BUILDERS = {
 }
 
 
+def _report(space, identity, checks, window) -> IdentityReport:
+    w = space.interior_window() if window is None else Fraction(window)
+    best, worst, n = _max_block(space, checks, w)
+    return IdentityReport(
+        identity=identity, K=space.K, window=w,
+        max_residual=best, checks=n, worst_pair=worst)
+
+
 def identity_residual(space: FockSpace, identity: str, window=None) -> IdentityReport:
     """Evaluate one identity on the interior block and report the residual."""
     if identity not in _BUILDERS:
         raise UnknownIdentity(f"{identity!r} not in {SUPPORTED_IDENTITIES}")
-    w = space.interior_window() if window is None else Fraction(window)
-    checks = _BUILDERS[identity](space)
-    best, worst = _max_block(space, checks, w)
-    return IdentityReport(
-        identity=identity, K=space.K, window=w,
-        max_residual=best, checks=len(checks), worst_pair=worst)
+    return _report(space, identity, _BUILDERS[identity](space), window)
+
+
+def _reconstruction_residuals(space):
+    for r in CHIRALITIES:
+        for nu in space.fermion_modes():
+            V = SparseOperator(space, partial(reconstructed_field, space, r, nu))
+            yield V - field_op(space, r, nu), None
+
+
+def reconstruction_report(space: FockSpace) -> IdentityReport:
+    """RECONSTRUCTION: V_r(k) = psi-hat_r(k) entrywise on the interior block,
+    for both chiralities and every k in the window."""
+    return _report(space, "RECONSTRUCTION", _reconstruction_residuals(space),
+                   None)
 
 
 def run_identity_suite(space: FockSpace, identities=SUPPORTED_IDENTITIES,

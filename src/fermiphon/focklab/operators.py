@@ -2,85 +2,81 @@
 
 Every operator is sqrt(radicand) * M with M a matrix of Gaussian rationals
 and radicand a squarefree positive rational (1 for everything except the
-boson ladder operators).  Partial operators (Klein factors) carry the set
-of basis columns on which they are defined; partiality is data, not an
-error.
+boson ladder operators).  An operator is a column function: the image of
+one basis state, computed the first time that column is read.  Sums,
+multiples and products are column functions of their operands, so a check
+evaluates only the columns it reads and the states those reach.  Partial
+operators (Klein factors) return None for the columns outside their
+validity window; partiality is data, not an error.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from ..errors import ModeOutOfWindow, ZeroMode
 from .exact import QC, QC_ONE, sqrt_reduce
 from .space import CHIRALITIES, FockSpace
 
 
+class Columns(dict):
+    """cols[c] is column c as {row: QC}, or None outside the validity
+    window; each column is computed on first read and kept.  get() treats a
+    None column as absent."""
+
+    def __init__(self, column):
+        super().__init__()
+        self._column = column
+
+    def __missing__(self, c):
+        col = self[c] = self._column(c)
+        return col
+
+    def get(self, c, default=None):
+        col = self[c]
+        return default if col is None else col
+
+
+def _accumulate(out: dict, col: dict, scale: QC) -> dict:
+    """out += scale * col entrywise; entries that cancel are dropped."""
+    for r, amp in col.items():
+        cur = out.get(r)
+        new = amp * scale if cur is None else cur + amp * scale
+        if new.is_zero():
+            out.pop(r, None)
+        else:
+            out[r] = new.normalized()
+    return out
+
+
 class SparseOperator:
-    """Column-major exact sparse matrix over a FockSpace basis."""
+    """Exact sparse matrix over a FockSpace basis, given column by column."""
 
-    def __init__(self, space: FockSpace, cols=None, radicand=Fraction(1),
-                 valid_cols=None):
+    def __init__(self, space: FockSpace, column, radicand=Fraction(1)):
         self.space = space
-        self.cols = cols if cols is not None else {}
+        self.cols = Columns(column)
         self.radicand = radicand
-        self.valid_cols = valid_cols  # None means all columns valid
-
-    # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def identity(cls, space, scalar=None):
-        amp = QC_ONE if scalar is None else scalar
-        cols = {i: {i: amp} for i in range(space.dim)} if not amp.is_zero() else {}
-        return cls(space, cols)
+    def identity(cls, space, scalar=QC_ONE):
+        return cls(space, lambda c: {} if scalar.is_zero() else {c: scalar})
 
     @classmethod
     def zero(cls, space):
-        return cls(space, {})
-
-    def _col(self, c):
-        col = self.cols.get(c)
-        if col is None:
-            col = self.cols[c] = {}
-        return col
-
-    def set_entry(self, row, col, amp: QC):
-        if amp.is_zero():
-            return
-        c = self._col(col)
-        cur = c.get(row)
-        new = amp if cur is None else cur + amp
-        if new.is_zero():
-            del c[row]
-            if not c:
-                del self.cols[col]
-        else:
-            c[row] = new.normalized()
-
-    # -- validity ------------------------------------------------------------
-
-    def is_valid_col(self, c) -> bool:
-        return self.valid_cols is None or c in self.valid_cols
-
-    @staticmethod
-    def _merge_valid(a, b):
-        if a is None:
-            return b if b is None else set(b)
-        if b is None:
-            return set(a)
-        return set(a) & set(b)
+        return cls(space, lambda c: {})
 
     # -- algebra -------------------------------------------------------------
 
     def __add__(self, other):
         rad, sc_a, sc_b = _common_radicand(self.radicand, other.radicand)
-        out = SparseOperator(self.space, {}, rad,
-                             self._merge_valid(self.valid_cols, other.valid_cols))
-        for src, sc in ((self, sc_a), (other, sc_b)):
-            for c, col in src.cols.items():
-                for r, amp in col.items():
-                    out.set_entry(r, c, amp * sc)
-        return out
+
+        def column(c):
+            a, b = self.cols[c], other.cols[c]
+            if a is None or b is None:
+                return None
+            return _accumulate(_accumulate({}, a, sc_a), b, sc_b)
+        return SparseOperator(self.space, column, rad)
 
     def __sub__(self, other):
         return self + (other * QC(-1))
@@ -88,12 +84,11 @@ class SparseOperator:
     def __mul__(self, scalar: QC):
         if not isinstance(scalar, QC):
             scalar = QC(scalar)
-        cols = {c: {r: amp * scalar for r, amp in col.items()}
-                for c, col in self.cols.items()}
-        if scalar.is_zero():
-            cols = {}
-        return SparseOperator(self.space, cols, self.radicand,
-                              None if self.valid_cols is None else set(self.valid_cols))
+
+        def column(c):
+            col = self.cols[c]
+            return None if col is None else _accumulate({}, col, scalar)
+        return SparseOperator(self.space, column, self.radicand)
 
     __rmul__ = __mul__
 
@@ -102,49 +97,23 @@ class SparseOperator:
         out = {}
         for c, v in vec.items():
             col = self.cols.get(c)
-            if not col:
-                continue
-            for r, a in col.items():
-                cur = out.get(r)
-                new = a * v if cur is None else cur + a * v
-                if new.is_zero():
-                    out.pop(r, None)
-                else:
-                    out[r] = new
+            if col:
+                _accumulate(out, col, v)
         return out
 
     def __matmul__(self, other):
-        """self @ other; a result column is valid only when every basis state
-        reached by the corresponding column of `other` is a valid column of
-        `self`."""
+        """self @ other; a result column is None unless every basis state
+        reached by the corresponding column of `other` is a column of `self`
+        inside its validity window."""
         q, rad = sqrt_reduce(self.radicand * other.radicand)
         qc = QC(q)
-        cols = {}
-        valid = None
-        if other.valid_cols is not None or self.valid_cols is not None:
-            valid = set()
-            col_range = (other.valid_cols if other.valid_cols is not None
-                         else range(self.space.dim))
-            for c in col_range:
-                if all(self.is_valid_col(r) for r in other.cols.get(c, {})):
-                    valid.add(c)
-        for c, col in other.cols.items():
-            if valid is not None and c not in valid:
-                continue
-            res = self.apply_col(col)
-            if res:
-                cols[c] = {r: a * qc for r, a in res.items()}
-        return SparseOperator(self.space, cols, rad, valid)
 
-    def adjoint(self):
-        if self.valid_cols is not None:
-            raise ValueError("adjoint of a partial operator is not defined "
-                             "entrywise; build it from its own defining rules")
-        cols = {}
-        for c, col in self.cols.items():
-            for r, amp in col.items():
-                cols.setdefault(r, {})[c] = amp.conj()
-        return SparseOperator(self.space, cols, self.radicand)
+        def column(c):
+            col = other.cols[c]
+            if col is None or any(self.cols[r] is None for r in col):
+                return None
+            return _accumulate({}, self.apply_col(col), qc)
+        return SparseOperator(self.space, column, rad)
 
     def commutator(self, other):
         return self @ other - other @ self
@@ -203,13 +172,12 @@ def ladder_op(space: FockSpace, r: int, nu, dagger=False) -> SparseOperator:
     if not space.has_mode(r, nu):
         raise ModeOutOfWindow(f"mode (r={r:+d}, nu={nu}) outside window")
     pos = space.mode_position(r, nu)
-    op = SparseOperator(space)
     act = space.create_sign if dagger else space.annihilate_sign
-    for mask in range(space.dim):
+
+    def column(mask):
         new, sign = act(mask, pos)
-        if new is not None:
-            op.set_entry(new, mask, QC(sign))
-    return op
+        return {} if new is None else {new: QC(sign)}
+    return SparseOperator(space, column)
 
 
 def field_op(space: FockSpace, r: int, nu, dagger=False) -> SparseOperator:
@@ -244,7 +212,7 @@ def density_op(space: FockSpace, r: int, m: int, cutoff=None) -> SparseOperator:
     if cutoff is None:
         cutoff = space.edge() - Fraction(abs(m), 2)
     cutoff = Fraction(cutoff)
-    op = SparseOperator(space)
+    op = SparseOperator.zero(space)
     half_p = Fraction(m, 2)
     for nu in space.fermion_modes():
         if abs(nu + half_p) > cutoff:
@@ -258,33 +226,28 @@ def density_op(space: FockSpace, r: int, m: int, cutoff=None) -> SparseOperator:
 def free_hamiltonian(space: FockSpace, cutoff=None) -> SparseOperator:
     """H0 = sum_{r, |k| <= cutoff} |k| c^dag c, diagonal, in units 2 pi / L."""
     cutoff = space.edge() if cutoff is None else Fraction(cutoff)
-    op = SparseOperator(space)
-    for i, st in enumerate(space.basis):
-        e = Fraction(0)
-        for r in CHIRALITIES:
-            for nu in space.fermion_modes():
-                if abs(nu) <= cutoff and (st.mask >> space.mode_position(r, nu)) & 1:
-                    e += abs(nu)
-        if e:
-            op.set_entry(i, i, QC(e))
-    return op
+    keep = sum(1 << space.mode_position(r, nu) for r in CHIRALITIES
+               for nu in space.fermion_modes() if abs(nu) <= cutoff)
+
+    def column(mask):
+        e = space.energy(mask & keep)
+        return {mask: QC(e)} if e else {}
+    return SparseOperator(space, column)
 
 
 def charge_op(space: FockSpace, r: int) -> SparseOperator:
     """Q_r = J-hat_r(0), diagonal with the exact integer charges."""
-    op = SparseOperator(space)
-    for i, st in enumerate(space.basis):
-        q = st.charge(r)
-        if q:
-            op.set_entry(i, i, QC(q))
-    return op
+    def column(mask):
+        q = space.charge(mask, r)
+        return {mask: QC(q)} if q else {}
+    return SparseOperator(space, column)
 
 
 # --------------------------------------------------------------------------
 # Klein factors
 
 
-def _klein_apply(space: FockSpace, r: int, mask: int, shift: int):
+def _klein_apply(space: FockSpace, r: int, shift: int, mask: int):
     """Image of a basis state under R_r (shift=+1) or R_r^dagger (shift=-1).
 
     Returns (vector dict or None); None marks a column outside the validity
@@ -334,19 +297,10 @@ def klein_factor(space: FockSpace, r: int, dagger=False) -> SparseOperator:
     R_r shifts chirality-r modes up by one step, anticommutes with the
     opposite chirality, and acts on the vacuum as c^dag_r(pi/L) Omega; the
     adjoint shifts down with R_r^dag Omega = c^dag_r(-pi/L) Omega.  Columns
-    whose shifted image leaves the window are absent from valid_cols.
+    whose shifted image leaves the window are None.
     """
-    shift = -1 if dagger else +1
-    cols = {}
-    valid = set()
-    for mask in range(space.dim):
-        vec = _klein_apply(space, r, mask, shift)
-        if vec is None:
-            continue
-        valid.add(mask)
-        if vec:
-            cols[mask] = vec
-    return SparseOperator(space, cols, valid_cols=valid)
+    return SparseOperator(space, partial(_klein_apply, space, r,
+                                         -1 if dagger else +1))
 
 
 # --------------------------------------------------------------------------
@@ -358,16 +312,16 @@ def boson_ladder(space: FockSpace, m: int, dagger=False) -> SparseOperator:
 
     b(p) = -i sqrt(2 pi / (L |p|)) J_+(p) for p > 0 and
     b(p) = +i sqrt(2 pi / (L |p|)) J_-(p) for p < 0; entries stay exact via
-    the operator-level sqrt(1/|m|) radicand.
+    the operator-level sqrt(1/|m|) radicand.  b^dag(p) uses J_r(p)^dag =
+    J_r(-p), which holds entrywise on the whole truncated space.
     """
     if m == 0:
         raise ZeroMode("boson ladder operators need p != 0")
     r = +1 if m > 0 else -1
     phase = QC(0, -1) if m > 0 else QC(0, 1)
-    op = density_op(space, r, m) * phase
-    q, rad = sqrt_reduce(Fraction(1, abs(m)))
-    out = op * QC(q)
-    out.radicand = rad
     if dagger:
-        return out.adjoint()
+        phase, m = phase.conj(), -m
+    q, rad = sqrt_reduce(Fraction(1, abs(m)))
+    out = density_op(space, r, m) * (phase * QC(q))
+    out.radicand = rad
     return out

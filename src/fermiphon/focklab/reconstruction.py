@@ -67,7 +67,7 @@ def _apply_u(space, r, parts, sign_mode, vec):
     for m, c in counts.items():
         coef *= Fraction((-1 if sign_mode < 0 else 1) ** c,
                          (m ** c) * math.factorial(c))
-    out = dict(vec)
+    out = vec
     for m in parts:
         if m > 2 * space.K - 1:
             raise ModeOutOfWindow(
@@ -88,13 +88,12 @@ def reconstructed_field(space: FockSpace, r: int, nu, state_index: int) -> dict:
     nu = Fraction(nu)
     if not space.has_mode(r, nu):
         raise ModeOutOfWindow(f"target momentum nu={nu} outside window")
-    st = space.basis[state_index]
-    q_r = st.charge(r)
+    q_r = space.charge(state_index, r)
 
     klein = _cached_klein(space, r, dagger=(r == +1))  # R_r^{-r}
-    if not klein.is_valid_col(state_index):
+    phi = klein.cols[state_index]
+    if phi is None:
         raise ModeOutOfWindow("Klein shift leaves the window for this state")
-    phi = dict(klein.cols.get(state_index, {}))
     if not phi:
         return {}
 
@@ -104,7 +103,7 @@ def reconstructed_field(space: FockSpace, r: int, nu, state_index: int) -> dict:
         return {}
     delta = int(delta)
 
-    e_phi = max(space.basis[i].energy for i in phi)
+    e_phi = max(space.energy(i) for i in phi)
     result = {}
     for n_minus in range(int(e_phi) + 1):
         n_plus = n_minus + delta

@@ -2,15 +2,18 @@
 
 The lab works in dimensionless units where the mode spacing 2 pi / L is 1,
 i.e. it is pinned to L = 2 pi.  Fermion momenta are the half-odd-integers
-nu = n + 1/2 with -K <= n < K; every momentum/energy stored here is exact
+nu = n + 1/2 with -K <= n < K; every momentum/energy computed here is exact
 (Fraction, in units of 2 pi / L).  All operator identities verified on this
 space are homogeneous in L, so residual-zero statements carry over to any L.
+
+Basis states are the integers 0 <= mask < dim; their quantum numbers are
+computed from the mask when asked for, and only the states below an energy
+are ever enumerated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import BadGeometry, TruncationTooLarge
@@ -21,21 +24,9 @@ MAX_DIM = 2**24
 CHIRALITIES = (+1, -1)
 
 
-@dataclass(frozen=True)
-class OccupationState:
-    """One basis state: occupation bitmask plus its exact quantum numbers."""
-
-    mask: int
-    charge_plus: int
-    charge_minus: int
-    energy: Fraction
-
-    def charge(self, r: int) -> int:
-        return self.charge_plus if r == +1 else self.charge_minus
-
-
 class FockSpace:
-    """Complete occupation basis over 2 * 2K truncated fermion modes.
+    """Occupation basis over 2 * 2K truncated fermion modes (dim = 2^(4K)
+    bitmasks, none of them stored).
 
     Mode positions follow the ordered-product convention used to define
     basis states: chirality + before -, momenta descending within each
@@ -60,24 +51,26 @@ class FockSpace:
         for i, nu in enumerate(self._nus):
             self._pos[(+1, nu)] = i
             self._pos[(-1, nu)] = 2 * K + i
-        self.basis = [self._make_state(m) for m in range(self.dim)]
+        # 2 |nu| per position, and the positions whose mode adds +1 to Q_r
+        # (r nu > 0) or -1 (r nu < 0)
+        self._twice_abs_nu = [int(2 * abs(self._nus[pos % (2 * K)]))
+                              for pos in range(nmodes)]
+        low = (1 << K) - 1
+        self._charge_bits = {+1: (low, low << K),
+                             -1: (low << 3 * K, low << 2 * K)}
         self.vacuum = 0
         # operators built once per space, keyed by their kind and labels
         self.op_cache = {}
 
-    def _make_state(self, mask: int) -> OccupationState:
-        qp = qm = 0
-        energy = Fraction(0)
-        for (r, nu), pos in self._pos.items():
-            if (mask >> pos) & 1:
-                energy += abs(nu)
-                sgn = 1 if r * nu > 0 else -1
-                if r == +1:
-                    qp += sgn
-                else:
-                    qm += sgn
-        return OccupationState(mask=mask, charge_plus=qp, charge_minus=qm,
-                               energy=energy)
+    def energy(self, mask: int) -> Fraction:
+        """Free energy: sum of |nu| over the occupied modes."""
+        return Fraction(sum(e for pos, e in enumerate(self._twice_abs_nu)
+                            if (mask >> pos) & 1), 2)
+
+    def charge(self, mask: int, r: int) -> int:
+        """Q_r: occupied modes with r nu > 0 minus those with r nu < 0."""
+        up, down = self._charge_bits[r]
+        return (mask & up).bit_count() - (mask & down).bit_count()
 
     def mode_position(self, r: int, nu: Fraction) -> int:
         return self._pos[(r, nu)]
@@ -98,9 +91,22 @@ class FockSpace:
         return Fraction(self.K - 1)
 
     def interior_indices(self, window=None):
-        """Indices of basis states with energy <= window."""
+        """Basis states with energy <= window, ascending.
+
+        Modes are added in ascending |nu| to every state built so far that
+        can still afford them, so only states inside the window are visited.
+        """
         w = self.interior_window() if window is None else Fraction(window)
-        return [i for i, st in enumerate(self.basis) if st.energy <= w]
+        budget = math.floor(2 * w)
+        if budget < 0:
+            return []
+        states = [(0, 0)]  # (mask, 2 * energy)
+        for pos in sorted(range(self.nmodes),
+                          key=self._twice_abs_nu.__getitem__):
+            e = self._twice_abs_nu[pos]
+            states += [(m | 1 << pos, s + e) for m, s in states
+                       if s + e <= budget]
+        return sorted(m for m, _ in states)
 
     def create_sign(self, mask: int, pos: int):
         """Apply c^dagger at bit pos to a basis mask.

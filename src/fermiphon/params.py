@@ -85,7 +85,8 @@ def validate_params(raw: ModelParams) -> ModelParams:
     """Check geometry and stability; return the params unchanged if valid.
 
     Raises BadGeometry on violated positivity/ordering constraints, or when
-    v_f^2 or the mode count n_a = floor(L / 2a) overflows, and
+    v_f^2, the mode count n_a = floor(L / 2a) or the mode sum
+    (2 pi / L) n_a (n_a + 1) behind E0 overflows, and
     UnstableCouplings when gamma1 >= 1 or gamma2^2 >= 1 + gamma1 (the model
     then describes an unstable system).
     """
@@ -102,6 +103,9 @@ def validate_params(raw: ModelParams) -> ModelParams:
         raise BadGeometry("lengths must satisfy 0 < a < L")
     if not math.isfinite(raw.L / (2.0 * raw.a)):
         raise BadGeometry("L / 2a overflows; the mode count n_a is infinite")
+    n_a = math.floor(raw.L / (2.0 * raw.a))
+    if not math.isfinite(TWO_PI / raw.L * n_a * (n_a + 1)):
+        raise BadGeometry("sum of |p| <= pi/a overflows; E0 is infinite")
     if raw.omega0 <= 0:
         raise BadGeometry("omega0 must be positive")
     gamma1 = raw.lam / (TWO_PI * raw.v_f)

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -188,6 +189,23 @@ def test_spectrum_charged_levels():
             if not e.occupations and e.m_p0 == 0}
     assert math.isclose(pair[(1, 1)], (2 + 2 * g1) * 0.5, rel_tol=1e-12)
     assert math.isclose(pair[(1, -1)], (2 - 2 * g1) * 0.5, rel_tol=1e-12)
+
+
+def test_spectrum_leaves_no_garbage():
+    # nothing cyclic outlives the call: the unsorted level list is freed by
+    # reference counting as soon as spectrum returns
+    params = ModelParams(v_f=1.0, v_p=0.3, lam=1.0, g=0.2, a=0.05, L=20.0)
+    sol = solve_closed_form(params)
+    grid = momentum_grid(L=params.L, K=40, a=params.a)
+    gc.collect()
+    gc.disable()
+    try:
+        entries = spectrum(params, sol, 1.2, grid)
+        freed = gc.collect()
+    finally:
+        gc.enable()
+    assert len(entries) > 60000
+    assert freed < 10
 
 
 def test_spectrum_grid_too_small():

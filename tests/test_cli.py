@@ -302,6 +302,8 @@ def test_json_format_option(config_file, tmp_path):
     (None, ["correlate", "--mode", "finite", "--ell", "inf"]),
     # L / 2a overflows to inf
     (("a = 0.05", "a = 1e-300", "L = 20.0", "L = 1e10"), ["solve"]),
+    # L / 2a is finite but (2 pi / L) n_a (n_a + 1) in E0 overflows
+    (("a = 0.05", "a = 1e-200", "L = 20.0", "L = 1e100"), ["solve"]),
     (("t = 0.0", "t = inf"), ["correlate", "--mode", "continuum"]),
     (("v_f = 1.0", "v_f = 1e200"), ["solve"]),
     # g^2 underflows in the mixing coefficients
@@ -312,8 +314,9 @@ def test_json_format_option(config_file, tmp_path):
 ], ids=["finite-reg0", "continuum-reg0", "finite-reg-neg", "points0",
         "points-neg", "n_lambda0", "n_g-neg", "g0-degenerate",
         "finite-reg-nan", "continuum-reg-inf", "continuum-ell-nan",
-        "finite-ell-inf", "n_a-overflow", "t-inf", "v_f-overflow",
-        "g-underflow", "output-missing-dir", "output-is-dir"])
+        "finite-ell-inf", "n_a-overflow", "e0-overflow", "t-inf",
+        "v_f-overflow", "g-underflow", "output-missing-dir",
+        "output-is-dir"])
 def test_bad_input_exit_2_one_line(config_file, tmp_path, capsys, edit, args):
     text = GENERIC_INI
     for old, new in zip(edit[::2], edit[1::2]) if edit else ():

@@ -17,6 +17,21 @@ def full_block(space):
     return range(space.dim), range(space.dim)
 
 
+def mode_energy(space, mask):
+    """Free energy of a basis mask, summed mode by mode."""
+    return sum((abs(nu) for r in (+1, -1) for nu in space.fermion_modes()
+                if (mask >> space.mode_position(r, nu)) & 1), Fraction(0))
+
+
+def adjoint(op):
+    """Conjugate transpose of a total operator, read off every column."""
+    rows = {}
+    for c in range(op.space.dim):
+        for r, amp in op.cols[c].items():
+            rows.setdefault(r, {})[c] = amp.conj()
+    return SparseOperator(op.space, lambda r: rows.get(r, {}), op.radicand)
+
+
 def test_space_dimensions():
     sp1 = build_space(momentum_grid(L=2 * math.pi, K=1, a=math.pi))
     assert sp1.dim == 16
@@ -30,9 +45,21 @@ def test_space_guard():
 
 
 def test_vacuum_quantum_numbers(space_k2):
-    vac = space_k2.basis[space_k2.vacuum]
-    assert vac.energy == 0
-    assert vac.charge_plus == 0 and vac.charge_minus == 0
+    vac = space_k2.vacuum
+    assert space_k2.energy(vac) == 0
+    assert space_k2.charge(vac, +1) == 0 and space_k2.charge(vac, -1) == 0
+
+
+def test_interior_indices_match_full_scan(space_k2, space_k3):
+    # the enumeration below an energy equals filtering every mask, in order
+    for sp in (space_k2, space_k3):
+        energies = [mode_energy(sp, m) for m in range(sp.dim)]
+        for w in (-1, 0, Fraction(1, 2), 1, Fraction(5, 2), 3, sp.K - 1):
+            expect = [m for m in range(sp.dim) if energies[m] <= w]
+            assert sp.interior_indices(w) == expect
+            assert [sp.energy(m) for m in expect] == [energies[m]
+                                                      for m in expect]
+        assert sp.interior_indices() == sp.interior_indices(sp.K - 1)
 
 
 def test_ladder_examples(space_k2):
@@ -88,19 +115,21 @@ def test_density_examples(space_k2):
     for r in (+1, -1):
         res = density_op(sp, r, 0) - charge_op(sp, r)
         assert res.max_abs_on(*full_block(sp)) == 0
-    # adjoint: J_r(p)^dag = J_r(-p) entrywise on the validity window
+    # adjoint: J_r(p)^dag = J_r(-p) entrywise on the validity window, and on
+    # the whole space (boson_ladder builds b^dag(p) from it)
     for r in (+1, -1):
         for m in (1, 2):
-            res = density_op(sp, r, m).adjoint() - density_op(sp, r, -m)
+            res = adjoint(density_op(sp, r, m)) - density_op(sp, r, -m)
             assert res.max_abs_on(interior, interior) == 0
+            assert res.max_abs_on(*full_block(sp)) == 0
 
 
 def test_free_hamiltonian_examples(space_k2):
     sp = space_k2
     h0 = free_hamiltonian(sp)
     assert not h0.cols.get(sp.vacuum)  # H0 Omega = 0
-    for i, st in enumerate(sp.basis):
-        assert h0.entry(i, i) == QC(st.energy)
+    for i in range(sp.dim):
+        assert h0.entry(i, i) == QC(mode_energy(sp, i))
     # [H0, psi^dag_r(k)] = r k psi^dag_r(k) (lab units)
     for r in (+1, -1):
         for nu in sp.fermion_modes():
@@ -125,12 +154,32 @@ def test_klein_examples(space_k2):
         # unitarity on the interior window
         for prod in (Rd @ R, R @ Rd):
             res = prod - SparseOperator.identity(sp)
-            cols = [c for c in interior if prod.is_valid_col(c)]
+            cols = [c for c in interior if prod.cols[c] is not None]
             assert res.max_abs_on(interior, cols) == 0
     # R_+ R_- = -R_- R_+
     rm = klein_factor(sp, -1)
     res = rp.anticommutator(rm)
     assert res.max_abs_on(interior, interior) == 0
+
+
+def test_partial_columns_propagate(space_k2):
+    # a product column is None when the right factor reaches a state outside
+    # the left factor's validity window; sums and multiples inherit it
+    sp = space_k2
+    R = klein_factor(sp, +1)
+    (edge,) = ladder_op(sp, +1, Fraction(3, 2), dagger=True).cols[sp.vacuum]
+    assert R.cols[edge] is None  # R_+ would shift 3 pi / L to 5 pi / L
+    cd = ladder_op(sp, +1, Fraction(3, 2), dagger=True)
+    prod = R @ cd
+    for op in (prod, prod * QC(2), prod + cd, cd - prod, cd @ prod):
+        assert op.cols[sp.vacuum] is None
+        assert op.cols.get(sp.vacuum) is None
+        assert op.entry(edge, sp.vacuum) == QC(0)
+    # inside the window the product column is computed as usual: R_+ moves
+    # the mode at pi / L up to the edge and refills pi / L
+    inner = R @ ladder_op(sp, +1, HALF, dagger=True)
+    both = edge | 1 << sp.mode_position(+1, HALF)
+    assert set(inner.cols[sp.vacuum]) == {both}
 
 
 def test_klein_charge_eigenstates(space_k2):

@@ -5,8 +5,9 @@ import pytest
 
 from fermiphon import momentum_grid
 from fermiphon.errors import UnknownIdentity
-from fermiphon.focklab import (build_space, density_op, identity_residual,
-                               run_identity_suite)
+from fermiphon.focklab import (SUPPORTED_IDENTITIES, build_space, density_op,
+                               field_op, identity_residual,
+                               reconstruction_report, run_identity_suite)
 from fermiphon.focklab.exact import QC
 from fermiphon.focklab.space import FockSpace
 
@@ -38,11 +39,24 @@ def test_unknown_identity(space_k2):
         identity_residual(space_k2, "NOPE")
 
 
-def test_suite_k3_subset():
+def test_full_suite_exact_k3():
     sp = build_space(momentum_grid(L=2 * math.pi, K=3, a=math.pi / 2))
-    for name in ("SCHWINGER", "J_R", "H0_R", "RR_ANTI", "KRONIG"):
-        rep = identity_residual(sp, name)
-        assert rep.max_residual == 0, (name, rep.worst_pair)
+    reports = run_identity_suite(sp) + [reconstruction_report(sp)]
+    assert [rep.identity for rep in reports] == [
+        *SUPPORTED_IDENTITIES, "RECONSTRUCTION"]
+    for rep in reports:
+        assert rep.window == 2 and rep.checks > 0
+        assert rep.max_residual == 0, (rep.identity, rep.worst_pair)
+
+
+def test_fresh_operator_computes_columns(space_k2):
+    # cols.get computes a column on first read: a vacuous `not
+    # op.cols.get(c)` would pass on an operator that never evaluates
+    sp = space_k2
+    op = field_op(sp, +1, Fraction(1, 2), dagger=True)
+    one = sp.vacuum | 1 << sp.mode_position(+1, Fraction(1, 2))
+    assert op.cols.get(sp.vacuum) == {one: QC(1)}
+    assert op.cols[sp.vacuum] == {one: QC(1)}
 
 
 def test_corrupted_sign_fails_car(monkeypatch):

@@ -45,6 +45,10 @@ def test_bad_geometry():
     with pytest.raises(BadGeometry):
         validate_params(ModelParams(v_f=1.0, v_p=0.3, lam=1.0, g=0.2,
                                     a=1e-300, L=1e10))
+    # L / 2a is finite, the mode sum (2 pi / L) n_a (n_a + 1) behind E0 is not
+    with pytest.raises(BadGeometry):
+        validate_params(ModelParams(v_f=1.0, v_p=0.3, lam=1.0, g=0.2,
+                                    a=1e-200, L=1e100))
 
 
 def test_free_couplings_collapse(free_params):

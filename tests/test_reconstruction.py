@@ -49,3 +49,12 @@ def test_matches_field_operator_interior(space_k2):
 def test_mode_out_of_window(space_k2):
     with pytest.raises(ModeOutOfWindow):
         reconstructed_field(space_k2, +1, Fraction(7, 2), space_k2.vacuum)
+
+
+def test_klein_shift_out_of_window(space_k2):
+    # R_+^{-1} shifts a + mode at -3 pi / L to -5 pi / L, outside K = 2
+    sp = space_k2
+    state = 1 << sp.mode_position(+1, Fraction(-3, 2))
+    assert klein_factor(sp, +1, dagger=True).cols[state] is None
+    with pytest.raises(ModeOutOfWindow):
+        reconstructed_field(sp, +1, HALF, state)
