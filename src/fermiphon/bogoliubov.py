@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import BadArgument, DegenerateBranches, GridTooSmall, ZeroMode
 from .params import (TWO_PI, DerivedCouplings, ModelParams, MomentumGrid,
-                     derived_couplings, validate_params)
+                     coupled_abs_p_sum, derived_couplings, mode_count,
+                     validate_params)
 
 # relative eigenvalue-gap floor below which branch labels would be guesses
 DEGENERACY_FLOOR = 1e-8
@@ -68,17 +69,20 @@ class SpectrumEntry:
     m_p0: int
     occupations: Tuple[Tuple[str, int, int], ...]  # (flavor, m, occupation)
     energy: float
-    degeneracy: int = 1
+    degeneracy: int
 
 
 def block_matrices(params: ModelParams, p: float) -> BlockMatrices:
     """A = diag(1 - gamma1(p), 1) and B, C per the coupled-boson blocks;
-    couplings switch off for |p| > pi / a."""
+    couplings switch off outside the coupled modes |m| <= n_a.  The cut sits
+    half a spacing past mode n_a, so a grid p is classified by its m however
+    it was rounded."""
     if p == 0:
         raise ZeroMode("p = 0 is handled analytically, not by 2x2 blocks")
     validate_params(params)
     cpl = derived_couplings(params)
-    inside = abs(p) <= math.pi / params.a
+    n_a = mode_count(params.L, params.a)
+    inside = abs(p) <= (n_a + 0.5) * TWO_PI / params.L
     g1 = cpl.gamma1 if inside else 0.0
     g2 = cpl.gamma2 if inside else 0.0
     vf, vp = params.v_f, params.v_p
@@ -135,20 +139,13 @@ def diagonalize_numeric(params: ModelParams, p: float) -> dict:
             "M_Phi": m_phi, "curly_c": curly_c, "curly_s": curly_s}
 
 
-def _sum_abs_p_inside(params: ModelParams) -> float:
-    """sum over 0 < |p| <= pi/a of |p| = (2 pi / L) n_a (n_a + 1), exact
-    arithmetic series (no loop)."""
-    n_a = int(math.floor(params.L / (2.0 * params.a)))
-    return (TWO_PI / params.L) * n_a * (n_a + 1)
-
-
 def solve_closed_form(params: ModelParams) -> BogoliubovSolution:
     """Closed-form renormalized velocities, mixing coefficients, and E0.
 
     For g = 0 the phonons decouple exactly and the Thirring-limit formulas
     apply (sigma_F carries the sign of lambda); otherwise the generic
     expressions are used verbatim with principal square roots.
-    E0 = (1/2) sum_X sum_{0<|p|<=pi/a} (vtilde_X - v_X) |p| diverges like
+    E0 = (1/2) sum_X sum_{0<|m|<=n_a} (vtilde_X - v_X) |p| diverges like
     O(L / a^2) as a -> 0 at fixed couplings.
     """
     validate_params(params)
@@ -190,17 +187,10 @@ def solve_closed_form(params: ModelParams) -> BogoliubovSolution:
         sigma_f = math.sqrt(vf / vt_f) * g2 * vp * (vt_f - vf * (1.0 - g1)) / den_f
         rho_p = -math.sqrt(vf / vt_p) * g2 * vp * (vt_p + vf * (1.0 - g1)) / den_p
         sigma_p = -math.sqrt(vf / vt_p) * g2 * vp * (vt_p - vf * (1.0 - g1)) / den_p
-    e0 = 0.5 * (vt_f - vf + vt_p - vp) * _sum_abs_p_inside(params)
+    e0 = 0.5 * (vt_f - vf + vt_p - vp) * coupled_abs_p_sum(params.L, params.a)
     return BogoliubovSolution(
         params=params, couplings=cpl, vtilde_f=vt_f, vtilde_p=vt_p,
         rho_f=rho_f, rho_p=rho_p, sigma_f=sigma_f, sigma_p=sigma_p, e0=e0)
-
-
-def _vtilde_at(params, solution, flavor: str, m: int) -> float:
-    inside = abs(m) * TWO_PI / params.L <= math.pi / params.a
-    if flavor == "F":
-        return solution.vtilde_f if inside else params.v_f
-    return solution.vtilde_p if inside else params.v_p
 
 
 def _occupations(modes, idx, spent, e_max, occ):
@@ -224,25 +214,29 @@ def spectrum(params: ModelParams, solution: BogoliubovSolution, e_max: float,
     """All eigenvalue labels with energy - E0 <= e_max, sorted ascending.
 
     Enumerates charge pairs, the phonon zero mode, and boson occupations
-    over grid modes; raises GridTooSmall when a mode outside the grid could
-    still contribute below e_max.
+    over grid modes; a mode m moves at vtilde_X if it couples (m <= n_a)
+    and at the bare v_X otherwise.  Raises GridTooSmall when the grid
+    disagrees with params, or when a mode outside the grid could still
+    contribute below e_max.
     """
-    if not math.isclose(grid.L, params.L, rel_tol=1e-12):
-        raise GridTooSmall("grid and params disagree on L")
+    if not math.isclose(grid.L, params.L, rel_tol=1e-12) \
+            or grid.n_a != mode_count(params.L, params.a):
+        raise GridTooSmall("grid and params disagree on L or n_a")
     spacing = TWO_PI / params.L
-    # mode energies inside the grid, and the cheapest excluded mode
+    # mode energies inside the grid; mode K + 1 must lie above e_max
     modes = []
     for flavor in ("F", "P"):
-        for m in range(1, grid.K + 1):
-            e = _vtilde_at(params, solution, flavor, m) * m * spacing
-            if e <= e_max:
-                modes.append((flavor, m, e))
-        e_next = _vtilde_at(params, solution, flavor, grid.K + 1) \
-            * (grid.K + 1) * spacing
-        if e_next <= e_max:
-            raise GridTooSmall(
-                f"mode |m| = {grid.K + 1} of flavor {flavor} still reaches "
-                f"e_max; enlarge K")
+        for m in range(1, grid.K + 2):
+            v = solution.vtilde(flavor) if m <= grid.n_a \
+                else solution.v_bare(flavor)
+            e = v * m * spacing
+            if e > e_max:
+                continue
+            if m > grid.K:
+                raise GridTooSmall(
+                    f"mode |m| = {m} of flavor {flavor} still reaches "
+                    f"e_max; enlarge K")
+            modes.append((flavor, m, e))
     # both signs of p carry independent occupations
     modes = [(fl, sgn * m, e) for (fl, m, e) in modes for sgn in (1, -1)]
     modes.sort(key=lambda t: t[2])
@@ -256,7 +250,7 @@ def spectrum(params: ModelParams, solution: BogoliubovSolution, e_max: float,
     qmax = int(math.floor(math.sqrt(e_max / (charge_scale * (1.0 - abs(g1))))
                           )) + 1 if e_max > 0 else 0
 
-    entries: List[SpectrumEntry] = []
+    levels = []     # (q_plus, q_minus, m_p0, occupations, energy)
     for qp in range(-qmax, qmax + 1):
         for qm in range(-qmax, qmax + 1):
             e_q = charge_energy(qp, qm)
@@ -266,23 +260,19 @@ def spectrum(params: ModelParams, solution: BogoliubovSolution, e_max: float,
             while e_q + mp0 * params.omega0 <= e_max:
                 for spent, occ in _occupations(
                         modes, 0, e_q + mp0 * params.omega0, e_max, []):
-                    entries.append(SpectrumEntry(
-                        q_plus=qp, q_minus=qm, m_p0=mp0, occupations=occ,
-                        energy=solution.e0 + spent))
+                    levels.append((qp, qm, mp0, occ, solution.e0 + spent))
                 mp0 += 1
 
-    entries.sort(key=lambda s: (s.energy, -s.q_plus, -s.q_minus))
+    levels.sort(key=lambda t: (t[4], -t[0], -t[1]))
     # attach degeneracy tallies (counts of equal energies up to 1e-12 rel)
     out = []
     i = 0
-    while i < len(entries):
+    while i < len(levels):
+        e_i = levels[i][4]
         j = i
-        while j < len(entries) and abs(entries[j].energy - entries[i].energy) \
-                <= 1e-12 * max(1.0, abs(entries[i].energy)):
+        while j < len(levels) and abs(levels[j][4] - e_i) \
+                <= 1e-12 * max(1.0, abs(e_i)):
             j += 1
-        for k in range(i, j):
-            e = entries[k]
-            out.append(SpectrumEntry(e.q_plus, e.q_minus, e.m_p0,
-                                     e.occupations, e.energy, j - i))
+        out += [SpectrumEntry(*levels[k], j - i) for k in range(i, j)]
         i = j
     return out

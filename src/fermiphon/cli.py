@@ -135,12 +135,12 @@ def cmd_verify(cfg: RunConfig):
     if cfg.K > 5:
         raise BadArgument("verify requires K <= 5")
     K = cfg.K
-    grid = momentum_grid(L=2.0 * math.pi, K=K, a=math.pi / 2.0)
-    space = focklab.build_space(grid)
+    space = focklab.build_space(K)
 
     def row(name, window, residual, passed, worst=None):
-        return {"identity": name, "K": K, "L": grid.L, "window": str(window),
-                "residual": residual, "pass": passed,
+        # the lab works in units of the mode spacing, i.e. at L = 2 pi
+        return {"identity": name, "K": K, "L": 2.0 * math.pi,
+                "window": str(window), "residual": residual, "pass": passed,
                 "worst_pair": list(worst) if worst else None}
 
     def report_row(rep):
@@ -245,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     co = sub.add_parser("correlate")
     co.add_argument("--mode", choices=("finite", "continuum"),
                     default="continuum")
-    co.add_argument("--regulator", type=float, default=None)
-    co.add_argument("--ell", type=float, default=None)
     sub.add_parser("scan")
     return ap
 
@@ -274,10 +272,6 @@ def _run(args) -> int:
             configparser.Error, OSError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "regulator", None) is not None:
-        cfg.regulator = args.regulator
-    if getattr(args, "ell", None) is not None:
-        cfg.ell = args.ell
 
     if args.command == "solve":
         code, payload = cmd_solve(cfg)

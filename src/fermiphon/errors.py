@@ -45,10 +45,6 @@ class BadRegulator(FermiphonError):
     """Non-positive regulator where a positive one is required."""
 
 
-class TailTooLarge(FermiphonError):
-    """Mode-sum tail bound exceeds the requested tolerance."""
-
-
 class SelectionViolated(FermiphonError):
     """Charge selection rule not satisfied by the insertion word."""
 

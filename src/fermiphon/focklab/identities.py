@@ -56,16 +56,9 @@ def _max_block(space, checks, window):
         if w not in cache:
             idx = space.interior_indices(w)
             cache[w] = (set(idx), idx)
-        rows, cols = cache[w]
-        for c in cols:
-            col = op.cols.get(c)
-            if not col:
-                continue
-            for r, amp in col.items():
-                if r in rows:
-                    v = amp.l1()
-                    if v > best:
-                        best, worst = v, (r, c)
+        v, pair = op.max_entry(*cache[w])
+        if v > best:
+            best, worst = v, pair
     return best, worst, n
 
 
@@ -192,19 +185,19 @@ _BUILDERS = {
 }
 
 
-def _report(space, identity, checks, window) -> IdentityReport:
-    w = space.interior_window() if window is None else Fraction(window)
+def _report(space, identity, checks) -> IdentityReport:
+    w = space.interior_window()
     best, worst, n = _max_block(space, checks, w)
     return IdentityReport(
         identity=identity, K=space.K, window=w,
         max_residual=best, checks=n, worst_pair=worst)
 
 
-def identity_residual(space: FockSpace, identity: str, window=None) -> IdentityReport:
+def identity_residual(space: FockSpace, identity: str) -> IdentityReport:
     """Evaluate one identity on the interior block and report the residual."""
     if identity not in _BUILDERS:
         raise UnknownIdentity(f"{identity!r} not in {SUPPORTED_IDENTITIES}")
-    return _report(space, identity, _BUILDERS[identity](space), window)
+    return _report(space, identity, _BUILDERS[identity](space))
 
 
 def _reconstruction_residuals(space):
@@ -217,11 +210,9 @@ def _reconstruction_residuals(space):
 def reconstruction_report(space: FockSpace) -> IdentityReport:
     """RECONSTRUCTION: V_r(k) = psi-hat_r(k) entrywise on the interior block,
     for both chiralities and every k in the window."""
-    return _report(space, "RECONSTRUCTION", _reconstruction_residuals(space),
-                   None)
+    return _report(space, "RECONSTRUCTION", _reconstruction_residuals(space))
 
 
-def run_identity_suite(space: FockSpace, identities=SUPPORTED_IDENTITIES,
-                       window=None):
+def run_identity_suite(space: FockSpace):
     """Run the full suite; returns a list of IdentityReport."""
-    return [identity_residual(space, name, window) for name in identities]
+    return [identity_residual(space, name) for name in SUPPORTED_IDENTITIES]

@@ -133,8 +133,13 @@ class SparseOperator:
         cannot turn a nonzero entry into zero; the returned rational is zero
         iff every block entry is exactly zero.
         """
-        rows = set(rows)
+        return self.max_entry(set(rows), cols)[0]
+
+    def max_entry(self, rows: set, cols):
+        """(max_abs_on, (row, col) of the first entry in column order that
+        reaches it); (0, None) when every block entry is zero."""
         best = Fraction(0)
+        worst = None
         for c in cols:
             col = self.cols.get(c)
             if not col:
@@ -143,8 +148,8 @@ class SparseOperator:
                 if r in rows:
                     v = amp.l1()
                     if v > best:
-                        best = v
-        return best
+                        best, worst = v, (r, c)
+        return best, worst
 
 
 def _common_radicand(s1: Fraction, s2: Fraction):

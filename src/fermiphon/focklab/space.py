@@ -1,7 +1,7 @@
 """Truncated fermion Fock space on a bitmask basis.
 
 The lab works in dimensionless units where the mode spacing 2 pi / L is 1,
-i.e. it is pinned to L = 2 pi.  Fermion momenta are the half-odd-integers
+so it needs only the truncation K.  Fermion momenta are the half-odd-integers
 nu = n + 1/2 with -K <= n < K; every momentum/energy computed here is exact
 (Fraction, in units of 2 pi / L).  All operator identities verified on this
 space are homogeneous in L, so residual-zero statements carry over to any L.
@@ -17,7 +17,6 @@ import math
 from fractions import Fraction
 
 from ..errors import BadGeometry, TruncationTooLarge
-from ..params import MomentumGrid
 
 MAX_DIM = 2**24
 
@@ -33,14 +32,12 @@ class FockSpace:
     chirality.  All creation-operator signs derive from this order.
     """
 
-    def __init__(self, grid: MomentumGrid):
-        if not math.isclose(grid.L, 2.0 * math.pi, rel_tol=1e-12):
-            raise BadGeometry("the Fock lab is pinned to L = 2 pi")
-        K = grid.K
+    def __init__(self, K: int):
+        if K < 1:
+            raise BadGeometry("K must be >= 1")
         nmodes = 4 * K
         if 2**nmodes > MAX_DIM:
             raise TruncationTooLarge(f"2^{nmodes} exceeds the 2^24 guard")
-        self.grid = grid
         self.K = K
         self.nmodes = nmodes
         self.dim = 2**nmodes
@@ -126,6 +123,6 @@ class FockSpace:
         return mask ^ (1 << pos), -1 if below.bit_count() & 1 else 1
 
 
-def build_space(grid: MomentumGrid) -> FockSpace:
-    """Construct the complete truncated Fock space for the given grid."""
-    return FockSpace(grid)
+def build_space(K: int) -> FockSpace:
+    """The truncated Fock space with fermion modes |n + 1/2| <= K."""
+    return FockSpace(K)

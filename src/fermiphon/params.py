@@ -56,11 +56,11 @@ class DerivedCouplings:
 
 @dataclass(frozen=True)
 class MomentumGrid:
-    """Truncated momentum grids shared by the Fock lab and the spectrum scan.
+    """Truncated momentum grids shared by the spectrum and the vertex engine.
 
     Fermion modes k = (2 pi / L)(n + 1/2) for integer n with |n + 1/2| <= K;
-    boson modes p = (2 pi / L) m for integer |m| <= K.  n_a = floor(L / 2a)
-    counts positive boson modes with |p| <= pi / a.
+    boson modes p = (2 pi / L) m for integer |m| <= K.  n_a = mode_count(L, a)
+    is the number of positive boson modes that couple.
     """
 
     L: float
@@ -81,14 +81,35 @@ class MomentumGrid:
         return [self.spacing * m for m in range(-self.K, self.K + 1)]
 
 
+def mode_count(L: float, a: float) -> int:
+    """n_a = floor(L / 2a), the number of positive coupled boson modes.
+
+    Boson mode p = (2 pi / L) m feels the interaction iff 1 <= |m| <= n_a,
+    i.e. it lies within the cutoff pi / a, the tie decided by this floor.
+    Every layer reads the coupled modes from here."""
+    return math.floor(L / (2.0 * a))
+
+
+def coupled_abs_p_sum(L: float, a: float) -> float:
+    """Sum of |p| over the coupled modes, (2 pi / L) n_a (n_a + 1); E0 is
+    (1/2) sum_X (vtilde_X - v_X) times this."""
+    n_a = mode_count(L, a)
+    return (TWO_PI / L) * n_a * (n_a + 1)
+
+
+def _gammas(params: ModelParams):
+    """gamma1 = lam / (2 pi v_f) and gamma2 = g / (v_p sqrt(pi v_f))."""
+    return (params.lam / (TWO_PI * params.v_f),
+            params.g / (params.v_p * math.sqrt(math.pi * params.v_f)))
+
+
 def validate_params(raw: ModelParams) -> ModelParams:
     """Check geometry and stability; return the params unchanged if valid.
 
     Raises BadGeometry on violated positivity/ordering constraints, or when
-    v_f^2, the mode count n_a = floor(L / 2a) or the mode sum
-    (2 pi / L) n_a (n_a + 1) behind E0 overflows, and
-    UnstableCouplings when gamma1 >= 1 or gamma2^2 >= 1 + gamma1 (the model
-    then describes an unstable system).
+    v_f^2, the mode count n_a or the mode sum coupled_abs_p_sum behind E0
+    overflows, and UnstableCouplings when gamma1 >= 1 or
+    gamma2^2 >= 1 + gamma1 (the model then describes an unstable system).
     """
     for name in ("v_f", "v_p", "lam", "g", "a", "L", "omega0"):
         if not math.isfinite(getattr(raw, name)):
@@ -103,13 +124,11 @@ def validate_params(raw: ModelParams) -> ModelParams:
         raise BadGeometry("lengths must satisfy 0 < a < L")
     if not math.isfinite(raw.L / (2.0 * raw.a)):
         raise BadGeometry("L / 2a overflows; the mode count n_a is infinite")
-    n_a = math.floor(raw.L / (2.0 * raw.a))
-    if not math.isfinite(TWO_PI / raw.L * n_a * (n_a + 1)):
-        raise BadGeometry("sum of |p| <= pi/a overflows; E0 is infinite")
+    if not math.isfinite(coupled_abs_p_sum(raw.L, raw.a)):
+        raise BadGeometry("sum of the coupled |p| overflows; E0 is infinite")
     if raw.omega0 <= 0:
         raise BadGeometry("omega0 must be positive")
-    gamma1 = raw.lam / (TWO_PI * raw.v_f)
-    gamma2 = raw.g / (raw.v_p * math.sqrt(math.pi * raw.v_f))
+    gamma1, gamma2 = _gammas(raw)
     if gamma1 >= 1.0:
         raise UnstableCouplings(
             f"gamma1 = {gamma1:.6g} >= 1 (requires lambda < 2 pi v_f)")
@@ -122,8 +141,7 @@ def validate_params(raw: ModelParams) -> ModelParams:
 
 def derived_couplings(params: ModelParams) -> DerivedCouplings:
     """Dimensionless couplings and W for validated params."""
-    gamma1 = params.lam / (TWO_PI * params.v_f)
-    gamma2 = params.g / (params.v_p * math.sqrt(math.pi * params.v_f))
+    gamma1, gamma2 = _gammas(params)
     d = params.v_f**2 * (1.0 - gamma1**2) - params.v_p**2
     W = math.sqrt(d * d + 4.0 * params.v_f**2 * params.v_p**2
                   * gamma2**2 * (1.0 - gamma1))
@@ -131,9 +149,9 @@ def derived_couplings(params: ModelParams) -> DerivedCouplings:
 
 
 def momentum_grid(L: float, K: int, a: float) -> MomentumGrid:
-    """Build the truncated grid; n_a = floor(L / 2a), ties included."""
+    """Build the truncated grid with n_a = mode_count(L, a)."""
     if K < 1:
         raise BadGeometry("K must be >= 1")
     if not (0 < a <= L / 2):
         raise BadGeometry("need 0 < a <= L/2")
-    return MomentumGrid(L=L, K=K, a=a, n_a=int(math.floor(L / (2.0 * a))))
+    return MomentumGrid(L=L, K=K, a=a, n_a=mode_count(L, a))

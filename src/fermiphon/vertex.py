@@ -2,9 +2,9 @@
 
 A regularized Heisenberg field of the interacting model is one vertex
 factor: a Klein letter, zero-mode phase data, and per-channel boson-mode
-coefficients alpha_{r,X}(p) = A e^{-i p u - eps |p| / 2} / (i p) that are
-piecewise constant across |p| = pi / a.  Products of factors normal-order
-into a scalar prefactor built from pairwise contractions
+coefficients alpha_{r,X}(p) = A e^{-i p u - eps |p| / 2} / (i p), with one
+(A, u) on the n_a coupled modes and another beyond.  Products of factors
+normal-order into a scalar prefactor built from pairwise contractions
 
     c = sum_{p > 0} (2 pi / L) p alpha_1(-r p) alpha_2(r p)
 
@@ -23,14 +23,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from .bogoliubov import BogoliubovSolution
 from .correlators import CorrelatorSpec, klein_sign
-from .errors import BadRegulator, TailTooLarge
-from .params import TWO_PI, ModelParams, MomentumGrid
+from .errors import BadRegulator
+from .params import TWO_PI, ModelParams, MomentumGrid, mode_count
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -69,8 +69,8 @@ class VertexFactor:
     prefactor: complex
     klein: Tuple[Tuple[int, int], ...]          # (chirality, winding)
     zero_c: Tuple[complex, complex]             # exponent coeffs of (Q_+, Q_-)
-    inside: Dict[Tuple[int, str], ModePiece]    # channel -> 0 < |p| <= pi/a
-    outside: Dict[Tuple[int, str], ModePiece]   # channel -> |p| > pi/a
+    inside: Dict[Tuple[int, str], ModePiece]    # channel -> modes m <= n_a
+    outside: Dict[Tuple[int, str], ModePiece]   # channel -> modes m > n_a
     n_a: int
     spacing: float
     rounding: float             # bound on the relative error of prefactor
@@ -84,7 +84,6 @@ class VertexFactor:
 class NormalOrderedProduct:
     prefactor: complex
     klein: Tuple[Tuple[int, int], ...]
-    zero_c: Tuple[complex, complex]
     rounding: float             # bound on the relative error of prefactor
 
 
@@ -294,8 +293,9 @@ def _pair_contraction_tracked(v1, v2):
 def normal_order_product(factors) -> NormalOrderedProduct:
     """Move all factors into a single boson-normal-ordered vertex: the scalar
     prefactor collects every pairwise contraction (evaluated in index order;
-    the result is order-independent), Klein letters concatenate, and
-    zero-mode exponents add."""
+    the result is order-independent) and Klein letters concatenate; the
+    leftover zero-mode exponentials act trivially on the vacuum, so they
+    are not kept."""
     factors = tuple(factors)
     prefactor = 1.0 + 0.0j
     rounding = 0.0
@@ -309,15 +309,12 @@ def normal_order_product(factors) -> NormalOrderedProduct:
             prefactor *= c
             rounding += err + 3.0 * _U
     klein = tuple(letter for f in factors for letter in f.klein)
-    zero_c = (sum(f.zero_c[0] for f in factors),
-              sum(f.zero_c[1] for f in factors))
     return NormalOrderedProduct(prefactor=prefactor, klein=klein,
-                                zero_c=zero_c, rounding=rounding)
+                                rounding=rounding)
 
 
 def vacuum_expectation(product: NormalOrderedProduct) -> complex:
-    """<Omega, product Omega>: prefactor times the Klein-word sign; the
-    leftover zero-mode exponentials act trivially on the vacuum.  A letter
+    """<Omega, product Omega>: prefactor times the Klein-word sign.  A letter
     (r, w) has winding w = q r, so its dagger flag is q = w r."""
     word = [(r, w * r) for r, w in product.klein]
     return product.prefactor * klein_sign(word)
@@ -325,11 +322,11 @@ def vacuum_expectation(product: NormalOrderedProduct) -> complex:
 
 @lru_cache(maxsize=64)
 def _renorm_log_sum(L: float, a: float, eps: float) -> Tuple[float, float]:
-    """sum_{m=1}^{n_a} e^{-eps s m} / m with s = 2 pi / L and
-    n_a = floor(L / 2a), and its error bound.  Cached: every insertion of a
-    correlator asks for the same (L, a, eps)."""
-    n_a = int(math.floor(L / (2.0 * a)))
-    head, _, err = _log_sums(complex(math.exp(-eps * TWO_PI / L)), n_a)
+    """sum_{m=1}^{n_a} e^{-eps s m} / m with s = 2 pi / L over the coupled
+    modes, and its error bound.  Cached: every insertion of a correlator
+    asks for the same (L, a, eps)."""
+    head, _, err = _log_sums(complex(math.exp(-eps * TWO_PI / L)),
+                             mode_count(L, a))
     return head.real, err
 
 
@@ -337,8 +334,9 @@ def z_renorm(params: ModelParams, sol: BogoliubovSolution,
              eps: float) -> dict:
     """Multiplicative renormalization constant and its small-a asymptote.
 
-    Z = exp(-sum_{0<p<=pi/a} (2 pi / L p)(sigma_F^2 + sigma_P^2) e^{-eps p})
-    as a finite sum; asymptote (e^gamma L / 2a)^{-(sigma_F^2 + sigma_P^2)}.
+    Z = exp(-sum_p (2 pi / L p)(sigma_F^2 + sigma_P^2) e^{-eps p}) over the
+    coupled modes p = (2 pi / L) m, 1 <= m <= n_a, as a finite sum;
+    asymptote (e^gamma L / 2a)^{-(sigma_F^2 + sigma_P^2)}.
     "rounding" bounds the relative error of Z.
     """
     if eps < 0:
@@ -352,8 +350,7 @@ def z_renorm(params: ModelParams, sol: BogoliubovSolution,
 
 
 def finite_correlator(spec: CorrelatorSpec, params: ModelParams,
-                      sol: BogoliubovSolution, grid: MomentumGrid,
-                      tolerance: Optional[float] = None) -> dict:
+                      sol: BogoliubovSolution, grid: MomentumGrid) -> dict:
     """Finite-(L, a, eps) fermion correlation function of the interacting
     model via the vertex-operator pipeline.
 
@@ -372,8 +369,7 @@ def finite_correlator(spec: CorrelatorSpec, params: ModelParams,
     * per insertion, the relative error of Z (its own mode sum) and of each
       complex product.
 
-    u = 2^-53.  Raises TailTooLarge if a requested tolerance is below the
-    bound.
+    u = 2^-53.
     """
     factors = [field_vertex(p.r, p.q, p.x, p.t, spec.regulator, sol, grid)
                for p in spec.insertions]
@@ -382,8 +378,4 @@ def finite_correlator(spec: CorrelatorSpec, params: ModelParams,
     # e^{2r} - 1 overflows above r = 354; the bound is infinite there
     growth = math.expm1(2.0 * product.rounding) \
         if product.rounding < 354.0 else math.inf
-    bound = abs(value) * growth
-    if tolerance is not None and bound > tolerance:
-        raise TailTooLarge(
-            f"rounding bound {bound:.3e} exceeds tolerance {tolerance:.3e}")
-    return {"value": value, "tail_bound": bound}
+    return {"value": value, "tail_bound": abs(value) * growth}

@@ -1,24 +1,17 @@
-import math
-
 import pytest
 
-from fermiphon import ModelParams, momentum_grid
+from fermiphon import ModelParams
 from fermiphon.focklab import build_space
 
 
 @pytest.fixture(scope="session")
-def unit_grid_k2():
-    return momentum_grid(L=2.0 * math.pi, K=2, a=math.pi / 2.0)
-
-
-@pytest.fixture(scope="session")
-def space_k2(unit_grid_k2):
-    return build_space(unit_grid_k2)
+def space_k2():
+    return build_space(2)
 
 
 @pytest.fixture(scope="session")
 def space_k3():
-    return build_space(momentum_grid(L=2.0 * math.pi, K=3, a=math.pi / 2.0))
+    return build_space(3)
 
 
 @pytest.fixture(scope="session")

@@ -31,7 +31,7 @@ def report(n, ok, desc):
 
 def test_criterion_1_fock_identity_suite():
     t0 = time.time()
-    space = build_space(momentum_grid(L=TWO_PI, K=2, a=math.pi / 2))
+    space = build_space(2)
     reports = run_identity_suite(space)
     ok = all(r.max_residual == 0 for r in reports)
     # Schwinger eigenvalues on the vacuum: r L p / 2 pi = m at p = m 2 pi / L
@@ -45,7 +45,7 @@ def test_criterion_1_fock_identity_suite():
 
 
 def test_criterion_2_boson_fermion_correspondence():
-    space = build_space(momentum_grid(L=TWO_PI, K=3, a=math.pi / 2))
+    space = build_space(3)
     counts = degeneracy_counts(space, 2)
     ok = Fraction(2) in counts
     for e, (dim_f, dim_b) in counts.items():
@@ -57,7 +57,7 @@ def test_criterion_2_boson_fermion_correspondence():
 
 
 def test_criterion_3_field_reconstruction():
-    space = build_space(momentum_grid(L=TWO_PI, K=2, a=math.pi / 2))
+    space = build_space(2)
     interior = space.interior_indices()
     rows = set(interior)
     ok = True

@@ -286,9 +286,12 @@ def test_json_format_option(config_file, tmp_path):
 
 
 @pytest.mark.parametrize("edit, args", [
-    (None, ["correlate", "--mode", "finite", "--regulator", "0"]),
-    (None, ["correlate", "--mode", "continuum", "--regulator", "0"]),
-    (None, ["correlate", "--mode", "finite", "--regulator=-1e-3"]),
+    (("regulator = 0.001", "regulator = 0"),
+     ["correlate", "--mode", "finite"]),
+    (("regulator = 0.001", "regulator = 0"),
+     ["correlate", "--mode", "continuum"]),
+    (("regulator = 0.001", "regulator = -1e-3"),
+     ["correlate", "--mode", "finite"]),
     (("points = 5", "points = 0"), ["correlate"]),
     (("points = 5", "points = -3"), ["correlate"]),
     (("n_lambda = 13", "n_lambda = 0"), ["scan"]),
@@ -296,10 +299,12 @@ def test_json_format_option(config_file, tmp_path):
     # g = 0 with colliding branches (v_tilde_F = v_P): DegenerateBranches
     (("v_p = 0.3", "v_p = 0.6", "lambda = 1.0", "lambda = 5.026548245743669",
       "g = 0.2", "g = 0.0"), ["solve"]),
-    (None, ["correlate", "--mode", "finite", "--regulator", "nan"]),
-    (None, ["correlate", "--mode", "continuum", "--regulator", "inf"]),
-    (None, ["correlate", "--mode", "continuum", "--ell", "nan"]),
-    (None, ["correlate", "--mode", "finite", "--ell", "inf"]),
+    (("regulator = 0.001", "regulator = nan"),
+     ["correlate", "--mode", "finite"]),
+    (("regulator = 0.001", "regulator = inf"),
+     ["correlate", "--mode", "continuum"]),
+    (("ell = 1.0", "ell = nan"), ["correlate", "--mode", "continuum"]),
+    (("ell = 1.0", "ell = inf"), ["correlate", "--mode", "finite"]),
     # L / 2a overflows to inf
     (("a = 0.05", "a = 1e-300", "L = 20.0", "L = 1e10"), ["solve"]),
     # L / 2a is finite but (2 pi / L) n_a (n_a + 1) in E0 overflows

@@ -1,9 +1,7 @@
-import math
 from fractions import Fraction
 
 import pytest
 
-from fermiphon import momentum_grid
 from fermiphon.errors import UnknownIdentity
 from fermiphon.focklab import (SUPPORTED_IDENTITIES, build_space, density_op,
                                field_op, identity_residual,
@@ -40,7 +38,7 @@ def test_unknown_identity(space_k2):
 
 
 def test_full_suite_exact_k3():
-    sp = build_space(momentum_grid(L=2 * math.pi, K=3, a=math.pi / 2))
+    sp = build_space(3)
     reports = run_identity_suite(sp) + [reconstruction_report(sp)]
     assert [rep.identity for rep in reports] == [
         *SUPPORTED_IDENTITIES, "RECONSTRUCTION"]
@@ -74,7 +72,7 @@ def test_corrupted_sign_fails_car(monkeypatch):
 
     monkeypatch.setattr(FockSpace, "create_sign", no_sign_c)
     monkeypatch.setattr(FockSpace, "annihilate_sign", no_sign_a)
-    sp = build_space(momentum_grid(L=2 * math.pi, K=2, a=math.pi / 2))
+    sp = build_space(2)
     rep = identity_residual(sp, "CAR")
     assert rep.max_residual > 0
     assert rep.worst_pair is not None

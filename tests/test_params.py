@@ -5,8 +5,9 @@ import pytest
 
 from fermiphon import (ModelParams, derived_couplings, momentum_grid,
                        validate_params)
-from fermiphon.bogoliubov import block_matrices
-from fermiphon.errors import BadGeometry, UnstableCouplings
+from fermiphon.bogoliubov import block_matrices, solve_closed_form, spectrum
+from fermiphon.errors import BadGeometry, GridTooSmall, UnstableCouplings
+from fermiphon.vertex import field_vertex
 
 TWO_PI = 2.0 * math.pi
 
@@ -130,3 +131,48 @@ def test_momentum_grid_rejects():
 def test_default_omega0_one_mode_spacing():
     params = ModelParams(v_f=1.0, v_p=0.4, lam=0.0, g=0.0, a=0.01, L=10.0)
     assert math.isclose(params.omega0, TWO_PI * 0.4 / 10.0, rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("L, a, n_a", [(7.0, 7.0 / 26, 13),
+                                       (20.0, 20.0 / 58, 28)])
+def test_tie_geometries_one_coupled_mode_set(L, a, n_a):
+    # L / 2a rounds onto an integer: at L = 7 it is 13.0 and
+    # 13 * 2 pi / L > pi / a in floats; at L = 20 it is 28.999... and
+    # 29 * 2 pi / L <= pi / a.  E0, the spectrum, the 2x2 blocks and the
+    # vertex engine must still couple the same modes m.
+    params = ModelParams(v_f=1.0, v_p=0.3, lam=1.0, g=0.2, a=a, L=L)
+    sol = solve_closed_form(params)
+    spacing = TWO_PI / L
+    # E0 = (1/2) sum_X (vtilde_X - v_X) (2 pi / L) n (n + 1); solve for n
+    x = sol.e0 / (0.5 * (sol.vtilde_f - 1.0 + sol.vtilde_p - 0.3) * spacing)
+    n_e0 = round((math.sqrt(1.0 + 4.0 * x) - 1.0) / 2.0)
+    assert n_e0 == n_a and math.isclose(n_e0 * (n_e0 + 1), x, rel_tol=1e-9)
+    vertex = field_vertex(+1, -1, 0.0, 0.0, 1e-3, sol,
+                          momentum_grid(L=L, K=4, a=a))
+    # a relative change of 1e-12 in a moves n_a across the tie; spectrum
+    # refuses such a grid instead of pricing other modes than E0 counts
+    (other,) = [g for g in (momentum_grid(L=L, K=4, a=a * (1 + s))
+                            for s in (-1e-12, 1e-12)) if g.n_a != n_a]
+    with pytest.raises(GridTooSmall, match="disagree"):
+        spectrum(params, sol, 0.1, other)
+
+    def spectrum_prices_f(m, energy):
+        # With the grid ending at m - 1, spectrum refuses an e_max that one
+        # F boson in mode m reaches, naming F; below that it names the
+        # cheaper P mode m instead, so no level is ever enumerated.
+        short = momentum_grid(L=L, K=m - 1, a=a)
+        named_f = []
+        for e_max in (energy * (1 + 1e-12), energy * (1 - 1e-12)):
+            with pytest.raises(GridTooSmall) as exc:
+                spectrum(params, sol, e_max, short)
+            named_f.append("flavor F" in str(exc.value))
+        return named_f == [True, False]
+
+    for m in (n_a, n_a + 1):
+        coupled = m <= n_e0
+        level = spectrum_prices_f(m, sol.vtilde_f * m * spacing)
+        assert level != spectrum_prices_f(m, 1.0 * m * spacing)
+        assert level == coupled, m
+        for p in (m * spacing, m * TWO_PI / L):
+            assert (block_matrices(params, p).B[0, 1] != 0.0) == coupled, m
+        assert (m <= vertex.n_a) == coupled, m

@@ -187,7 +187,7 @@ def test_klein_word_sign_matches_correlators():
         assert _klein_word_sign(letters) == klein_sign(word)
         # the production path: vacuum_expectation on the same Klein word
         product = NormalOrderedProduct(prefactor=1.0 + 0.0j, klein=letters,
-                                       zero_c=(0.0j, 0.0j), rounding=0.0)
+                                       rounding=0.0)
         assert vacuum_expectation(product) == _klein_word_sign(letters)
 
 
