@@ -4,20 +4,27 @@ Two independent routes to the same solution: closed-form expressions for
 the renormalized velocities and mixing coefficients, and a numeric 2x2
 eigen pipeline through the kinetic/potential block matrices.  They are
 cross-validated against each other in the test suite.
+
+The closed form is one numpy kernel, closed_form, over a whole (lambda, g)
+grid, with a status array in place of exceptions; solve_closed_form is its
+one-point case and raises.  A grid point takes the float operations of a
+scalar evaluation in the same order (squares through libm pow, as Python's
+float ** 2), so `scan` rows equal one-point solves bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Tuple
 
 import numpy as np
 
-from .errors import BadArgument, DegenerateBranches, GridTooSmall, ZeroMode
+from .errors import (BadArgument, DegenerateBranches, GridTooSmall,
+                     UnstableCouplings, ZeroMode)
 from .params import (TWO_PI, DerivedCouplings, ModelParams, MomentumGrid,
-                     coupled_abs_p_sum, derived_couplings, mode_count,
-                     validate_params)
+                     check_grid, coupled_abs_p_sum, derived_couplings,
+                     instabilities, mode_count, validate_params)
 
 # relative eigenvalue-gap floor below which branch labels would be guesses
 DEGENERACY_FLOOR = 1e-8
@@ -35,7 +42,8 @@ class BlockMatrices:
 
 @dataclass(frozen=True)
 class BogoliubovSolution:
-    """Closed-form solution: velocities, mixing coefficients, E0."""
+    """Closed-form solution: velocities, mixing coefficients, E0.  Fields are
+    floats from solve_closed_form and arrays from closed_form on a grid."""
 
     params: ModelParams
     couplings: DerivedCouplings
@@ -139,58 +147,107 @@ def diagonalize_numeric(params: ModelParams, p: float) -> dict:
             "M_Phi": m_phi, "curly_c": curly_c, "curly_s": curly_s}
 
 
-def solve_closed_form(params: ModelParams) -> BogoliubovSolution:
-    """Closed-form renormalized velocities, mixing coefficients, and E0.
+# why closed_form has no solution at a grid point (0: it has one)
+_INVALID = 1        # non-finite lambda or g, or unstable couplings
+_DEGENERATE = 2     # W below the branch-identification floor
+_BOUNDARY = 3       # vtilde_P^2 rounds to <= 0 near the stability boundary
+_UNDERFLOW = 4      # g^2 underflows, so the mixing angle is lost
+
+
+def closed_form(params: ModelParams) -> Tuple[BogoliubovSolution, np.ndarray]:
+    """Closed-form renormalized velocities, mixing coefficients, and E0,
+    elementwise over a coupling grid: params.lam and params.g are numpy
+    arrays of one shape and the other fields a validated model.  Returns the
+    solution, whose fields are arrays, and an integer status array that is
+    0 where the point has a solution and otherwise names the first reason
+    it has none.
 
     For g = 0 the phonons decouple exactly and the Thirring-limit formulas
     apply (sigma_F carries the sign of lambda); otherwise the generic
     expressions are used verbatim with principal square roots.
     E0 = (1/2) sum_X sum_{0<|m|<=n_a} (vtilde_X - v_X) |p| diverges like
-    O(L / a^2) as a -> 0 at fixed couplings.
+    O(L / a^2) as a -> 0 at fixed couplings.  Every point takes the float
+    operations of a scalar evaluation in the same order; numpy warnings are
+    off, since points without a solution may overflow or take sqrt(< 0).
     """
-    validate_params(params)
-    cpl = derived_couplings(params)
-    vf, vp = params.v_f, params.v_p
-    g1, g2, W = cpl.gamma1, cpl.gamma2, cpl.W
-    if W <= DEGENERACY_FLOOR * vf * vf:
-        raise DegenerateBranches(
-            f"W = {W:.3e} below the branch-identification floor")
-    if g2 == 0.0:
-        vt_f = vf * math.sqrt(1.0 - g1 * g1)
-        vt_p = vp
-        rho_f = math.sqrt((vf + vt_f) / (2.0 * vt_f))
-        sigma_f = math.copysign(
-            math.sqrt((vf - vt_f) / (2.0 * vt_f)), params.lam) \
-            if params.lam != 0.0 else 0.0
-        rho_p = sigma_p = 0.0
-    else:
+    vf, vp, lam, g = params.v_f, params.v_p, params.lam, params.g
+    with np.errstate(all="ignore"):
+        cpl = derived_couplings(params)
+        g1, g2, W = cpl.gamma1, cpl.gamma2, cpl.W
+        decoupled = g2 == 0.0
+        # g = 0
+        vt_f0 = vf * np.sqrt(1.0 - g1 * g1)
+        rho_f0 = np.sqrt((vf + vt_f0) / (2.0 * vt_f0))
+        sigma_f0 = np.where(
+            lam != 0.0,
+            np.copysign(np.sqrt((vf - vt_f0) / (2.0 * vt_f0)), lam), 0.0)
+        # g != 0
         c2 = vf * vf * (1.0 - g1 * g1)
         s = c2 + vp * vp
         d = c2 - vp * vp
         e = 4.0 * vf * vf * vp * vp * g2 * g2 * (1.0 - g1)
-        vt_f = math.sqrt((s + W) / 2.0)
+        vt_f = np.sqrt((s + W) / 2.0)
         # s - W = (s^2 - W^2)/(s + W) with s^2 - W^2 = 4 c2 vp^2 - e exactly;
         # avoids cancellation near the stability boundary
-        vt_p = math.sqrt((4.0 * c2 * vp * vp - e) / (2.0 * (s + W)))
+        vt_p_sq = (4.0 * c2 * vp * vp - e) / (2.0 * (s + W))
+        vt_p = np.sqrt(vt_p_sq)
         # vt_f^2 - c2 = (W - d)/2 and c2 - vt_p^2 = (W + d)/2, each computed
         # on its cancellation-free side via W^2 - d^2 = e
-        gap_f = e / (2.0 * (W + d)) if d > 0 else (W - d) / 2.0
-        gap_p = e / (2.0 * (W - d)) if d < 0 else (W + d) / 2.0
-        if gap_f == 0.0 or gap_p == 0.0:
-            # e ~ g^2 underflowed, so the mixing angle is lost
-            raise BadArgument(
-                f"g = {params.g:.3g} is too small to resolve the branch "
-                "mixing (g^2 underflows)")
-        den_f = 2.0 * math.sqrt(W) * math.sqrt(gap_f)
-        den_p = 2.0 * math.sqrt(W) * math.sqrt(gap_p)
-        rho_f = math.sqrt(vf / vt_f) * g2 * vp * (vt_f + vf * (1.0 - g1)) / den_f
-        sigma_f = math.sqrt(vf / vt_f) * g2 * vp * (vt_f - vf * (1.0 - g1)) / den_f
-        rho_p = -math.sqrt(vf / vt_p) * g2 * vp * (vt_p + vf * (1.0 - g1)) / den_p
-        sigma_p = -math.sqrt(vf / vt_p) * g2 * vp * (vt_p - vf * (1.0 - g1)) / den_p
-    e0 = 0.5 * (vt_f - vf + vt_p - vp) * coupled_abs_p_sum(params.L, params.a)
-    return BogoliubovSolution(
+        gap_f = np.where(d > 0, e / (2.0 * (W + d)), (W - d) / 2.0)
+        gap_p = np.where(d < 0, e / (2.0 * (W - d)), (W + d) / 2.0)
+        den_f = 2.0 * np.sqrt(W) * np.sqrt(gap_f)
+        den_p = 2.0 * np.sqrt(W) * np.sqrt(gap_p)
+        rho_f = np.sqrt(vf / vt_f) * g2 * vp * (vt_f + vf * (1.0 - g1)) / den_f
+        sigma_f = np.sqrt(vf / vt_f) * g2 * vp * (vt_f - vf * (1.0 - g1)) / den_f
+        rho_p = -np.sqrt(vf / vt_p) * g2 * vp * (vt_p + vf * (1.0 - g1)) / den_p
+        sigma_p = -np.sqrt(vf / vt_p) * g2 * vp * (vt_p - vf * (1.0 - g1)) / den_p
+        # in the order a scalar evaluation meets them
+        status = np.select(
+            [~(np.isfinite(lam) & np.isfinite(g)) | np.logical_or(
+                *instabilities(g1, g2)),
+             W <= DEGENERACY_FLOOR * vf * vf,
+             ~decoupled & (vt_p_sq < 0.0),
+             ~decoupled & ((gap_f == 0.0) | (gap_p == 0.0)),
+             ~decoupled & (vt_p == 0.0)],
+            [_INVALID, _DEGENERATE, _BOUNDARY, _UNDERFLOW, _BOUNDARY], 0)
+        vt_f = np.where(decoupled, vt_f0, vt_f)
+        vt_p = np.where(decoupled, vp, vt_p)
+        e0 = 0.5 * (vt_f - vf + vt_p - vp) * coupled_abs_p_sum(params.L,
+                                                               params.a)
+    sol = BogoliubovSolution(
         params=params, couplings=cpl, vtilde_f=vt_f, vtilde_p=vt_p,
-        rho_f=rho_f, rho_p=rho_p, sigma_f=sigma_f, sigma_p=sigma_p, e0=e0)
+        rho_f=np.where(decoupled, rho_f0, rho_f),
+        rho_p=np.where(decoupled, 0.0, rho_p),
+        sigma_f=np.where(decoupled, sigma_f0, sigma_f),
+        sigma_p=np.where(decoupled, 0.0, sigma_p), e0=e0)
+    return sol, status
+
+
+def solve_closed_form(params: ModelParams) -> BogoliubovSolution:
+    """closed_form at one point, with float fields; raises where the point
+    has no solution (validate_params' errors first)."""
+    validate_params(params)
+    sol, status = closed_form(replace(params, lam=np.array([params.lam]),
+                                      g=np.array([params.g])))
+    cpl = DerivedCouplings(*(float(v[0]) for v in (
+        sol.couplings.gamma1, sol.couplings.gamma2, sol.couplings.W)))
+    if status[0] == _DEGENERATE:
+        raise DegenerateBranches(
+            f"W = {cpl.W:.3e} below the branch-identification floor")
+    if status[0] == _BOUNDARY:
+        raise UnstableCouplings(
+            f"gamma2^2 = {cpl.gamma2 * cpl.gamma2:.6g} lies within rounding "
+            f"of 1 + gamma1 = {1 + cpl.gamma1:.6g}: vtilde_P^2 rounds to "
+            "zero or below")
+    if status[0] == _UNDERFLOW:
+        raise BadArgument(
+            f"g = {params.g:.3g} is too small to resolve the branch "
+            "mixing (g^2 underflows)")
+    return BogoliubovSolution(
+        params=params, couplings=cpl, vtilde_f=float(sol.vtilde_f[0]),
+        vtilde_p=float(sol.vtilde_p[0]), rho_f=float(sol.rho_f[0]),
+        rho_p=float(sol.rho_p[0]), sigma_f=float(sol.sigma_f[0]),
+        sigma_p=float(sol.sigma_p[0]), e0=float(sol.e0[0]))
 
 
 def _occupations(modes, idx, spent, e_max, occ):
@@ -219,9 +276,7 @@ def spectrum(params: ModelParams, solution: BogoliubovSolution, e_max: float,
     disagrees with params, or when a mode outside the grid could still
     contribute below e_max.
     """
-    if not math.isclose(grid.L, params.L, rel_tol=1e-12) \
-            or grid.n_a != mode_count(params.L, params.a):
-        raise GridTooSmall("grid and params disagree on L or n_a")
+    check_grid(params, grid)
     spacing = TWO_PI / params.L
     # mode energies inside the grid; mode K + 1 must lie above e_max
     modes = []

@@ -14,11 +14,13 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, NamedTuple
 
+import numpy as np
+
 from . import focklab
-from .bogoliubov import solve_closed_form, spectrum
+from .bogoliubov import closed_form, solve_closed_form, spectrum
 from .correlators import (CorrelatorSpec, InsertionPoint, exponents,
                           klein_sign, npoint_continuum)
 from .errors import (BadArgument, BadGeometry, FermiphonError,
@@ -172,30 +174,38 @@ def cmd_spectrum(cfg: RunConfig, e_max: float):
         ["q_plus", "q_minus", "m_p0", "modes", "degeneracy", "energy"], rows)
 
 
+def _grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """n points lo + (hi - lo) i / (n - 1); non-finite ends give inf or nan
+    points, without warnings."""
+    with np.errstate(all="ignore"):
+        return lo + (hi - lo) * np.arange(n) / max(n - 1, 1)
+
+
 def cmd_correlate(cfg: RunConfig, mode: str):
     sol = solve_closed_form(cfg.model)
     grid = momentum_grid(L=cfg.model.L, K=cfg.K, a=cfg.model.a)
     x_min, x_max, n, t = cfg.correlate_grid
     word = [(p.r, p.q) for p in cfg.insertions]
-    selected = klein_sign(word) != 0
-    if not selected:
+    xs = _grid(x_min, x_max, n).tolist()
+    if klein_sign(word) == 0:
         print("warning: insertion word violates charge selection; "
               "emitting zero rows", file=sys.stderr)
-
-    xs = [x_min + (x_max - x_min) * i / max(n - 1, 1) for i in range(n)]
-
-    def one(x):
-        if not selected:
-            return 0.0j
-        pts = [InsertionPoint(r=p.r, q=p.q, x=p.x + x, t=p.t + t)
-               if i == 0 else p for i, p in enumerate(cfg.insertions)]
+        values = [0.0j] * n
+    else:
+        # the first insertion sweeps x and moves by t; the spec holds it at
+        # the first point
+        pts = list(cfg.insertions)
+        positions = xs
+        if pts:
+            positions = [pts[0].x + x for x in xs]
+            pts[0] = replace(pts[0], x=positions[0], t=pts[0].t + t)
         spec = CorrelatorSpec(insertions=tuple(pts), ell=cfg.ell,
                               regulator=cfg.regulator)
         if mode == "finite":
-            return finite_correlator(spec, cfg.model, sol, grid)["value"]
-        return npoint_continuum(spec, sol)
-
-    values = [one(x) for x in xs]
+            values = [res["value"] for res in finite_correlator(
+                spec, cfg.model, sol, grid, xs=positions)]
+        else:
+            values = npoint_continuum(spec, sol, xs=positions)
     rows = [[_fmt(x), _fmt(t), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))]
             for x, v in zip(xs, values)]
     return 0, Table(["x", "t", "re", "im", "abs"], rows)
@@ -203,24 +213,25 @@ def cmd_correlate(cfg: RunConfig, mode: str):
 
 def cmd_scan(cfg: RunConfig):
     lam_min, lam_max, n_lam, g_min, g_max, n_g = cfg.scan_grid
-    base = cfg.model
-
-    def row(lam, g):
-        params = ModelParams(v_f=base.v_f, v_p=base.v_p, lam=lam, g=g,
-                             a=base.a, L=base.L, omega0=base.omega0)
-        try:
-            sol = solve_closed_form(params)
-        except FermiphonError:
-            return [_fmt(lam), _fmt(g), "", "", "", "", "", "", "0"]
-        tab = exponents(sol)
-        return [_fmt(lam), _fmt(g), _fmt(sol.couplings.gamma1),
-                _fmt(sol.couplings.gamma2), _fmt(sol.vtilde_f),
-                _fmt(sol.vtilde_p), _fmt(tab.delta_cdw), _fmt(tab.delta_sc),
-                "1"]
-
-    rows = [row(lam_min + (lam_max - lam_min) * i / max(n_lam - 1, 1),
-                g_min + (g_max - g_min) * j / max(n_g - 1, 1))
-            for i in range(n_lam) for j in range(n_g)]
+    lam = np.repeat(_grid(lam_min, lam_max, n_lam), n_g)
+    g = np.tile(_grid(g_min, g_max, n_g), n_lam)
+    rows = []
+    # points without a solution may hold inf or nan: no warnings for them
+    with np.errstate(all="ignore"):
+        # a block of points at a time keeps the kernel's arrays small
+        for lo in range(0, lam.size, 2048):
+            params = replace(cfg.model, lam=lam[lo:lo + 2048],
+                             g=g[lo:lo + 2048])
+            sol, status = closed_form(params)
+            tab = exponents(sol)
+            table = np.column_stack((
+                params.lam, params.g, sol.couplings.gamma1,
+                sol.couplings.gamma2, sol.vtilde_f, sol.vtilde_p,
+                tab.delta_cdw, tab.delta_sc)).tolist()
+            for stable, vals in zip((status == 0).tolist(), table):
+                rows.append([_fmt(v) for v in vals] + ["1"] if stable else
+                            [_fmt(vals[0]), _fmt(vals[1]), "", "", "", "",
+                             "", "", "0"])
     return 0, Table(["lambda", "g", "gamma1", "gamma2", "vtilde_f",
                      "vtilde_p", "delta_cdw", "delta_sc", "stable"], rows)
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .bogoliubov import BogoliubovSolution
 from .errors import BadArgument, SelectionViolated, SingularConfiguration
@@ -31,6 +33,12 @@ class InsertionPoint:
     t: float = 0.0
 
 
+def check_position(x: float, t: float) -> None:
+    """Raise BadArgument unless an insertion's x and t are finite."""
+    if not (math.isfinite(x) and math.isfinite(t)):
+        raise BadArgument("insertion x and t must be finite")
+
+
 @dataclass(frozen=True)
 class CorrelatorSpec:
     """Ordered field insertions plus the renormalization length ell and the
@@ -43,8 +51,7 @@ class CorrelatorSpec:
     def __post_init__(self):
         object.__setattr__(self, "insertions", tuple(self.insertions))
         for p in self.insertions:
-            if not (math.isfinite(p.x) and math.isfinite(p.t)):
-                raise BadArgument("insertion x and t must be finite")
+            check_position(p.x, p.t)
         if not (math.isfinite(self.ell) and self.ell > 0):
             raise BadArgument("ell must be finite and positive")
         if not (math.isfinite(self.regulator) and self.regulator > 0):
@@ -146,29 +153,56 @@ def _pair_exponent(r: int, flavor: str, rn: int, rm: int,
     return sol.rho(flavor) * sol.sigma(flavor)
 
 
-def npoint_continuum(spec: CorrelatorSpec, sol: BogoliubovSolution) -> complex:
+def npoint_continuum(spec: CorrelatorSpec, sol: BogoliubovSolution,
+                     xs: Optional[Sequence[float]] = None):
     """Renormalized N-point function in the continuum and thermodynamic
     limits: klein_sign x (1 / 2 pi ell)^(N/2) x the product of regulated
-    power-law factors over pairs, chiralities, and flavors."""
-    word = [(p.r, p.q) for p in spec.insertions]
-    sign = klein_sign(word)
-    if sign == 0:
-        return 0.0j
+    power-law factors over pairs, chiralities, and flavors.
+
+    With xs, a sweep: one value per position x in xs of the first insertion
+    (its t and the other insertions as in spec), each checked as the spec
+    checks its own.  The exponent and velocity of every (pair, chirality,
+    flavor) are found once, and the factors of pairs without the first
+    insertion are the same at every x, so they are evaluated once; every
+    value takes the same products in the same order as a lone evaluation.
+    Without xs, the value at spec itself.
+    """
     pts = spec.insertions
     n_pts = len(pts)
-    out = complex(sign) * (1.0 / (2.0 * math.pi * spec.ell)) ** (n_pts / 2.0)
-    for n in range(n_pts):
-        for m in range(n + 1, n_pts):
-            dx = pts[n].x - pts[m].x
-            dt = pts[n].t - pts[m].t
-            qq = pts[n].q * pts[m].q
-            for r in (+1, -1):
-                for flavor in FLAVORS:
-                    c = _pair_exponent(r, flavor, pts[n].r, pts[m].r, sol)
-                    out *= regulated_power(spec.ell, r, dx, dt,
-                                           sol.vtilde(flavor), -qq * c,
-                                           spec.regulator)
-    return out
+    positions = xs if xs is not None else [pts[0].x if pts else 0.0]
+    sign = klein_sign([(p.r, p.q) for p in pts])
+    if sign == 0:
+        values = [0.0j] * len(positions)
+        return values if xs is not None else values[0]
+    start = complex(sign) * (1.0 / (2.0 * math.pi * spec.ell)) ** (n_pts / 2.0)
+
+    def channels(n, m):
+        """(r, velocity, exponent) of each regulated factor of pair (n, m)."""
+        qq = pts[n].q * pts[m].q
+        return [(r, sol.vtilde(flavor),
+                 -qq * _pair_exponent(r, flavor, pts[n].r, pts[m].r, sol))
+                for r in (+1, -1) for flavor in FLAVORS]
+
+    moving = [(pts[m].x, pts[0].t - pts[m].t, channels(0, m))
+              for m in range(1, n_pts)]
+    fixed = [regulated_power(spec.ell, r, pts[n].x - pts[m].x,
+                             pts[n].t - pts[m].t, v, c, spec.regulator)
+             for n in range(1, n_pts) for m in range(n + 1, n_pts)
+             for r, v, c in channels(n, m)]
+    values = []
+    for x in positions:
+        if pts:
+            check_position(x, pts[0].t)
+        out = start
+        for x_m, dt, chans in moving:
+            dx = x - x_m
+            for r, v, c in chans:
+                out *= regulated_power(spec.ell, r, dx, dt, v, c,
+                                       spec.regulator)
+        for factor in fixed:
+            out *= factor
+        values.append(out)
+    return values if xs is not None else values[0]
 
 
 def two_point(r: int, x: float, t: float, sol: BogoliubovSolution,
@@ -197,17 +231,25 @@ def order_correlator(kind: str, x: float, t: float, sol: BogoliubovSolution,
     return out
 
 
+def _square(x):
+    """x^2 through libm pow, as Python's float ** 2 takes it, also on
+    arrays (numpy's x ** 2 multiplies, which can differ in the last bit)."""
+    return np.float_power(x, 2.0)
+
+
 def exponents(sol: BogoliubovSolution) -> ExponentTable:
-    """Scaling exponents derived from one Bogoliubov solution."""
+    """Scaling exponents derived from one Bogoliubov solution, elementwise
+    when its fields are arrays over a coupling grid."""
     c_same = {}
     c_cross = {}
     for flavor in FLAVORS:
-        c_same[(+1, flavor)] = sol.rho(flavor) ** 2
-        c_same[(-1, flavor)] = sol.sigma(flavor) ** 2
+        c_same[(+1, flavor)] = _square(sol.rho(flavor))
+        c_same[(-1, flavor)] = _square(sol.sigma(flavor))
         c_cross[flavor] = sol.rho(flavor) * sol.sigma(flavor)
-    delta_cdw = sum((sol.rho(fl) - sol.sigma(fl)) ** 2 for fl in FLAVORS)
-    delta_sc = sum((sol.rho(fl) + sol.sigma(fl)) ** 2 for fl in FLAVORS)
-    dim = sum(sol.rho(fl) ** 2 + sol.sigma(fl) ** 2 for fl in FLAVORS)
+    delta_cdw = sum(_square(sol.rho(fl) - sol.sigma(fl)) for fl in FLAVORS)
+    delta_sc = sum(_square(sol.rho(fl) + sol.sigma(fl)) for fl in FLAVORS)
+    dim = sum(_square(sol.rho(fl)) + _square(sol.sigma(fl))
+              for fl in FLAVORS)
     return ExponentTable(c_same=c_same, c_cross=c_cross,
                          delta_cdw=delta_cdw, delta_sc=delta_sc,
                          fermion_dimension=dim)

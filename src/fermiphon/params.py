@@ -9,7 +9,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadGeometry, UnstableCouplings
+import numpy as np
+
+from .errors import BadGeometry, GridTooSmall, UnstableCouplings
 
 TWO_PI = 2.0 * math.pi
 
@@ -24,6 +26,9 @@ class ModelParams:
     a        : interaction range / UV cutoff length (0 < a < L)
     L        : system size
     omega0   : phonon zero-mode IR cutoff frequency (> 0)
+
+    lam and g may also be numpy arrays of one shape, a coupling grid for
+    bogoliubov.closed_form; every other function takes floats.
     """
 
     v_f: float
@@ -86,8 +91,12 @@ def mode_count(L: float, a: float) -> int:
 
     Boson mode p = (2 pi / L) m feels the interaction iff 1 <= |m| <= n_a,
     i.e. it lies within the cutoff pi / a, the tie decided by this floor.
-    Every layer reads the coupled modes from here."""
-    return math.floor(L / (2.0 * a))
+    Every layer reads the coupled modes from here.  Raises BadGeometry when
+    L / 2a is not finite."""
+    ratio = L / (2.0 * a)
+    if not math.isfinite(ratio):
+        raise BadGeometry("L / 2a overflows; the mode count n_a is infinite")
+    return math.floor(ratio)
 
 
 def coupled_abs_p_sum(L: float, a: float) -> float:
@@ -101,6 +110,12 @@ def _gammas(params: ModelParams):
     """gamma1 = lam / (2 pi v_f) and gamma2 = g / (v_p sqrt(pi v_f))."""
     return (params.lam / (TWO_PI * params.v_f),
             params.g / (params.v_p * math.sqrt(math.pi * params.v_f)))
+
+
+def instabilities(gamma1, gamma2):
+    """The two ways couplings make the system unstable, true where violated
+    (elementwise on arrays): gamma1 >= 1, and gamma2^2 >= 1 + gamma1."""
+    return gamma1 >= 1.0, gamma2 * gamma2 >= 1.0 + gamma1
 
 
 def validate_params(raw: ModelParams) -> ModelParams:
@@ -122,17 +137,16 @@ def validate_params(raw: ModelParams) -> ModelParams:
         raise BadGeometry("v_f is too large: v_f^2 overflows")
     if raw.a <= 0 or raw.L <= 0 or raw.a >= raw.L:
         raise BadGeometry("lengths must satisfy 0 < a < L")
-    if not math.isfinite(raw.L / (2.0 * raw.a)):
-        raise BadGeometry("L / 2a overflows; the mode count n_a is infinite")
     if not math.isfinite(coupled_abs_p_sum(raw.L, raw.a)):
         raise BadGeometry("sum of the coupled |p| overflows; E0 is infinite")
     if raw.omega0 <= 0:
         raise BadGeometry("omega0 must be positive")
     gamma1, gamma2 = _gammas(raw)
-    if gamma1 >= 1.0:
+    too_strong, too_mixed = instabilities(gamma1, gamma2)
+    if too_strong:
         raise UnstableCouplings(
             f"gamma1 = {gamma1:.6g} >= 1 (requires lambda < 2 pi v_f)")
-    if gamma2 * gamma2 >= 1.0 + gamma1:
+    if too_mixed:
         raise UnstableCouplings(
             f"gamma2^2 = {gamma2 * gamma2:.6g} >= 1 + gamma1 = {1 + gamma1:.6g} "
             "(requires 2 (g/v_p)^2 < 2 pi v_f + lambda)")
@@ -140,12 +154,21 @@ def validate_params(raw: ModelParams) -> ModelParams:
 
 
 def derived_couplings(params: ModelParams) -> DerivedCouplings:
-    """Dimensionless couplings and W for validated params."""
+    """Dimensionless couplings and W for validated params, elementwise over a
+    coupling grid.  Squares go through libm pow (np.float_power), as Python's
+    float ** 2 does, so a grid point and the scalar call agree bit for bit."""
     gamma1, gamma2 = _gammas(params)
-    d = params.v_f**2 * (1.0 - gamma1**2) - params.v_p**2
-    W = math.sqrt(d * d + 4.0 * params.v_f**2 * params.v_p**2
-                  * gamma2**2 * (1.0 - gamma1))
+    d = params.v_f**2 * (1.0 - np.float_power(gamma1, 2.0)) - params.v_p**2
+    W = np.sqrt(d * d + 4.0 * params.v_f**2 * params.v_p**2
+                * np.float_power(gamma2, 2.0) * (1.0 - gamma1))
     return DerivedCouplings(gamma1=gamma1, gamma2=gamma2, W=W)
+
+
+def check_grid(params: ModelParams, grid: MomentumGrid) -> None:
+    """Raise GridTooSmall unless the grid has the model's L and n_a."""
+    if not math.isclose(grid.L, params.L, rel_tol=1e-12) \
+            or grid.n_a != mode_count(params.L, params.a):
+        raise GridTooSmall("grid and params disagree on L or n_a")
 
 
 def momentum_grid(L: float, K: int, a: float) -> MomentumGrid:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,6 +277,38 @@ def test_scan_deterministic(config_file, tmp_path):
     assert open(out1, "rb").read() == open(out2, "rb").read()
 
 
+def test_closed_form_writes_no_warnings(config_file, tmp_path, capsys):
+    # the kernel evaluates both branches at every point, so numpy meets 0/0,
+    # overflow and sqrt(< 0) where a point has no solution or g = 0; none of
+    # it may reach stderr.  `solve` at g = 0:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["--config", config_file(FREE_INI), "--output",
+                        str(tmp_path / "solve.json"), "solve"]) == 0
+    assert capsys.readouterr().err == ""
+    # scan grids whose every point lacks a solution: lambda overflowing to
+    # nan / inf, nan lambda with infinite g, and g^2 underflowing (with
+    # lambda >= 2 pi unstable too); each row says stable = 0
+    cases = [("lambda_max = 7.0", "lambda_max = 1e308", "lambda_min = -5.0",
+              "lambda_min = -1e308", "g_max = 0.0", "g_max = 2.0",
+              "n_g = 1", "n_g = 5"),
+             ("lambda_min = -5.0", "lambda_min = nan", "g_max = 0.0",
+              "g_max = inf", "n_g = 1", "n_g = 3"),
+             ("g_min = 0.0", "g_min = 1e-200", "g_max = 0.0",
+              "g_max = 1e-200")]
+    for edit in cases:
+        text = GENERIC_INI
+        for old, new in zip(edit[::2], edit[1::2]):
+            text = text.replace(old, new)
+        out = str(tmp_path / "scan.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["--config", config_file(text), "--output", out,
+                            "scan"]) == 0
+        assert capsys.readouterr().err == ""
+        assert {r["stable"] for r in csv.DictReader(open(out))} == {"0"}
+
+
 def test_json_format_option(config_file, tmp_path):
     cfg = config_file(GENERIC_INI)
     out = str(tmp_path / "scan.json")
@@ -313,6 +346,10 @@ def test_json_format_option(config_file, tmp_path):
     (("v_f = 1.0", "v_f = 1e200"), ["solve"]),
     # g^2 underflows in the mixing coefficients
     (("g = 0.2", "g = 1e-200"), ["solve"]),
+    # gamma2^2 < 1 + gamma1 holds, but vtilde_P^2 rounds to 0 (this was a
+    # ZeroDivisionError traceback)
+    (("v_p = 0.3", "v_p = 0.4", "lambda = 1.0", "lambda = 2.0",
+      "g = 0.2", "g = 0.8140361322290103"), ["solve"]),
     # output that cannot be opened; {tmp} is the test's directory
     (None, ["--output", "{tmp}/no/such/dir/x.csv", "scan"]),
     (None, ["--output", "{tmp}", "solve"]),
@@ -320,8 +357,8 @@ def test_json_format_option(config_file, tmp_path):
         "points-neg", "n_lambda0", "n_g-neg", "g0-degenerate",
         "finite-reg-nan", "continuum-reg-inf", "continuum-ell-nan",
         "finite-ell-inf", "n_a-overflow", "e0-overflow", "t-inf",
-        "v_f-overflow", "g-underflow", "output-missing-dir",
-        "output-is-dir"])
+        "v_f-overflow", "g-underflow", "g-boundary-rounding",
+        "output-missing-dir", "output-is-dir"])
 def test_bad_input_exit_2_one_line(config_file, tmp_path, capsys, edit, args):
     text = GENERIC_INI
     for old, new in zip(edit[::2], edit[1::2]) if edit else ():

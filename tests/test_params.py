@@ -50,6 +50,10 @@ def test_bad_geometry():
     with pytest.raises(BadGeometry):
         validate_params(ModelParams(v_f=1.0, v_p=0.3, lam=1.0, g=0.2,
                                     a=1e-200, L=1e100))
+    # the grid forms n_a as well: L / 2a = inf there is BadGeometry too,
+    # not an OverflowError from floor(inf)
+    with pytest.raises(BadGeometry):
+        momentum_grid(L=1e300, K=1, a=1e-10)
 
 
 def test_free_couplings_collapse(free_params):

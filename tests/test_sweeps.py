@@ -1,0 +1,288 @@
+"""Whole-grid `scan` and swept `correlate` against per-point oracles.
+
+The oracles below are the per-point code the grid kernel and the sweeps
+replaced: the scalar closed form (Python floats, `x ** 2` through libm
+pow), one `scan` row per solve, and one correlator evaluation per point
+with every factor recomputed.  The new code must give the same `_fmt`
+strings, bit for bit.
+"""
+
+import cmath
+import math
+
+import pytest
+
+from fermiphon import ModelParams
+from fermiphon import cli
+from fermiphon.bogoliubov import (DEGENERACY_FLOOR, BogoliubovSolution,
+                                  solve_closed_form)
+from fermiphon.correlators import (FLAVORS, CorrelatorSpec, InsertionPoint,
+                                   _pair_exponent, klein_sign,
+                                   npoint_continuum, regulated_power)
+from fermiphon.errors import BadArgument, DegenerateBranches, FermiphonError
+from fermiphon.params import (TWO_PI, DerivedCouplings, coupled_abs_p_sum,
+                              momentum_grid, validate_params)
+from fermiphon.vertex import (field_vertex, finite_correlator,
+                              normal_order_product, vacuum_expectation)
+
+_fmt = cli._fmt
+
+
+# -- oracles --------------------------------------------------------------
+
+
+def oracle_solve(params):
+    """The scalar closed form, one point at a time."""
+    validate_params(params)
+    vf, vp = params.v_f, params.v_p
+    g1 = params.lam / (TWO_PI * vf)
+    g2 = params.g / (vp * math.sqrt(math.pi * vf))
+    d0 = vf**2 * (1.0 - g1**2) - vp**2
+    W = math.sqrt(d0 * d0 + 4.0 * vf**2 * vp**2 * g2**2 * (1.0 - g1))
+    if W <= DEGENERACY_FLOOR * vf * vf:
+        raise DegenerateBranches("W floor")
+    if g2 == 0.0:
+        vt_f = vf * math.sqrt(1.0 - g1 * g1)
+        vt_p = vp
+        rho_f = math.sqrt((vf + vt_f) / (2.0 * vt_f))
+        sigma_f = math.copysign(
+            math.sqrt((vf - vt_f) / (2.0 * vt_f)), params.lam) \
+            if params.lam != 0.0 else 0.0
+        rho_p = sigma_p = 0.0
+    else:
+        c2 = vf * vf * (1.0 - g1 * g1)
+        s = c2 + vp * vp
+        d = c2 - vp * vp
+        e = 4.0 * vf * vf * vp * vp * g2 * g2 * (1.0 - g1)
+        vt_f = math.sqrt((s + W) / 2.0)
+        vt_p = math.sqrt((4.0 * c2 * vp * vp - e) / (2.0 * (s + W)))
+        gap_f = e / (2.0 * (W + d)) if d > 0 else (W - d) / 2.0
+        gap_p = e / (2.0 * (W - d)) if d < 0 else (W + d) / 2.0
+        if gap_f == 0.0 or gap_p == 0.0:
+            raise BadArgument("g^2 underflows")
+        den_f = 2.0 * math.sqrt(W) * math.sqrt(gap_f)
+        den_p = 2.0 * math.sqrt(W) * math.sqrt(gap_p)
+        rho_f = math.sqrt(vf / vt_f) * g2 * vp * (vt_f + vf * (1.0 - g1)) \
+            / den_f
+        sigma_f = math.sqrt(vf / vt_f) * g2 * vp * (vt_f - vf * (1.0 - g1)) \
+            / den_f
+        rho_p = -math.sqrt(vf / vt_p) * g2 * vp * (vt_p + vf * (1.0 - g1)) \
+            / den_p
+        sigma_p = -math.sqrt(vf / vt_p) * g2 * vp \
+            * (vt_p - vf * (1.0 - g1)) / den_p
+    e0 = 0.5 * (vt_f - vf + vt_p - vp) * coupled_abs_p_sum(params.L, params.a)
+    return BogoliubovSolution(
+        params=params, couplings=DerivedCouplings(g1, g2, W), vtilde_f=vt_f,
+        vtilde_p=vt_p, rho_f=rho_f, rho_p=rho_p, sigma_f=sigma_f,
+        sigma_p=sigma_p, e0=e0)
+
+
+def oracle_scan(cfg):
+    """One solve per `scan` row."""
+    lam_min, lam_max, n_lam, g_min, g_max, n_g = cfg.scan_grid
+    base = cfg.model
+
+    def row(lam, g):
+        params = ModelParams(v_f=base.v_f, v_p=base.v_p, lam=lam, g=g,
+                             a=base.a, L=base.L, omega0=base.omega0)
+        try:
+            sol = oracle_solve(params)
+        except FermiphonError:
+            return [_fmt(lam), _fmt(g), "", "", "", "", "", "", "0"]
+        cdw = sum((sol.rho(fl) - sol.sigma(fl)) ** 2 for fl in FLAVORS)
+        sc = sum((sol.rho(fl) + sol.sigma(fl)) ** 2 for fl in FLAVORS)
+        return [_fmt(lam), _fmt(g), _fmt(sol.couplings.gamma1),
+                _fmt(sol.couplings.gamma2), _fmt(sol.vtilde_f),
+                _fmt(sol.vtilde_p), _fmt(cdw), _fmt(sc), "1"]
+
+    return [row(lam_min + (lam_max - lam_min) * i / max(n_lam - 1, 1),
+                g_min + (g_max - g_min) * j / max(n_g - 1, 1))
+            for i in range(n_lam) for j in range(n_g)]
+
+
+def oracle_continuum(spec, sol):
+    """Every regulated factor of every pair, recomputed at each point."""
+    pts = spec.insertions
+    sign = klein_sign([(p.r, p.q) for p in pts])
+    if sign == 0:
+        return 0.0j
+    out = complex(sign) * (1.0 / (2.0 * math.pi * spec.ell)) \
+        ** (len(pts) / 2.0)
+    for n in range(len(pts)):
+        for m in range(n + 1, len(pts)):
+            dx = pts[n].x - pts[m].x
+            dt = pts[n].t - pts[m].t
+            qq = pts[n].q * pts[m].q
+            for r in (+1, -1):
+                for flavor in FLAVORS:
+                    c = _pair_exponent(r, flavor, pts[n].r, pts[m].r, sol)
+                    out *= regulated_power(spec.ell, r, dx, dt,
+                                           sol.vtilde(flavor), -qq * c,
+                                           spec.regulator)
+    return out
+
+
+def oracle_finite(spec, sol, grid):
+    """Every vertex factor and every pair contraction, recomputed."""
+    factors = [field_vertex(p.r, p.q, p.x, p.t, spec.regulator, sol, grid)
+               for p in spec.insertions]
+    product = normal_order_product(factors)
+    value = vacuum_expectation(product)
+    growth = math.expm1(2.0 * product.rounding) \
+        if product.rounding < 354.0 else math.inf
+    return {"value": value, "tail_bound": abs(value) * growth}
+
+
+def oracle_correlate(cfg, mode):
+    """One CorrelatorSpec and one evaluation per x."""
+    sol = solve_closed_form(cfg.model)
+    grid = momentum_grid(L=cfg.model.L, K=cfg.K, a=cfg.model.a)
+    x_min, x_max, n, t = cfg.correlate_grid
+    selected = klein_sign([(p.r, p.q) for p in cfg.insertions]) != 0
+    xs = [x_min + (x_max - x_min) * i / max(n - 1, 1) for i in range(n)]
+
+    def one(x):
+        if not selected:
+            return 0.0j
+        pts = [InsertionPoint(r=p.r, q=p.q, x=p.x + x, t=p.t + t)
+               if i == 0 else p for i, p in enumerate(cfg.insertions)]
+        spec = CorrelatorSpec(insertions=tuple(pts), ell=cfg.ell,
+                              regulator=cfg.regulator)
+        if mode == "finite":
+            return oracle_finite(spec, sol, grid)["value"]
+        return oracle_continuum(spec, sol)
+
+    return [[_fmt(x), _fmt(t), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))]
+            for x, v in ((x, one(x)) for x in xs)]
+
+
+# -- configs --------------------------------------------------------------
+
+MODEL = ModelParams(v_f=1.0, v_p=0.3, lam=1.0, g=0.2, a=0.5, L=20.0)
+
+
+def run_config(model=MODEL, scan=(0.0, 0.0, 1, 0.0, 0.0, 1), insertions=(),
+               correlate=(0.1, 1.0, 3, 0.0), regulator=1e-3):
+    return cli.RunConfig(model=model, K=4, ell=1.0, regulator=regulator,
+                         insertions=list(insertions),
+                         correlate_grid=correlate, scan_grid=scan)
+
+
+SCANS = {
+    # crosses gamma1 = 1 (lambda = 2 pi), 1 + gamma1 = 0 (lambda = -2 pi)
+    # and the gamma2 boundary; holds a g = 0 column and a lambda = 0 row
+    "boundary": run_config(scan=(-8.0, 8.0, 101, -0.9, 0.9, 101)),
+    # vtilde_F = v_P at g = 0: W below the branch-identification floor
+    "w-floor": run_config(
+        model=ModelParams(v_f=1.0, v_p=0.6, lam=1.0, g=0.2, a=0.5, L=20.0),
+        scan=(0.8 * TWO_PI, 0.8 * TWO_PI, 1, 0.0, 0.0, 1)),
+    # g^2 underflows in the mixing coefficients
+    "g-underflow": run_config(scan=(-1.0, 1.0, 3, 1e-200, 1e-200, 1)),
+    # g = nan at the first column, +inf after it
+    "g-max-inf": run_config(scan=(-1.0, 1.0, 3, 0.0, math.inf, 3)),
+    # libm pow(gamma1, 2) and gamma1 * gamma1 differ in the last bit here,
+    # and the difference reaches W (about one lambda in 10^4 does)
+    "pow-square": run_config(scan=(1.6675000000000004, 1.6675000000000004, 1,
+                                   -0.5, 0.5, 21)),
+}
+
+
+@pytest.mark.parametrize("name", list(SCANS))
+def test_scan_matches_per_point_oracle(name):
+    cfg = SCANS[name]
+    code, table = cli.cmd_scan(cfg)
+    assert code == 0
+    assert table.rows == oracle_scan(cfg)
+
+
+def test_scan_grids_reach_their_cases():
+    rows = {name: cli.cmd_scan(cfg)[1].rows for name, cfg in SCANS.items()}
+    lam = {r[0] for r in rows["boundary"]}
+    g = {r[1] for r in rows["boundary"]}
+    assert "0" in lam and "0" in g
+    stable = [r[-1] for r in rows["boundary"]]
+    assert 0.2 < stable.count("0") / len(stable) < 0.8
+    assert [r[-1] for r in rows["w-floor"]] == ["0"]
+    assert [r[-1] for r in rows["g-underflow"]] == ["0", "0", "0"]
+    assert [r[1] for r in rows["g-max-inf"][:3]] == ["nan", "inf", "inf"]
+    g1 = 1.6675000000000004 / TWO_PI
+    assert g1 ** 2 != g1 * g1
+    with pytest.raises(DegenerateBranches):
+        solve_closed_form(ModelParams(v_f=1.0, v_p=0.6, lam=0.8 * TWO_PI,
+                                      g=0.0, a=0.5, L=20.0))
+
+
+def test_solve_matches_scalar_oracle():
+    for lam in (-3.0, -0.0, 0.0, 1.0, 5.5):
+        for g in (-0.5, -0.0, 0.0, 1e-150, 0.2, 0.55):
+            params = ModelParams(v_f=1.0, v_p=0.3, lam=lam, g=g, a=0.05,
+                                 L=20.0)
+            try:
+                want = oracle_solve(params)
+            except FermiphonError as exc:
+                with pytest.raises(type(exc)):
+                    solve_closed_form(params)
+                continue
+            got = solve_closed_form(params)
+            assert repr(got) == repr(want)
+            assert all(type(getattr(got, f)) is float for f in (
+                "vtilde_f", "vtilde_p", "rho_f", "rho_p", "sigma_f",
+                "sigma_p", "e0"))
+
+
+WORDS = {
+    "2pt": [(+1, -1, 0.0, 0.3), (+1, +1, -0.7, 0.0)],
+    "4pt": [(+1, -1, 0.0, 0.2), (+1, +1, -0.8, 0.0), (-1, -1, -1.7, 0.1),
+            (-1, +1, -2.6, 0.0)],
+    "6pt": [(+1, -1, 0.0, 0.2), (+1, +1, -0.8, 0.0), (-1, -1, -1.7, 0.1),
+            (-1, +1, -2.6, -0.4), (+1, -1, -3.3, 0.05), (+1, +1, -4.1, 0.0)],
+    # a fixed insertion at x = -0.0, and the swept one at -0.0 at x = 0
+    "neg-zero": [(+1, -1, -0.0, 0.0), (-1, -1, -0.0, 0.0),
+                 (+1, +1, 1.5, -0.0), (-1, +1, 0.5, 0.0)],
+    "empty": [],
+    "unselected": [(+1, -1, 0.0, 0.0)],
+}
+
+
+@pytest.mark.parametrize("mode", ["continuum", "finite"])
+@pytest.mark.parametrize("word", list(WORDS))
+def test_correlate_matches_per_point_oracle(word, mode):
+    ins = [InsertionPoint(*p) for p in WORDS[word]]
+    cfg = run_config(insertions=ins, correlate=(-2.0, 2.0, 41, 0.35))
+    code, table = cli.cmd_correlate(cfg, mode)
+    assert code == 0
+    assert table.rows == oracle_correlate(cfg, mode)
+
+
+@pytest.mark.parametrize("word", ["2pt", "4pt", "6pt", "neg-zero"])
+def test_one_point_calls_match_oracle(word):
+    sol = solve_closed_form(MODEL)
+    grid = momentum_grid(L=MODEL.L, K=4, a=MODEL.a)
+    spec = CorrelatorSpec(insertions=[InsertionPoint(*p)
+                                      for p in WORDS[word]], regulator=1e-3)
+    got = npoint_continuum(spec, sol)
+    want = oracle_continuum(spec, sol)
+    assert (_fmt(got.real), _fmt(got.imag)) == (_fmt(want.real),
+                                                _fmt(want.imag))
+    got = finite_correlator(spec, MODEL, sol, grid)
+    want = oracle_finite(spec, sol, grid)
+    assert [_fmt(got["value"].real), _fmt(got["value"].imag),
+            _fmt(got["tail_bound"])] == [_fmt(want["value"].real),
+                                         _fmt(want["value"].imag),
+                                         _fmt(want["tail_bound"])]
+
+
+def test_sweep_checks_every_point():
+    # the swept insertion leaves the finite range at the last point only
+    sol = solve_closed_form(MODEL)
+    grid = momentum_grid(L=MODEL.L, K=4, a=MODEL.a)
+    spec = CorrelatorSpec(insertions=[InsertionPoint(*p)
+                                      for p in WORDS["2pt"]], regulator=1e-3)
+    xs = [0.5, 1.0, math.inf]
+    with pytest.raises(BadArgument, match="must be finite"):
+        npoint_continuum(spec, sol, xs=xs)
+    with pytest.raises(BadArgument, match="must be finite"):
+        finite_correlator(spec, MODEL, sol, grid, xs=xs)
+    values = npoint_continuum(spec, sol, xs=xs[:2])
+    assert len(values) == 2
+    assert all(cmath.isfinite(v) for v in values)

@@ -8,7 +8,7 @@ from fermiphon import ModelParams, momentum_grid
 from fermiphon.bogoliubov import solve_closed_form
 from fermiphon.correlators import (CorrelatorSpec, InsertionPoint,
                                    free_finite_L, klein_sign, two_point)
-from fermiphon.errors import BadRegulator
+from fermiphon.errors import BadRegulator, GridTooSmall
 from fermiphon.vertex import (NormalOrderedProduct, field_vertex,
                               finite_correlator, normal_order_product,
                               pair_contraction, vacuum_expectation, z_renorm,
@@ -47,6 +47,24 @@ def test_field_vertex_free_reduction(free_setup):
     assert v.prefactor == 1.0 / math.sqrt(L)  # Z = 1 when sigma = 0
     with pytest.raises(BadRegulator):
         field_vertex(+1, -1, 0.7, 0.0, 0.0, sol, grid)
+
+
+def test_grid_must_match_the_model(coupled_setup):
+    # the model's a = 0.05 gives n_a = 200, a grid built with a = 0.1 has
+    # n_a = 100; Z and E0 read the model, so the grid's split cannot be used
+    params, sol, grid = coupled_setup
+    wrong = momentum_grid(L=L, K=4, a=0.1)
+    spec = CorrelatorSpec(insertions=(InsertionPoint(+1, -1, 0.5, 0.0),
+                                      InsertionPoint(+1, +1, 0.0, 0.0)),
+                          regulator=1e-3)
+    with pytest.raises(GridTooSmall):
+        finite_correlator(spec, params, sol, wrong)
+    with pytest.raises(GridTooSmall):
+        field_vertex(+1, -1, 0.5, 0.0, 1e-3, sol, wrong)
+    with pytest.raises(GridTooSmall):
+        field_vertex(+1, -1, 0.5, 0.0, 1e-3, sol,
+                     momentum_grid(L=2.0 * L, K=4, a=2.0 * A))
+    assert finite_correlator(spec, params, sol, grid)["value"] != 0
 
 
 def test_field_vertex_time_dependence(coupled_setup):
