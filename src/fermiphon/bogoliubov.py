@@ -1,33 +1,41 @@
 """Diagonalization of the bosonized fermion-phonon Hamiltonian.
 
-Two independent routes to the same solution: closed-form expressions for
-the renormalized velocities and mixing coefficients, and a numeric 2x2
-eigen pipeline through the kinetic/potential block matrices.  They are
-cross-validated against each other in the test suite.
-
-The closed form is one numpy kernel, closed_form, over a whole (lambda, g)
-grid, with a status array in place of exceptions; solve_closed_form is its
+The renormalized velocities, mixing coefficients and E0 come from the
+closed form: one numpy kernel, closed_form, over a whole (lambda, g) grid,
+with a status array in place of exceptions; solve_closed_form is its
 one-point case and raises.  A grid point takes the float operations of a
 scalar evaluation in the same order (squares through libm pow, as Python's
-float ** 2), so `scan` rows equal one-point solves bit for bit.
+float ** 2), so `scan` rows equal one-point solves bit for bit.  The 2x2
+block matrices and their numeric eigen pipeline (block_matrices,
+diagonalize_numeric) are the check the tests hold the closed form to.
+
+Every eigenstate is a charge pair, a phonon zero-mode level and a set of
+boson occupations, with a closed-form energy.  spectrum enumerates the
+occupations once, as one tree shared by every charge and zero-mode sector,
+and refuses more than LEVEL_CAP occupations or levels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
 from .errors import (BadArgument, DegenerateBranches, GridTooSmall,
-                     UnstableCouplings, ZeroMode)
+                     TruncationTooLarge, UnstableCouplings, ZeroMode)
 from .params import (TWO_PI, DerivedCouplings, ModelParams, MomentumGrid,
                      check_grid, coupled_abs_p_sum, derived_couplings,
                      instabilities, mode_count, validate_params)
 
 # relative eigenvalue-gap floor below which branch labels would be guesses
 DEGENERACY_FLOOR = 1e-8
+
+# most boson occupations, and most levels, one spectrum call enumerates: about
+# five times the 62k levels of the reference model at K = 40, e_max = 1.2,
+# and reached in about a second
+LEVEL_CAP = 300_000
 
 
 @dataclass(frozen=True)
@@ -68,8 +76,7 @@ class BogoliubovSolution:
         return self.params.v_f if flavor == "F" else self.params.v_p
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
     """One eigenstate label set with its exact eigenvalue."""
 
     q_plus: int
@@ -250,51 +257,83 @@ def solve_closed_form(params: ModelParams) -> BogoliubovSolution:
         sigma_p=float(sol.sigma_p[0]), e0=float(sol.e0[0]))
 
 
-def _occupations(modes, idx, spent, e_max, occ):
-    """(energy, occupations) of every boson occupation of modes[idx:] on top
-    of `spent`, up to e_max, depth first: each state before its extensions."""
-    yield spent, tuple(occ)
+def _too_many(what: str, e_max: float) -> TruncationTooLarge:
+    return TruncationTooLarge(f"more than {LEVEL_CAP} {what} lie below "
+                              f"e_max = {e_max:.6g}; lower e_max")
+
+
+def _grow(tree, modes, idx, node, spent, e_max):
+    """Append to `tree` every extension of `node` (energy `spent`) by boson
+    occupations of modes[idx:] up to e_max, in preorder: each state before
+    its extensions, modes ascending, occupations ascending."""
+    parent, inc, occs, end = tree
     for i in range(idx, len(modes)):
         fl, m, e = modes[i]
         if spent + e > e_max:
             break
         n = 1
         while spent + n * e <= e_max:
-            occ.append((fl, m, n))
-            yield from _occupations(modes, i + 1, spent + n * e, e_max, occ)
-            occ.pop()
+            k = len(parent)
+            if k >= LEVEL_CAP:
+                raise _too_many("boson occupations", e_max)
+            parent.append(node)
+            inc.append(n * e)
+            occs.append(occs[node] + ((fl, m, n),))
+            end.append(k)
+            _grow(tree, modes, i + 1, k, spent + n * e, e_max)
+            end[k] = len(parent)
             n += 1
 
 
 def spectrum(params: ModelParams, solution: BogoliubovSolution, e_max: float,
              grid: MomentumGrid) -> List[SpectrumEntry]:
-    """All eigenvalue labels with energy - E0 <= e_max, sorted ascending.
+    """All eigenvalue labels with energy - E0 <= e_max, sorted ascending by
+    energy, then by descending q_plus and q_minus, then in enumeration order.
 
-    Enumerates charge pairs, the phonon zero mode, and boson occupations
-    over grid modes; a mode m moves at vtilde_X if it couples (m <= n_a)
-    and at the bare v_X otherwise.  Raises GridTooSmall when the grid
-    disagrees with params, or when a mode outside the grid could still
-    contribute below e_max.
+    A level is a charge pair, a phonon zero-mode level m_p0 and a set of
+    boson occupations over grid modes; a mode m moves at vtilde_X if it
+    couples (m <= n_a) and at the bare v_X otherwise.  The occupations form
+    one tree, built once at budget e_max from energy 0 and shared by every
+    (q_plus, q_minus, m_p0) sector: a sector walks it from its own base
+    energy with the same float additions as a per-sector enumeration, and
+    skips a subtree once its energy passes e_max.  Levels share the tree's
+    occupation tuples.  Raises GridTooSmall when the grid disagrees with
+    params, or when a mode outside the grid could still contribute below
+    e_max, and TruncationTooLarge once the tree or the levels pass
+    LEVEL_CAP.
     """
     check_grid(params, grid)
     spacing = TWO_PI / params.L
     # mode energies inside the grid; mode K + 1 must lie above e_max
     modes = []
     for flavor in ("F", "P"):
-        for m in range(1, grid.K + 2):
-            v = solution.vtilde(flavor) if m <= grid.n_a \
+        m = 1
+        while m <= grid.K + 1:
+            coupled = m <= grid.n_a
+            v = solution.vtilde(flavor) if coupled \
                 else solution.v_bare(flavor)
             e = v * m * spacing
             if e > e_max:
+                if not coupled:
+                    break
+                # the coupled modes above m cost more still
+                m = grid.n_a + 1
                 continue
             if m > grid.K:
                 raise GridTooSmall(
                     f"mode |m| = {m} of flavor {flavor} still reaches "
                     f"e_max; enlarge K")
             modes.append((flavor, m, e))
+            if 2 * len(modes) > LEVEL_CAP:
+                raise _too_many("boson modes", e_max)
+            m += 1
     # both signs of p carry independent occupations
     modes = [(fl, sgn * m, e) for (fl, m, e) in modes for sgn in (1, -1)]
     modes.sort(key=lambda t: t[2])
+    # preorder lists: parent, energy increment, occupations, end of subtree
+    tree = parent, inc, occs, end = [0], [0.0], [()], [0]
+    _grow(tree, modes, 0, 0, 0.0, e_max)
+    size = end[0] = len(parent)
 
     g1 = solution.couplings.gamma1
     charge_scale = math.pi * params.v_f / params.L
@@ -304,30 +343,53 @@ def spectrum(params: ModelParams, solution: BogoliubovSolution, e_max: float,
 
     qmax = int(math.floor(math.sqrt(e_max / (charge_scale * (1.0 - abs(g1))))
                           )) + 1 if e_max > 0 else 0
+    # row qp holds the q_minus with (q_minus + g1 qp)^2 <= e_max /
+    # charge_scale - qp^2 (1 - g1^2); the slack covers the rounding of
+    # charge_energy (under 28 ulp of qmax^2) and of this bound, so each row
+    # is scanned over a superset of its sectors, not over all of [-qmax, qmax]
+    slack = 1.0 + 1e-14 * qmax * qmax
 
-    levels = []     # (q_plus, q_minus, m_p0, occupations, energy)
+    e0 = solution.e0
+    spent = [0.0] * size
+    levels = []     # (energy, -q_plus, -q_minus, m_p0, tree node)
     for qp in range(-qmax, qmax + 1):
-        for qm in range(-qmax, qmax + 1):
+        center = -g1 * qp
+        half = math.sqrt(max(0.0, e_max / charge_scale
+                             - qp * qp * (1.0 - g1 * g1)) + slack)
+        for qm in range(max(-qmax, math.floor(center - half) - 1),
+                        min(qmax, math.ceil(center + half) + 1) + 1):
             e_q = charge_energy(qp, qm)
             if e_q > e_max:
                 continue
             mp0 = 0
             while e_q + mp0 * params.omega0 <= e_max:
-                for spent, occ in _occupations(
-                        modes, 0, e_q + mp0 * params.omega0, e_max, []):
-                    levels.append((qp, qm, mp0, occ, solution.e0 + spent))
+                spent[0] = e_q + mp0 * params.omega0
+                levels.append((e0 + spent[0], -qp, -qm, mp0, 0))
+                k = 1
+                while k < size:
+                    s = spent[parent[k]] + inc[k]
+                    if s > e_max:
+                        k = end[k]
+                        continue
+                    spent[k] = s
+                    levels.append((e0 + s, -qp, -qm, mp0, k))
+                    k += 1
+                if len(levels) > LEVEL_CAP:
+                    raise _too_many("levels", e_max)
                 mp0 += 1
 
-    levels.sort(key=lambda t: (t[4], -t[0], -t[1]))
+    # within one sector (m_p0, node) ascending is enumeration order
+    levels.sort()
     # attach degeneracy tallies (counts of equal energies up to 1e-12 rel)
     out = []
     i = 0
     while i < len(levels):
-        e_i = levels[i][4]
+        e_i = levels[i][0]
         j = i
-        while j < len(levels) and abs(levels[j][4] - e_i) \
+        while j < len(levels) and abs(levels[j][0] - e_i) \
                 <= 1e-12 * max(1.0, abs(e_i)):
             j += 1
-        out += [SpectrumEntry(*levels[k], j - i) for k in range(i, j)]
+        out += [SpectrumEntry(-nqp, -nqm, mp0, occs[k], energy, j - i)
+                for energy, nqp, nqm, mp0, k in levels[i:j]]
         i = j
     return out

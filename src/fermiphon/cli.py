@@ -165,9 +165,13 @@ def cmd_spectrum(cfg: RunConfig, e_max: float):
     sol = solve_closed_form(cfg.model)
     grid = momentum_grid(L=cfg.model.L, K=cfg.K, a=cfg.model.a)
     entries = spectrum(cfg.model, sol, e_max, grid)
+    labels = {}     # levels share occupations: format each one once
     rows = []
     for e in entries:
-        modes = ";".join(f"{fl}:{m}:{n}" for fl, m, n in e.occupations)
+        modes = labels.get(e.occupations)
+        if modes is None:
+            modes = labels[e.occupations] = ";".join(
+                f"{fl}:{m}:{n}" for fl, m, n in e.occupations)
         rows.append([str(e.q_plus), str(e.q_minus), str(e.m_p0), modes,
                      str(e.degeneracy), _fmt(e.energy)])
     return 0, Table(

@@ -111,11 +111,16 @@ def regulated_power(ell: float, r: int, x: float, t: float, v: float,
     """(i ell / (r x - v t + i 0+))^exponent with the principal branch.
 
     The positive regulator keeps the base off the cut; powers from different
-    factors are never combined algebraically.
+    factors are never combined algebraically.  Raises BadArgument when the
+    base underflows to 0.
     """
     z = 1j * ell / (r * x - v * t + 1j * regulator)
     if exponent == 0.0:
         return 1.0 + 0.0j
+    if z == 0:
+        raise BadArgument(f"i ell / (r x - v t + i reg) underflows to 0 at "
+                          f"ell = {ell:.3g}, pair separation x = {x:.3g}, "
+                          f"t = {t:.3g}")
     return cmath.exp(exponent * cmath.log(z))
 
 

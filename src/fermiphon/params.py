@@ -121,10 +121,11 @@ def instabilities(gamma1, gamma2):
 def validate_params(raw: ModelParams) -> ModelParams:
     """Check geometry and stability; return the params unchanged if valid.
 
-    Raises BadGeometry on violated positivity/ordering constraints, or when
+    Raises BadGeometry on violated positivity/ordering constraints, when
     v_f^2, the mode count n_a or the mode sum coupled_abs_p_sum behind E0
-    overflows, and UnstableCouplings when gamma1 >= 1 or
-    gamma2^2 >= 1 + gamma1 (the model then describes an unstable system).
+    overflows, or when v_p sqrt(pi v_f) underflows, and UnstableCouplings
+    when gamma1 >= 1 or gamma2^2 >= 1 + gamma1 (the model then describes an
+    unstable system).
     """
     for name in ("v_f", "v_p", "lam", "g", "a", "L", "omega0"):
         if not math.isfinite(getattr(raw, name)):
@@ -135,6 +136,9 @@ def validate_params(raw: ModelParams) -> ModelParams:
         raise BadGeometry("phonon velocity must satisfy v_p < v_f")
     if not math.isfinite(raw.v_f * raw.v_f):
         raise BadGeometry("v_f is too large: v_f^2 overflows")
+    if raw.v_p * math.sqrt(math.pi * raw.v_f) == 0.0:
+        raise BadGeometry("velocities are too small: v_p sqrt(pi v_f), the "
+                          "scale of gamma2, underflows to 0")
     if raw.a <= 0 or raw.L <= 0 or raw.a >= raw.L:
         raise BadGeometry("lengths must satisfy 0 < a < L")
     if not math.isfinite(coupled_abs_p_sum(raw.L, raw.a)):

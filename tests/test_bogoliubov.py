@@ -1,5 +1,6 @@
 import gc
 import math
+import time
 
 import numpy as np
 import pytest
@@ -206,6 +207,22 @@ def test_spectrum_leaves_no_garbage():
         gc.enable()
     assert len(entries) > 60000
     assert freed < 10
+
+
+def test_spectrum_charge_rows_stay_near_their_sectors():
+    # gamma1 = 1 - 1e-14 stretches the charge sectors along q+ = -q-:
+    # qmax = 5047, so the (2 qmax + 1)^2 square holds 1e8 pairs, but the
+    # 7145 levels lie in a thin band that each q+ row scans alone
+    params = ModelParams(v_f=1.0, v_p=0.3, lam=TWO_PI * (1 - 1e-14), g=0.0,
+                         a=0.05, L=20.0)
+    sol = solve_closed_form(params)
+    e_max = 0.9 * sol.vtilde_f * TWO_PI / params.L
+    start = time.perf_counter()
+    entries = spectrum(params, sol, e_max,
+                       momentum_grid(L=params.L, K=8, a=params.a))
+    assert time.perf_counter() - start < 2.0
+    assert len(entries) == 7145
+    assert all(not e.occupations and e.m_p0 == 0 for e in entries)
 
 
 def test_spectrum_grid_too_small():

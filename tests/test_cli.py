@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import fermiphon
 
 from fermiphon import cli
-from fermiphon.bogoliubov import solve_closed_form
+from fermiphon.bogoliubov import LEVEL_CAP, solve_closed_form
 from fermiphon.correlators import exponents
 from fermiphon.focklab.space import FockSpace
 
@@ -350,6 +351,14 @@ def test_json_format_option(config_file, tmp_path):
     # ZeroDivisionError traceback)
     (("v_p = 0.3", "v_p = 0.4", "lambda = 1.0", "lambda = 2.0",
       "g = 0.2", "g = 0.8140361322290103"), ["solve"]),
+    # i ell / (r x - v t + i reg) underflows to 0 (was a ValueError from
+    # cmath.log)
+    (("ell = 1.0", "ell = 1e-300", "x_min = 0.5", "x_min = 1e300",
+      "x_max = 5.0", "x_max = 1e300"), ["correlate", "--mode", "continuum"]),
+    # v_p sqrt(pi v_f) underflows to 0 in gamma2 (was a ZeroDivisionError)
+    (("v_f = 1.0", "v_f = 1e-299", "v_p = 0.3", "v_p = 1e-300"), ["solve"]),
+    (("v_f = 1.0", "v_f = 1e-299", "v_p = 0.3", "v_p = 1e-300"),
+     ["spectrum", "--e-max", "0.5"]),
     # output that cannot be opened; {tmp} is the test's directory
     (None, ["--output", "{tmp}/no/such/dir/x.csv", "scan"]),
     (None, ["--output", "{tmp}", "solve"]),
@@ -358,7 +367,9 @@ def test_json_format_option(config_file, tmp_path):
         "finite-reg-nan", "continuum-reg-inf", "continuum-ell-nan",
         "finite-ell-inf", "n_a-overflow", "e0-overflow", "t-inf",
         "v_f-overflow", "g-underflow", "g-boundary-rounding",
-        "output-missing-dir", "output-is-dir"])
+        "continuum-base-underflow", "velocity-underflow",
+        "spectrum-velocity-underflow", "output-missing-dir",
+        "output-is-dir"])
 def test_bad_input_exit_2_one_line(config_file, tmp_path, capsys, edit, args):
     text = GENERIC_INI
     for old, new in zip(edit[::2], edit[1::2]) if edit else ():
@@ -392,6 +403,42 @@ def test_failed_command_keeps_existing_output(config_file, tmp_path, edit,
     out.write_bytes(b"earlier result\n")
     assert run_cli(["--config", cfg, "--output", str(out)] + args) == 2
     assert out.read_bytes() == b"earlier result\n"
+
+
+@pytest.mark.parametrize("edit, e_max", [
+    # the occupation tree passes the cap (ran past 15 s without one)
+    (("K = 8", "K = 60"), "2.5"),
+    # a tiny omega0 puts 5e8 zero-mode levels m_p0 below e_max
+    (("L = 20.0", "L = 20.0\nomega0 = 1e-9"), "0.5"),
+], ids=["tree", "zero-mode-levels"])
+def test_oversized_spectrum_refused(config_file, tmp_path, capsys, edit,
+                                    e_max):
+    cfg = config_file(GENERIC_INI.replace(*edit))
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"earlier result\n")
+    start = time.perf_counter()
+    assert run_cli(["--config", cfg, "--output", str(out), "spectrum",
+                    "--e-max", e_max]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert out.read_bytes() == b"earlier result\n"
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert f"more than {LEVEL_CAP}" in err
+
+
+def test_spectrum_work_does_not_grow_with_k(config_file, tmp_path):
+    # the mode loop stops at the first coupled and the first bare mode
+    # above e_max, so K = 10^9 costs what K = 40 does
+    outs = []
+    for K in (40, 10**9):
+        out = tmp_path / f"k{K}.csv"
+        start = time.perf_counter()
+        assert run_cli(["--config", config_file(GENERIC_INI.replace(
+            "K = 8", f"K = {K}")), "--output", str(out), "spectrum",
+            "--e-max", "0.5"]) == 0
+        assert time.perf_counter() - start < 2.0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 # Config values for the property test: every key starts from a range where
@@ -457,12 +504,15 @@ def _configs(draw):
 
 @pytest.mark.parametrize("args", [
     ["solve"], ["scan"], ["correlate", "--mode", "finite"],
-    ["correlate", "--mode", "continuum"]], ids=lambda a: "-".join(a[-1:]))
+    ["correlate", "--mode", "continuum"],
+    pytest.param(["spectrum", "--e-max", "0.5"], id="spectrum")],
+    ids=lambda a: "-".join(a[-1:]))
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(text=_configs())
 def test_random_config_exits_0_or_2(args, text):
-    """Any config: exit 0 or 2, never a traceback.  `spectrum` and `verify`
-    are left out because their cost is not yet capped."""
+    """Any config: exit 0 or 2, never a traceback.  `verify` is left out
+    because its cost is not yet capped; `spectrum` refuses more than
+    LEVEL_CAP levels."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "run.ini")
         with open(cfg, "w") as fh:

@@ -50,6 +50,10 @@ def test_bad_geometry():
     with pytest.raises(BadGeometry):
         validate_params(ModelParams(v_f=1.0, v_p=0.3, lam=1.0, g=0.2,
                                     a=1e-200, L=1e100))
+    # v_p sqrt(pi v_f), the scale of gamma2, underflows to 0
+    with pytest.raises(BadGeometry):
+        validate_params(ModelParams(v_f=1e-299, v_p=1e-300, lam=0.0, g=0.0,
+                                    a=0.01, L=100.0, omega0=0.1))
     # the grid forms n_a as well: L / 2a = inf there is BadGeometry too,
     # not an OverflowError from floor(inf)
     with pytest.raises(BadGeometry):

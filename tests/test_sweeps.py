@@ -1,10 +1,12 @@
-"""Whole-grid `scan` and swept `correlate` against per-point oracles.
+"""Whole-grid `scan`, swept `correlate` and the shared-tree `spectrum`
+against per-point oracles.
 
-The oracles below are the per-point code the grid kernel and the sweeps
-replaced: the scalar closed form (Python floats, `x ** 2` through libm
-pow), one `scan` row per solve, and one correlator evaluation per point
-with every factor recomputed.  The new code must give the same `_fmt`
-strings, bit for bit.
+The oracles below are the per-point code the grid kernel, the sweeps and
+the shared occupation tree replaced: the scalar closed form (Python floats,
+`x ** 2` through libm pow), one `scan` row per solve, one correlator
+evaluation per point with every factor recomputed, and one recursive
+occupation enumeration per spectrum sector.  The new code must give the
+same `_fmt` strings, or the same spectrum entries, bit for bit.
 """
 
 import cmath
@@ -15,13 +17,15 @@ import pytest
 from fermiphon import ModelParams
 from fermiphon import cli
 from fermiphon.bogoliubov import (DEGENERACY_FLOOR, BogoliubovSolution,
-                                  solve_closed_form)
+                                  SpectrumEntry, solve_closed_form, spectrum)
 from fermiphon.correlators import (FLAVORS, CorrelatorSpec, InsertionPoint,
                                    _pair_exponent, klein_sign,
                                    npoint_continuum, regulated_power)
-from fermiphon.errors import BadArgument, DegenerateBranches, FermiphonError
-from fermiphon.params import (TWO_PI, DerivedCouplings, coupled_abs_p_sum,
-                              momentum_grid, validate_params)
+from fermiphon.errors import (BadArgument, DegenerateBranches, FermiphonError,
+                              GridTooSmall)
+from fermiphon.params import (TWO_PI, DerivedCouplings, check_grid,
+                              coupled_abs_p_sum, momentum_grid,
+                              validate_params)
 from fermiphon.vertex import (field_vertex, finite_correlator,
                               normal_order_product, vacuum_expectation)
 
@@ -156,6 +160,80 @@ def oracle_correlate(cfg, mode):
             for x, v in ((x, one(x)) for x in xs)]
 
 
+def oracle_occupations(modes, idx, spent, e_max, occ):
+    """(energy, occupations) of every boson occupation of modes[idx:] on top
+    of `spent`, up to e_max, depth first: each state before its extensions."""
+    yield spent, tuple(occ)
+    for i in range(idx, len(modes)):
+        fl, m, e = modes[i]
+        if spent + e > e_max:
+            break
+        n = 1
+        while spent + n * e <= e_max:
+            occ.append((fl, m, n))
+            yield from oracle_occupations(modes, i + 1, spent + n * e, e_max,
+                                          occ)
+            occ.pop()
+            n += 1
+
+
+def oracle_spectrum(params, solution, e_max, grid):
+    """One recursive occupation enumeration per (q+, q-, m_p0) sector, then
+    a stable sort on (energy, -q+, -q-)."""
+    check_grid(params, grid)
+    spacing = TWO_PI / params.L
+    modes = []
+    for flavor in ("F", "P"):
+        for m in range(1, grid.K + 2):
+            v = solution.vtilde(flavor) if m <= grid.n_a \
+                else solution.v_bare(flavor)
+            e = v * m * spacing
+            if e > e_max:
+                continue
+            if m > grid.K:
+                raise GridTooSmall(
+                    f"mode |m| = {m} of flavor {flavor} still reaches "
+                    f"e_max; enlarge K")
+            modes.append((flavor, m, e))
+    modes = [(fl, sgn * m, e) for (fl, m, e) in modes for sgn in (1, -1)]
+    modes.sort(key=lambda t: t[2])
+
+    g1 = solution.couplings.gamma1
+    charge_scale = math.pi * params.v_f / params.L
+
+    def charge_energy(qp, qm):
+        return charge_scale * (qp * qp + qm * qm + 2.0 * g1 * qp * qm)
+
+    qmax = int(math.floor(math.sqrt(e_max / (charge_scale * (1.0 - abs(g1))))
+                          )) + 1 if e_max > 0 else 0
+
+    levels = []
+    for qp in range(-qmax, qmax + 1):
+        for qm in range(-qmax, qmax + 1):
+            e_q = charge_energy(qp, qm)
+            if e_q > e_max:
+                continue
+            mp0 = 0
+            while e_q + mp0 * params.omega0 <= e_max:
+                for spent, occ in oracle_occupations(
+                        modes, 0, e_q + mp0 * params.omega0, e_max, []):
+                    levels.append((qp, qm, mp0, occ, solution.e0 + spent))
+                mp0 += 1
+
+    levels.sort(key=lambda t: (t[4], -t[0], -t[1]))
+    out = []
+    i = 0
+    while i < len(levels):
+        e_i = levels[i][4]
+        j = i
+        while j < len(levels) and abs(levels[j][4] - e_i) \
+                <= 1e-12 * max(1.0, abs(e_i)):
+            j += 1
+        out += [SpectrumEntry(*levels[k], j - i) for k in range(i, j)]
+        i = j
+    return out
+
+
 # -- configs --------------------------------------------------------------
 
 MODEL = ModelParams(v_f=1.0, v_p=0.3, lam=1.0, g=0.2, a=0.5, L=20.0)
@@ -286,3 +364,84 @@ def test_sweep_checks_every_point():
     values = npoint_continuum(spec, sol, xs=xs[:2])
     assert len(values) == 2
     assert all(cmath.isfinite(v) for v in values)
+
+
+# -- spectrum ---------------------------------------------------------------
+
+REFERENCE = ModelParams(v_f=1.0, v_p=0.3, lam=1.0, g=0.2, a=0.05, L=20.0)
+
+
+def _boundary_e_max():
+    """The energy above E0 of the costliest vacuum-sector level at e_max =
+    0.6, as that sector's enumeration sums it: as e_max it sits exactly on
+    the cut."""
+    sol = solve_closed_form(REFERENCE)
+    spacing = TWO_PI / REFERENCE.L
+    modes = sorted(((fl, sgn * m, sol.vtilde(fl) * m * spacing)
+                    for fl in ("F", "P") for m in range(1, 41)
+                    for sgn in (1, -1)), key=lambda t: t[2])
+    modes = [t for t in modes if t[2] <= 0.6]
+    return max(spent for spent, _ in oracle_occupations(modes, 0, 0.0, 0.6,
+                                                        []))
+
+
+# (model, K, e_max)
+SPECTRA = {
+    "reference": (REFERENCE, 40, 1.2),
+    # L / 2a rounds onto an integer (test_params' tie geometries)
+    "tie-7": (ModelParams(v_f=1.0, v_p=0.3, lam=1.0, g=0.2, a=7.0 / 26,
+                          L=7.0), 14, 1.5),
+    "tie-20": (ModelParams(v_f=1.0, v_p=0.3, lam=1.0, g=0.2, a=20.0 / 58,
+                           L=20.0), 30, 0.9),
+    # free: the fermion and phonon ladders are commensurate, so energies tie
+    "free": (ModelParams(v_f=1.0, v_p=0.25, lam=0.0, g=0.0, a=math.pi / 2,
+                         L=TWO_PI, omega0=0.25), 16, 2.0),
+    "lambda-negative": (ModelParams(v_f=1.0, v_p=0.3, lam=-1.5, g=0.2,
+                                    a=0.05, L=20.0), 40, 0.8),
+    "e_max-0": (REFERENCE, 4, 0.0),
+    "e_max-negative": (REFERENCE, 4, -0.5),
+    "e_max-on-a-level": (REFERENCE, 40, _boundary_e_max()),
+    # gamma1 = 1 - 1e-8: the charge sectors spread along q+ = -q- out to
+    # |q+| = 195 (qmax = 277); e_max lies below three F quanta (4.4e-5)
+    "gamma1-near-1": (ModelParams(v_f=1.0, v_p=0.3, lam=TWO_PI * (1 - 1e-8),
+                                  g=0.0, a=0.05, L=20.0), 8, 1.2e-4),
+    # n_a = 2 < K: modes |m| >= 3 move at the bare velocities
+    "bare-modes": (ModelParams(v_f=1.0, v_p=0.3, lam=1.0, g=0.2, a=4.0,
+                               L=20.0), 8, 0.6),
+}
+
+
+def _spectrum_pair(name):
+    params, K, e_max = SPECTRA[name]
+    sol = solve_closed_form(params)
+    grid = momentum_grid(L=params.L, K=K, a=params.a)
+    return (spectrum(params, sol, e_max, grid),
+            oracle_spectrum(params, sol, e_max, grid))
+
+
+@pytest.mark.parametrize("name", list(SPECTRA))
+def test_spectrum_matches_per_sector_oracle(name):
+    got, want = _spectrum_pair(name)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is SpectrumEntry
+        assert g._replace(energy=None) == w._replace(energy=None)
+        assert g.energy.hex() == w.energy.hex()
+
+
+def test_spectrum_configs_reach_their_cases():
+    levels = {}
+    for name in ("free", "e_max-0", "e_max-negative", "e_max-on-a-level",
+                 "bare-modes"):
+        params, K, e_max = SPECTRA[name]
+        levels[name] = spectrum(params, solve_closed_form(params), e_max,
+                                momentum_grid(L=params.L, K=K, a=params.a))
+    assert max(e.degeneracy for e in levels["free"]) > 1
+    assert [e.occupations for e in levels["e_max-0"]] == [()]
+    assert levels["e_max-negative"] == []
+    sol = solve_closed_form(REFERENCE)
+    assert max(e.energy for e in levels["e_max-on-a-level"]
+               if (e.q_plus, e.q_minus, e.m_p0) == (0, 0, 0)) \
+        == sol.e0 + SPECTRA["e_max-on-a-level"][2]
+    assert any(abs(m) > 2 for e in levels["bare-modes"]
+               for _fl, m, _n in e.occupations)
