@@ -300,8 +300,10 @@ def spectrum(params: ModelParams, solution: BogoliubovSolution, e_max: float,
     occupation tuples.  Raises GridTooSmall when the grid disagrees with
     params, or when a mode outside the grid could still contribute below
     e_max, and TruncationTooLarge once the tree or the levels pass
-    LEVEL_CAP.
+    LEVEL_CAP; BadArgument when e_max is not finite.
     """
+    if not math.isfinite(e_max):
+        raise BadArgument(f"e_max must be finite, got {e_max}")
     check_grid(params, grid)
     spacing = TWO_PI / params.L
     # mode energies inside the grid; mode K + 1 must lie above e_max

@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import List, NamedTuple
+from typing import Iterable, List, NamedTuple
 
 import numpy as np
 
@@ -88,10 +88,11 @@ def _parse_insertions(text: str) -> List[InsertionPoint]:
 
 
 class Table(NamedTuple):
-    """Rows of already-formatted strings, written as CSV or JSON."""
+    """Rows of formatted strings, written as CSV or JSON; rows may be an
+    iterator that formats each row as it is written."""
 
     header: List[str]
-    rows: List[List[str]]
+    rows: Iterable[List[str]]
 
 
 def _write(out, fmt: str, payload):
@@ -165,17 +166,23 @@ def cmd_spectrum(cfg: RunConfig, e_max: float):
     sol = solve_closed_form(cfg.model)
     grid = momentum_grid(L=cfg.model.L, K=cfg.K, a=cfg.model.a)
     entries = spectrum(cfg.model, sol, e_max, grid)
-    labels = {}     # levels share occupations: format each one once
-    rows = []
-    for e in entries:
-        modes = labels.get(e.occupations)
-        if modes is None:
-            modes = labels[e.occupations] = ";".join(
-                f"{fl}:{m}:{n}" for fl, m, n in e.occupations)
-        rows.append([str(e.q_plus), str(e.q_minus), str(e.m_p0), modes,
-                     str(e.degeneracy), _fmt(e.energy)])
+
+    def rows():
+        labels = {}     # levels share occupations: format each one once
+        # each level is dropped once formatted, so a JSON document, which
+        # holds every row, does not also hold every level
+        entries.reverse()
+        while entries:
+            e = entries.pop()
+            modes = labels.get(e.occupations)
+            if modes is None:
+                modes = labels[e.occupations] = ";".join(
+                    f"{fl}:{m}:{n}" for fl, m, n in e.occupations)
+            yield [str(e.q_plus), str(e.q_minus), str(e.m_p0), modes,
+                   str(e.degeneracy), _fmt(e.energy)]
     return 0, Table(
-        ["q_plus", "q_minus", "m_p0", "modes", "degeneracy", "energy"], rows)
+        ["q_plus", "q_minus", "m_p0", "modes", "degeneracy", "energy"],
+        rows())
 
 
 def _grid(lo: float, hi: float, n: int) -> np.ndarray:

@@ -12,12 +12,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bogoliubov import BogoliubovSolution
-from .errors import BadArgument, SelectionViolated, SingularConfiguration
+from .errors import BadArgument
 
 FLAVORS = ("F", "P")
 
@@ -88,22 +88,6 @@ def klein_sign(word: Sequence[Tuple[int, int]]) -> int:
         else:
             crossings += plus_seen
     return -1 if crossings & 1 else 1
-
-
-def sum_rules(word: Sequence[Tuple[int, int]]) -> dict:
-    """Charge-pair sums over a selection-passing word: same-chirality pairs
-    sum to -N/2 and cross-chirality pairs to 0."""
-    if klein_sign(word) == 0:
-        raise SelectionViolated("word does not pass charge selection")
-    same = cross = 0
-    n = len(word)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if word[i][0] == word[j][0]:
-                same += word[i][1] * word[j][1]
-            else:
-                cross += word[i][1] * word[j][1]
-    return {"same": same, "cross": cross}
 
 
 def regulated_power(ell: float, r: int, x: float, t: float, v: float,
@@ -210,32 +194,6 @@ def npoint_continuum(spec: CorrelatorSpec, sol: BogoliubovSolution,
     return values if xs is not None else values[0]
 
 
-def two_point(r: int, x: float, t: float, sol: BogoliubovSolution,
-              ell: float = 1.0, regulator: float = 1e-8) -> complex:
-    """<psi_r(x,t) psi_r^dag(0,0)> in the continuum/thermodynamic limits."""
-    spec = CorrelatorSpec(
-        insertions=(InsertionPoint(r=r, q=-1, x=x, t=t),
-                    InsertionPoint(r=r, q=+1, x=0.0, t=0.0)),
-        ell=ell, regulator=regulator)
-    return npoint_continuum(spec, sol)
-
-
-def order_correlator(kind: str, x: float, t: float, sol: BogoliubovSolution,
-                     ell: float = 1.0, regulator: float = 1e-8) -> complex:
-    """CDW or SC order-parameter correlator:
-    (1 / 2 pi ell)^2 prod_X (ell^2 / (x^2 - (vtilde_X t - i0+)^2))^((rho -+ sigma)^2).
-    """
-    if kind not in ("CDW", "SC"):
-        raise BadArgument("kind must be 'CDW' or 'SC'")
-    out = (1.0 / (2.0 * math.pi * ell)) ** 2
-    for flavor in FLAVORS:
-        rho, sigma = sol.rho(flavor), sol.sigma(flavor)
-        c = (rho - sigma) ** 2 if kind == "CDW" else (rho + sigma) ** 2
-        w = x * x - (sol.vtilde(flavor) * t - 1j * regulator) ** 2
-        out *= cmath.exp(c * cmath.log(ell * ell / w))
-    return out
-
-
 def _square(x):
     """x^2 through libm pow, as Python's float ** 2 takes it, also on
     arrays (numpy's x ** 2 multiplies, which can differ in the last bit)."""
@@ -259,38 +217,3 @@ def exponents(sol: BogoliubovSolution) -> ExponentTable:
                          delta_cdw=delta_cdw, delta_sc=delta_sc,
                          fermion_dimension=dim)
 
-
-def _det(mat: List[List[complex]]) -> complex:
-    """Exact cofactor-expansion determinant for small matrices."""
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    out = 0.0 + 0.0j
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = mat[0][j] * _det(minor)
-        out += term if j % 2 == 0 else -term
-    return out
-
-
-def cauchy_residual(U: Sequence[float], V: Sequence[float]) -> float:
-    """|product form - det(1/sin(U_n - V_m))| for the sine-kernel Cauchy
-    determinant identity; cofactor expansion, lists of length M <= 8."""
-    M = len(U)
-    if M != len(V) or not (1 <= M <= 8):
-        raise BadArgument("need equal-length lists with 1 <= M <= 8")
-    for u in U:
-        for v in V:
-            if abs(math.sin(u - v)) < 1e-14:
-                raise SingularConfiguration(f"sin({u} - {v}) ~ 0")
-    num = 1.0
-    for n in range(M):
-        for m in range(n + 1, M):
-            num *= math.sin(U[n] - U[m]) * math.sin(V[m] - V[n])
-    den = 1.0
-    for u in U:
-        for v in V:
-            den *= math.sin(u - v)
-    prod_form = num / den
-    kernel = [[1.0 / math.sin(u - v) for v in V] for u in U]
-    return abs(prod_form - _det(kernel))

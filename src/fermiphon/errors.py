@@ -44,10 +44,3 @@ class GridTooSmall(FermiphonError):
 class BadRegulator(FermiphonError):
     """Non-positive regulator where a positive one is required."""
 
-
-class SelectionViolated(FermiphonError):
-    """Charge selection rule not satisfied by the insertion word."""
-
-
-class SingularConfiguration(FermiphonError):
-    """Singular input configuration (e.g. sin(U_n - V_m) = 0)."""

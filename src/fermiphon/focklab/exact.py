@@ -1,9 +1,7 @@
 """Exact scalar arithmetic for the Fock laboratory.
 
-Amplitudes in the lab are Gaussian rationals (QC).  A few operators (the
-boson ladder operators) additionally carry a global sqrt of a positive
-rational; that factor lives on the operator, not on individual entries, so
-entry arithmetic stays in Q(i).
+Every amplitude in the lab is a Gaussian rational (QC), an element of
+Q(i), so every operator entry and identity residual is exact.
 """
 
 from __future__ import annotations
@@ -104,34 +102,4 @@ class QC:
         return (self.a + 1j * self.b) / self.d
 
 
-QC_ZERO = QC(0)
 QC_ONE = QC(1)
-QC_I = QC(0, 1)
-
-
-def sqrt_reduce(s: Fraction):
-    """Split a nonnegative rational s as q^2 * s' with s' squarefree-ish.
-
-    Returns (q, s') such that sqrt(s) = q * sqrt(s'); s' has no square
-    factor in numerator or denominator that fits a small trial division.
-    """
-    if s < 0:
-        raise ValueError("radicand must be nonnegative")
-    if s == 0:
-        return Fraction(0), Fraction(1)
-
-    def split_sq(n: int):
-        q, rest, d = 1, 1, 2
-        while d * d <= n:
-            while n % (d * d) == 0:
-                n //= d * d
-                q *= d
-            if n % d == 0:
-                n //= d
-                rest *= d
-            d += 1
-        return q, rest * n
-
-    qn, rn = split_sq(s.numerator)
-    qd, rd = split_sq(s.denominator)
-    return Fraction(qn, qd * rd), Fraction(rn * rd)

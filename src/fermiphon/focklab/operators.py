@@ -1,13 +1,11 @@
 """Exact sparse operators on the truncated Fock space.
 
-Every operator is sqrt(radicand) * M with M a matrix of Gaussian rationals
-and radicand a squarefree positive rational (1 for everything except the
-boson ladder operators).  An operator is a column function: the image of
-one basis state, computed the first time that column is read.  Sums,
-multiples and products are column functions of their operands, so a check
-evaluates only the columns it reads and the states those reach.  Partial
-operators (Klein factors) return None for the columns outside their
-validity window; partiality is data, not an error.
+Every operator is a matrix of Gaussian rationals, given as a column
+function: the image of one basis state, computed the first time that
+column is read.  Sums, multiples and products are column functions of
+their operands, so a check evaluates only the columns it reads and the
+states those reach.  Partial operators (Klein factors) return None for the
+columns outside their validity window; partiality is data, not an error.
 """
 
 from __future__ import annotations
@@ -15,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from ..errors import ModeOutOfWindow, ZeroMode
-from .exact import QC, QC_ONE, sqrt_reduce
+from ..errors import ModeOutOfWindow
+from .exact import QC, QC_ONE
 from .space import CHIRALITIES, FockSpace
 
 
@@ -53,10 +51,9 @@ def _accumulate(out: dict, col: dict, scale: QC) -> dict:
 class SparseOperator:
     """Exact sparse matrix over a FockSpace basis, given column by column."""
 
-    def __init__(self, space: FockSpace, column, radicand=Fraction(1)):
+    def __init__(self, space: FockSpace, column):
         self.space = space
         self.cols = Columns(column)
-        self.radicand = radicand
 
     @classmethod
     def identity(cls, space, scalar=QC_ONE):
@@ -69,14 +66,12 @@ class SparseOperator:
     # -- algebra -------------------------------------------------------------
 
     def __add__(self, other):
-        rad, sc_a, sc_b = _common_radicand(self.radicand, other.radicand)
-
         def column(c):
             a, b = self.cols[c], other.cols[c]
             if a is None or b is None:
                 return None
-            return _accumulate(_accumulate({}, a, sc_a), b, sc_b)
-        return SparseOperator(self.space, column, rad)
+            return _accumulate(_accumulate({}, a, QC_ONE), b, QC_ONE)
+        return SparseOperator(self.space, column)
 
     def __sub__(self, other):
         return self + (other * QC(-1))
@@ -88,12 +83,12 @@ class SparseOperator:
         def column(c):
             col = self.cols[c]
             return None if col is None else _accumulate({}, col, scalar)
-        return SparseOperator(self.space, column, self.radicand)
+        return SparseOperator(self.space, column)
 
     __rmul__ = __mul__
 
     def apply_col(self, vec: dict) -> dict:
-        """Apply to a vector given as {basis index: QC} (radicand ignored)."""
+        """Apply to a vector given as {basis index: QC}."""
         out = {}
         for c, v in vec.items():
             col = self.cols.get(c)
@@ -105,15 +100,12 @@ class SparseOperator:
         """self @ other; a result column is None unless every basis state
         reached by the corresponding column of `other` is a column of `self`
         inside its validity window."""
-        q, rad = sqrt_reduce(self.radicand * other.radicand)
-        qc = QC(q)
-
         def column(c):
             col = other.cols[c]
             if col is None or any(self.cols[r] is None for r in col):
                 return None
-            return _accumulate({}, self.apply_col(col), qc)
-        return SparseOperator(self.space, column, rad)
+            return self.apply_col(col)
+        return SparseOperator(self.space, column)
 
     def commutator(self, other):
         return self @ other - other @ self
@@ -126,18 +118,10 @@ class SparseOperator:
     def entry(self, row, col) -> QC:
         return self.cols.get(col, {}).get(row, QC(0))
 
-    def max_abs_on(self, rows, cols) -> Fraction:
-        """Exact max L1 magnitude sqrt(radicand)-stripped over a block.
-
-        The radicand scales all entries by the same positive factor, so it
-        cannot turn a nonzero entry into zero; the returned rational is zero
-        iff every block entry is exactly zero.
-        """
-        return self.max_entry(set(rows), cols)[0]
-
     def max_entry(self, rows: set, cols):
-        """(max_abs_on, (row, col) of the first entry in column order that
-        reaches it); (0, None) when every block entry is zero."""
+        """(the exact largest L1 magnitude of an entry in the block, (row,
+        col) of the first entry in column order that reaches it); (0, None)
+        when every block entry is zero."""
         best = Fraction(0)
         worst = None
         for c in cols:
@@ -150,17 +134,6 @@ class SparseOperator:
                     if v > best:
                         best, worst = v, (r, c)
         return best, worst
-
-
-def _common_radicand(s1: Fraction, s2: Fraction):
-    """Scalings (rad, c1, c2) with sqrt(s1) = c1 sqrt(rad), sqrt(s2) = c2 sqrt(rad)."""
-    if s1 == s2:
-        return s1, QC_ONE, QC_ONE
-    q, rad = sqrt_reduce(s1 / s2)
-    if rad != 1:
-        raise ValueError(f"incompatible radicands {s1} and {s2}")
-    # sqrt(s1) = q sqrt(s2)
-    return s2, QC(q), QC_ONE
 
 
 # --------------------------------------------------------------------------
@@ -306,27 +279,3 @@ def klein_factor(space: FockSpace, r: int, dagger=False) -> SparseOperator:
     """
     return SparseOperator(space, partial(_klein_apply, space, r,
                                          -1 if dagger else +1))
-
-
-# --------------------------------------------------------------------------
-# boson ladder operators
-
-
-def boson_ladder(space: FockSpace, m: int, dagger=False) -> SparseOperator:
-    """b(p) at p = (2 pi / L) m != 0, from the densities.
-
-    b(p) = -i sqrt(2 pi / (L |p|)) J_+(p) for p > 0 and
-    b(p) = +i sqrt(2 pi / (L |p|)) J_-(p) for p < 0; entries stay exact via
-    the operator-level sqrt(1/|m|) radicand.  b^dag(p) uses J_r(p)^dag =
-    J_r(-p), which holds entrywise on the whole truncated space.
-    """
-    if m == 0:
-        raise ZeroMode("boson ladder operators need p != 0")
-    r = +1 if m > 0 else -1
-    phase = QC(0, -1) if m > 0 else QC(0, 1)
-    if dagger:
-        phase, m = phase.conj(), -m
-    q, rad = sqrt_reduce(Fraction(1, abs(m)))
-    out = density_op(space, r, m) * (phase * QC(q))
-    out.radicand = rad
-    return out

@@ -270,14 +270,10 @@ def _channel_contraction(ch, v1: VertexFactor, v2: VertexFactor):
     return total, err
 
 
-def pair_contraction(v1: VertexFactor, v2: VertexFactor) -> complex:
+def pair_contraction(v1: VertexFactor, v2: VertexFactor):
     """Contraction constant C(v1, v2): zero-mode reordering phase times
-    exp(-sum over channels of the mode contractions)."""
-    value, _ = _pair_contraction_tracked(v1, v2)
-    return value
-
-
-def _pair_contraction_tracked(v1, v2):
+    exp(-sum over channels of the mode contractions).  Returns (value, err)
+    with err a bound on the absolute error of log(value)."""
     phase = 0.0j
     for i, rho in enumerate((+1, -1)):
         phase += 0.5j * (v1.zero_c[i] * v2.charge(rho)
@@ -312,7 +308,7 @@ def normal_order_product(factors, known=None) -> NormalOrderedProduct:
     for j in range(len(factors)):
         for k in range(j + 1, len(factors)):
             c, err = known[j, k] if (j, k) in known \
-                else _pair_contraction_tracked(factors[j], factors[k])
+                else pair_contraction(factors[j], factors[k])
             prefactor *= c
             rounding += err + 3.0 * _U
     klein = tuple(letter for f in factors for letter in f.klein)
@@ -339,11 +335,10 @@ def _renorm_log_sum(L: float, a: float, eps: float) -> Tuple[float, float]:
 
 def z_renorm(params: ModelParams, sol: BogoliubovSolution,
              eps: float) -> dict:
-    """Multiplicative renormalization constant and its small-a asymptote.
+    """Multiplicative renormalization constant.
 
     Z = exp(-sum_p (2 pi / L p)(sigma_F^2 + sigma_P^2) e^{-eps p}) over the
-    coupled modes p = (2 pi / L) m, 1 <= m <= n_a, as a finite sum;
-    asymptote (e^gamma L / 2a)^{-(sigma_F^2 + sigma_P^2)}.
+    coupled modes p = (2 pi / L) m, 1 <= m <= n_a, as a finite sum.
     "rounding" bounds the relative error of Z.
     """
     if eps < 0:
@@ -351,9 +346,8 @@ def z_renorm(params: ModelParams, sol: BogoliubovSolution,
     ssum = sol.sigma_f ** 2 + sol.sigma_p ** 2
     total, err = _renorm_log_sum(params.L, params.a, eps)
     z = math.exp(-ssum * total)
-    asymptote = (math.exp(EULER_GAMMA) * params.L / (2.0 * params.a)) ** (-ssum)
     rounding = ssum * err + 2.0 * _U * (ssum * abs(total) + 1.0)
-    return {"Z": z, "asymptote": asymptote, "rounding": rounding}
+    return {"Z": z, "rounding": rounding}
 
 
 def finite_correlator(spec: CorrelatorSpec, params: ModelParams,
@@ -389,7 +383,7 @@ def finite_correlator(spec: CorrelatorSpec, params: ModelParams,
     eps = spec.regulator
     fixed = [field_vertex(p.r, p.q, p.x, p.t, eps, sol, grid)
              for p in pts[1:]]
-    known = {(j, k): _pair_contraction_tracked(fixed[j - 1], fixed[k - 1])
+    known = {(j, k): pair_contraction(fixed[j - 1], fixed[k - 1])
              for j in range(1, len(pts)) for k in range(j + 1, len(pts))}
     results = []
     for x in positions:

@@ -1,0 +1,137 @@
+"""Oracles the tests hold the engine to: second routes to a result and
+closed forms the engine itself has no use for."""
+
+import cmath
+import math
+from fractions import Fraction
+from typing import List, Sequence, Tuple
+
+from fermiphon.bogoliubov import BogoliubovSolution
+from fermiphon.correlators import (FLAVORS, CorrelatorSpec, InsertionPoint,
+                                   klein_sign, npoint_continuum)
+from fermiphon.errors import BadArgument, FermiphonError, ZeroMode
+from fermiphon.focklab import FockSpace, SparseOperator, density_op
+from fermiphon.focklab.exact import QC
+
+
+class SelectionViolated(FermiphonError):
+    """Charge selection rule not satisfied by the insertion word."""
+
+
+class SingularConfiguration(FermiphonError):
+    """Singular input configuration (e.g. sin(U_n - V_m) = 0)."""
+
+
+# --------------------------------------------------------------------------
+# continuum correlators
+
+
+def two_point(r: int, x: float, t: float, sol: BogoliubovSolution,
+              ell: float = 1.0, regulator: float = 1e-8) -> complex:
+    """<psi_r(x,t) psi_r^dag(0,0)> in the continuum/thermodynamic limits."""
+    spec = CorrelatorSpec(
+        insertions=(InsertionPoint(r=r, q=-1, x=x, t=t),
+                    InsertionPoint(r=r, q=+1, x=0.0, t=0.0)),
+        ell=ell, regulator=regulator)
+    return npoint_continuum(spec, sol)
+
+
+def sum_rules(word: Sequence[Tuple[int, int]]) -> dict:
+    """Charge-pair sums over a selection-passing word: same-chirality pairs
+    sum to -N/2 and cross-chirality pairs to 0."""
+    if klein_sign(word) == 0:
+        raise SelectionViolated("word does not pass charge selection")
+    same = cross = 0
+    n = len(word)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if word[i][0] == word[j][0]:
+                same += word[i][1] * word[j][1]
+            else:
+                cross += word[i][1] * word[j][1]
+    return {"same": same, "cross": cross}
+
+
+def order_correlator(kind: str, x: float, t: float, sol: BogoliubovSolution,
+                     ell: float = 1.0, regulator: float = 1e-8) -> complex:
+    """CDW or SC order-parameter correlator:
+    (1 / 2 pi ell)^2 prod_X (ell^2 / (x^2 - (vtilde_X t - i0+)^2))^((rho -+ sigma)^2).
+    """
+    if kind not in ("CDW", "SC"):
+        raise BadArgument("kind must be 'CDW' or 'SC'")
+    out = (1.0 / (2.0 * math.pi * ell)) ** 2
+    for flavor in FLAVORS:
+        rho, sigma = sol.rho(flavor), sol.sigma(flavor)
+        c = (rho - sigma) ** 2 if kind == "CDW" else (rho + sigma) ** 2
+        w = x * x - (sol.vtilde(flavor) * t - 1j * regulator) ** 2
+        out *= cmath.exp(c * cmath.log(ell * ell / w))
+    return out
+
+
+def _det(mat: List[List[complex]]) -> complex:
+    """Exact cofactor-expansion determinant for small matrices."""
+    n = len(mat)
+    if n == 1:
+        return mat[0][0]
+    out = 0.0 + 0.0j
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        term = mat[0][j] * _det(minor)
+        out += term if j % 2 == 0 else -term
+    return out
+
+
+def cauchy_residual(U: Sequence[float], V: Sequence[float]) -> float:
+    """|product form - det(1/sin(U_n - V_m))| for the sine-kernel Cauchy
+    determinant identity; cofactor expansion, lists of length M <= 8."""
+    M = len(U)
+    if M != len(V) or not (1 <= M <= 8):
+        raise BadArgument("need equal-length lists with 1 <= M <= 8")
+    for u in U:
+        for v in V:
+            if abs(math.sin(u - v)) < 1e-14:
+                raise SingularConfiguration(f"sin({u} - {v}) ~ 0")
+    num = 1.0
+    for n in range(M):
+        for m in range(n + 1, M):
+            num *= math.sin(U[n] - U[m]) * math.sin(V[m] - V[n])
+    den = 1.0
+    for u in U:
+        for v in V:
+            den *= math.sin(u - v)
+    prod_form = num / den
+    kernel = [[1.0 / math.sin(u - v) for v in V] for u in U]
+    return abs(prod_form - _det(kernel))
+
+
+# --------------------------------------------------------------------------
+# boson ladder operators
+
+
+def exact_sqrt(s: Fraction) -> Fraction:
+    """The rational square root of s; ValueError unless s is the square of a
+    rational."""
+    num, den = math.isqrt(s.numerator), math.isqrt(s.denominator)
+    if num * num != s.numerator or den * den != s.denominator:
+        raise ValueError(f"{s} is not the square of a rational")
+    return Fraction(num, den)
+
+
+def boson_ladder(space: FockSpace, m: int,
+                 dagger=False) -> Tuple[SparseOperator, Fraction]:
+    """(op, s) with b(p) = sqrt(s) op at p = (2 pi / L) m != 0, s = 1 / |m|.
+
+    b(p) = -i sqrt(2 pi / (L |p|)) J_+(p) for p > 0 and
+    b(p) = +i sqrt(2 pi / (L |p|)) J_-(p) for p < 0, and 2 pi / (L |p|) is
+    1 / |m|; op holds the Gaussian-rational part.  b^dag(p) uses
+    J_r(p)^dag = J_r(-p), which holds entrywise on the whole truncated
+    space.
+    """
+    if m == 0:
+        raise ZeroMode("boson ladder operators need p != 0")
+    r = +1 if m > 0 else -1
+    phase = QC(0, -1) if m > 0 else QC(0, 1)
+    s = Fraction(1, abs(m))
+    if dagger:
+        phase, m = phase.conj(), -m
+    return density_op(space, r, m) * phase, s

@@ -13,13 +13,14 @@ import numpy as np
 from fermiphon import ModelParams, derived_couplings, momentum_grid
 from fermiphon.bogoliubov import (diagonalize_numeric, solve_closed_form)
 from fermiphon.correlators import (CorrelatorSpec, InsertionPoint,
-                                   free_finite_L, npoint_continuum, two_point)
+                                   free_finite_L, npoint_continuum)
 from fermiphon.focklab import (build_space, degeneracy_counts, density_op,
                                field_op, jacobi_check, reconstructed_field,
                                run_identity_suite)
 from fermiphon.focklab.exact import QC
 from fermiphon.vertex import finite_correlator, z_renorm
 from fermiphon import cli
+from oracles import two_point
 
 TWO_PI = 2.0 * math.pi
 

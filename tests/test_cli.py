@@ -359,6 +359,10 @@ def test_json_format_option(config_file, tmp_path):
     (("v_f = 1.0", "v_f = 1e-299", "v_p = 0.3", "v_p = 1e-300"), ["solve"]),
     (("v_f = 1.0", "v_f = 1e-299", "v_p = 0.3", "v_p = 1e-300"),
      ["spectrum", "--e-max", "0.5"]),
+    # a non-finite e_max is refused as such, not as a grid too small
+    (None, ["spectrum", "--e-max", "nan"]),
+    (None, ["spectrum", "--e-max", "inf"]),
+    (None, ["spectrum", "--e-max=-inf"]),
     # output that cannot be opened; {tmp} is the test's directory
     (None, ["--output", "{tmp}/no/such/dir/x.csv", "scan"]),
     (None, ["--output", "{tmp}", "solve"]),
@@ -368,8 +372,8 @@ def test_json_format_option(config_file, tmp_path):
         "finite-ell-inf", "n_a-overflow", "e0-overflow", "t-inf",
         "v_f-overflow", "g-underflow", "g-boundary-rounding",
         "continuum-base-underflow", "velocity-underflow",
-        "spectrum-velocity-underflow", "output-missing-dir",
-        "output-is-dir"])
+        "spectrum-velocity-underflow", "e_max-nan", "e_max-inf",
+        "e_max-neg-inf", "output-missing-dir", "output-is-dir"])
 def test_bad_input_exit_2_one_line(config_file, tmp_path, capsys, edit, args):
     text = GENERIC_INI
     for old, new in zip(edit[::2], edit[1::2]) if edit else ():

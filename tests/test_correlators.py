@@ -7,12 +7,11 @@ import pytest
 from fermiphon import ModelParams
 from fermiphon.bogoliubov import BogoliubovSolution, solve_closed_form
 from fermiphon.correlators import (CorrelatorSpec, InsertionPoint,
-                                   cauchy_residual, exponents, free_finite_L,
-                                   klein_sign, npoint_continuum,
-                                   order_correlator, regulated_power,
-                                   sum_rules, two_point)
-from fermiphon.errors import (BadArgument, SelectionViolated,
-                              SingularConfiguration)
+                                   exponents, free_finite_L, klein_sign,
+                                   npoint_continuum, regulated_power)
+from fermiphon.errors import BadArgument
+from oracles import (SelectionViolated, SingularConfiguration,
+                     cauchy_residual, order_correlator, sum_rules, two_point)
 
 
 @pytest.fixture(scope="module")

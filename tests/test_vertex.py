@@ -7,13 +7,15 @@ import pytest
 from fermiphon import ModelParams, momentum_grid
 from fermiphon.bogoliubov import solve_closed_form
 from fermiphon.correlators import (CorrelatorSpec, InsertionPoint,
-                                   free_finite_L, klein_sign, two_point)
+                                   free_finite_L, klein_sign)
 from fermiphon.errors import BadRegulator, GridTooSmall
-from fermiphon.vertex import (NormalOrderedProduct, field_vertex,
-                              finite_correlator, normal_order_product,
-                              pair_contraction, vacuum_expectation, z_renorm,
+from fermiphon.vertex import (EULER_GAMMA, NormalOrderedProduct,
+                              field_vertex, finite_correlator,
+                              normal_order_product, pair_contraction,
+                              vacuum_expectation, z_renorm,
                               _channel_contraction, _direct_rounding,
                               _log_sums, _DIRECT_SUM_MAX)
+from oracles import two_point
 
 L, A = 20.0, 0.05
 TWO_PI = 2.0 * math.pi
@@ -110,7 +112,7 @@ def test_pair_contraction_free_kernel(free_setup):
     q1, q2 = -1, +1
     v1 = field_vertex(+1, q1, x1, 0.0, eps1, sol, grid)
     v2 = field_vertex(+1, q2, x2, 0.0, eps2, sol, grid)
-    c = pair_contraction(v1, v2)
+    c = pair_contraction(v1, v2)[0]
     u = (math.pi / L) * ((x1 - x2) + 0.5j * (eps1 + eps2))
     kernel = 1j * math.exp(math.pi * (eps1 + eps2) / (2 * L)) / (2 * cmath.sin(u))
     expect = kernel ** (-q1 * q2)
@@ -127,8 +129,8 @@ def test_normal_order_product_basics(free_setup):
     v3 = field_vertex(-1, +1, 0.2, 0.0, 1e-3, sol, grid)
     p123 = normal_order_product([v1, v2, v3]).prefactor
     direct = (v1.prefactor * v2.prefactor * v3.prefactor
-              * pair_contraction(v1, v2) * pair_contraction(v1, v3)
-              * pair_contraction(v2, v3))
+              * pair_contraction(v1, v2)[0] * pair_contraction(v1, v3)[0]
+              * pair_contraction(v2, v3)[0])
     assert abs(p123 - direct) < 1e-15 * abs(direct)
 
 
@@ -222,14 +224,17 @@ def test_z_renorm(coupled_setup):
     z = z_renorm(p2, s2, 0.0)["Z"]
     expect = math.exp(-(s2.sigma_f**2 + s2.sigma_p**2) * 1.5)
     assert math.isclose(z, expect, rel_tol=1e-14)
-    # asymptote ratio -> 1 like O(a / L)
+    # ratio to the small-a asymptote (e^gamma L / 2a)^{-(sigma_F^2 +
+    # sigma_P^2)} -> 1 like O(a / L)
     prev = None
     for ratio in (1e2, 1e3, 1e4):
         pr = ModelParams(v_f=1.0, v_p=0.3, lam=1.0, g=0.2, a=1.0 / ratio,
                          L=1.0)
         sr = solve_closed_form(pr)
         rep = z_renorm(pr, sr, 0.0)
-        gap = abs(rep["Z"] / rep["asymptote"] - 1.0)
+        ssum = sr.sigma_f ** 2 + sr.sigma_p ** 2
+        asymptote = (math.exp(EULER_GAMMA) * pr.L / (2.0 * pr.a)) ** (-ssum)
+        gap = abs(rep["Z"] / asymptote - 1.0)
         if prev is not None:
             assert gap < prev / 5.0
         prev = gap
