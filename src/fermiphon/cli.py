@@ -97,15 +97,22 @@ class Table(NamedTuple):
 
 def _write(out, fmt: str, payload):
     """A Table as CSV or as a JSON list of objects; any other payload as a
-    JSON document."""
+    JSON document.  A JSON table is written one row at a time, in the bytes
+    of json.dump(rows, out, indent=2)."""
+    if isinstance(payload, Table) and fmt == "csv":
+        w = csv.writer(out)
+        w.writerow(payload.header)
+        w.writerows(payload.rows)
+        return
     if isinstance(payload, Table):
-        if fmt == "csv":
-            w = csv.writer(out)
-            w.writerow(payload.header)
-            w.writerows(payload.rows)
-            return
-        payload = [dict(zip(payload.header, row)) for row in payload.rows]
-    json.dump(payload, out, indent=2)
+        sep = "[\n  "
+        for row in payload.rows:
+            out.write(sep + json.dumps(dict(zip(payload.header, row)),
+                                       indent=2).replace("\n", "\n  "))
+            sep = ",\n  "
+        out.write("[]" if sep == "[\n  " else "\n]")
+    else:
+        json.dump(payload, out, indent=2)
     out.write("\n")
 
 
@@ -169,8 +176,8 @@ def cmd_spectrum(cfg: RunConfig, e_max: float):
 
     def rows():
         labels = {}     # levels share occupations: format each one once
-        # each level is dropped once formatted, so a JSON document, which
-        # holds every row, does not also hold every level
+        # each level is dropped once formatted: the level list shrinks as
+        # the output grows
         entries.reverse()
         while entries:
             e = entries.pop()
@@ -274,6 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand; a FermiphonError or an I/O failure becomes exit 2
     with one line on stderr."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value such as -1e-3 or -inf after --e-max as an
+    # option; joined as --e-max=VALUE it is read as the value it is
+    while "--e-max" in argv[:-1]:
+        i = argv.index("--e-max")
+        argv[i:i + 2] = ["--e-max=" + argv[i + 1]]
     args = build_parser().parse_args(argv)
     try:
         return _run(args)

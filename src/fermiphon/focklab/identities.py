@@ -1,7 +1,7 @@
 """Exact verification of the bosonization operator identities.
 
 Each identity is evaluated as a matrix difference between truncated
-operators; the residual is the exact maximum L1 magnitude of the difference
+operators; the residual is the exact maximum magnitude of the difference
 over the interior block (bra and ket energies <= the interior window).  In
 the window every residual is expected to be exactly zero -- no tolerances.
 Operators are column functions, so only the interior columns (and the
@@ -17,7 +17,6 @@ from fractions import Fraction
 from functools import partial
 
 from ..errors import UnknownIdentity
-from .exact import QC
 from .operators import (SparseOperator, charge_op, density_op, field_op,
                         free_hamiltonian, klein_factor)
 from .reconstruction import reconstructed_field
@@ -45,7 +44,7 @@ def _max_block(space, checks, window):
     """Max residual over (op, op_window) pairs and the number of pairs; each
     op is restricted to the smaller of the identity window and its own
     momentum-dependent validity window."""
-    best = Fraction(0)
+    best = 0
     worst = None
     cache = {}
     n = 0
@@ -95,7 +94,7 @@ def _schwinger_residuals(space):
                             lhs = dens[(r, p)].commutator(dens[(rp, pp)])
                             if r == rp and p + pp == 0:
                                 lhs = lhs - SparseOperator.identity(
-                                    space, QC(r * p))
+                                    space, r * p)
                                 w = edge - m + Fraction(1, 2)
                             elif (r, p) == (rp, pp):
                                 w = None  # commutator with itself: exact zero
@@ -131,7 +130,7 @@ def _h0_j_residuals(space):
         for m in range(1, 2 * space.K):
             for p in (m, -m):
                 J = density_op(space, r, p)
-                yield h0.commutator(J) + J * QC(r * p), None
+                yield h0.commutator(J) + J * (r * p), None
 
 
 def _j_r_residuals(space):
@@ -142,7 +141,7 @@ def _j_r_residuals(space):
             for m in range(-(space.K - 1), space.K):
                 res = density_op(space, r, m).commutator(R)
                 if r == rp and m == 0:
-                    res = res - R * QC(r)
+                    res = res - R * r
                 yield res, space.edge() - abs(m) - Fraction(1, 2)
 
 
@@ -151,8 +150,8 @@ def _h0_r_residuals(space):
     h0 = free_hamiltonian(space)
     for r in CHIRALITIES:
         R = klein_factor(space, r)
-        res = h0.commutator(R) - charge_op(space, r).anticommutator(R) * QC(
-            Fraction(r, 2))
+        res = (h0.commutator(R)
+               - charge_op(space, r).anticommutator(R) * Fraction(r, 2))
         yield res, None
 
 
@@ -167,7 +166,7 @@ def _kronig_residuals(space):
     rhs = SparseOperator.zero(space)
     for r in CHIRALITIES:
         q = charge_op(space, r)
-        rhs = rhs + (q @ q) * QC(Fraction(1, 2))
+        rhs = rhs + (q @ q) * Fraction(1, 2)
         for m in range(1, space.K + 1):
             rhs = rhs + density_op(space, r, -r * m) @ density_op(space, r, r * m)
     yield h0 - rhs, None

@@ -1,11 +1,12 @@
 """Exact sparse operators on the truncated Fock space.
 
-Every operator is a matrix of Gaussian rationals, given as a column
-function: the image of one basis state, computed the first time that
-column is read.  Sums, multiples and products are column functions of
-their operands, so a check evaluates only the columns it reads and the
-states those reach.  Partial operators (Klein factors) return None for the
-columns outside their validity window; partiality is data, not an error.
+Every operator is a matrix of rationals (int and Fraction amplitudes),
+given as a column function: the image of one basis state, computed the
+first time that column is read.  Sums, multiples and products are column
+functions of their operands, so a check evaluates only the columns it
+reads and the states those reach.  Partial operators (Klein factors)
+return None for the columns outside their validity window; partiality is
+data, not an error.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from fractions import Fraction
 from functools import partial
 
 from ..errors import ModeOutOfWindow
-from .exact import QC, QC_ONE
 from .space import CHIRALITIES, FockSpace
 
 
 class Columns(dict):
-    """cols[c] is column c as {row: QC}, or None outside the validity
+    """cols[c] is column c as {row: amplitude}, or None outside the validity
     window; each column is computed on first read and kept.  get() treats a
     None column as absent."""
 
@@ -36,15 +36,14 @@ class Columns(dict):
         return default if col is None else col
 
 
-def _accumulate(out: dict, col: dict, scale: QC) -> dict:
+def _accumulate(out: dict, col: dict, scale=1) -> dict:
     """out += scale * col entrywise; entries that cancel are dropped."""
     for r, amp in col.items():
-        cur = out.get(r)
-        new = amp * scale if cur is None else cur + amp * scale
-        if new.is_zero():
-            out.pop(r, None)
+        new = out.get(r, 0) + amp * scale
+        if new:
+            out[r] = new
         else:
-            out[r] = new.normalized()
+            out.pop(r, None)
     return out
 
 
@@ -56,8 +55,8 @@ class SparseOperator:
         self.cols = Columns(column)
 
     @classmethod
-    def identity(cls, space, scalar=QC_ONE):
-        return cls(space, lambda c: {} if scalar.is_zero() else {c: scalar})
+    def identity(cls, space, scalar=1):
+        return cls(space, lambda c: {c: scalar} if scalar else {})
 
     @classmethod
     def zero(cls, space):
@@ -70,16 +69,13 @@ class SparseOperator:
             a, b = self.cols[c], other.cols[c]
             if a is None or b is None:
                 return None
-            return _accumulate(_accumulate({}, a, QC_ONE), b, QC_ONE)
+            return _accumulate(_accumulate({}, a), b)
         return SparseOperator(self.space, column)
 
     def __sub__(self, other):
-        return self + (other * QC(-1))
+        return self + (other * -1)
 
-    def __mul__(self, scalar: QC):
-        if not isinstance(scalar, QC):
-            scalar = QC(scalar)
-
+    def __mul__(self, scalar):
         def column(c):
             col = self.cols[c]
             return None if col is None else _accumulate({}, col, scalar)
@@ -88,7 +84,7 @@ class SparseOperator:
     __rmul__ = __mul__
 
     def apply_col(self, vec: dict) -> dict:
-        """Apply to a vector given as {basis index: QC}."""
+        """Apply to a vector given as {basis index: amplitude}."""
         out = {}
         for c, v in vec.items():
             col = self.cols.get(c)
@@ -115,14 +111,14 @@ class SparseOperator:
 
     # -- inspection ----------------------------------------------------------
 
-    def entry(self, row, col) -> QC:
-        return self.cols.get(col, {}).get(row, QC(0))
+    def entry(self, row, col):
+        return self.cols.get(col, {}).get(row, 0)
 
     def max_entry(self, rows: set, cols):
-        """(the exact largest L1 magnitude of an entry in the block, (row,
-        col) of the first entry in column order that reaches it); (0, None)
-        when every block entry is zero."""
-        best = Fraction(0)
+        """(the exact largest magnitude of an entry in the block, (row, col)
+        of the first entry in column order that reaches it); (0, None) when
+        every block entry is zero."""
+        best = 0
         worst = None
         for c in cols:
             col = self.cols.get(c)
@@ -130,7 +126,7 @@ class SparseOperator:
                 continue
             for r, amp in col.items():
                 if r in rows:
-                    v = amp.l1()
+                    v = abs(amp)
                     if v > best:
                         best, worst = v, (r, c)
         return best, worst
@@ -154,7 +150,7 @@ def ladder_op(space: FockSpace, r: int, nu, dagger=False) -> SparseOperator:
 
     def column(mask):
         new, sign = act(mask, pos)
-        return {} if new is None else {new: QC(sign)}
+        return {} if new is None else {new: sign}
     return SparseOperator(space, column)
 
 
@@ -209,7 +205,7 @@ def free_hamiltonian(space: FockSpace, cutoff=None) -> SparseOperator:
 
     def column(mask):
         e = space.energy(mask & keep)
-        return {mask: QC(e)} if e else {}
+        return {mask: e} if e else {}
     return SparseOperator(space, column)
 
 
@@ -217,7 +213,7 @@ def charge_op(space: FockSpace, r: int) -> SparseOperator:
     """Q_r = J-hat_r(0), diagonal with the exact integer charges."""
     def column(mask):
         q = space.charge(mask, r)
-        return {mask: QC(q)} if q else {}
+        return {mask: q} if q else {}
     return SparseOperator(space, column)
 
 
@@ -254,7 +250,7 @@ def _klein_apply(space: FockSpace, r: int, shift: int, mask: int):
     sign = -1 if n_opp & 1 else 1
     # start from R_r^{shift} Omega = c^dag_r(born) Omega
     vec_mask, vec_sign = space.create_sign(0, space.mode_position(r, born))
-    vec = {vec_mask: QC(sign * vec_sign)}
+    vec = {vec_mask: sign * vec_sign}
     for dag, rr, nu in reversed(ops):
         pos = space.mode_position(rr, nu)
         out = {}
@@ -262,7 +258,7 @@ def _klein_apply(space: FockSpace, r: int, shift: int, mask: int):
         for m0, amp in vec.items():
             new, s = act(m0, pos)
             if new is not None:
-                out[new] = amp * QC(s)
+                out[new] = amp * s
         vec = out
         if not vec:
             break

@@ -21,24 +21,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ..errors import ModeOutOfWindow
-from .exact import QC
-from .operators import density_op, klein_factor
+from .operators import _accumulate, density_op, klein_factor
 from .space import FockSpace
 
 
-def _cached_density(space, r, m):
-    key = ("density", r, m)
+def _cached(space, build, *labels):
+    """build(space, *labels), built once per space."""
+    key = (build, *labels)
     op = space.op_cache.get(key)
     if op is None:
-        op = space.op_cache[key] = density_op(space, r, m)
-    return op
-
-
-def _cached_klein(space, r, dagger):
-    key = ("klein", r, dagger)
-    op = space.op_cache.get(key)
-    if op is None:
-        op = space.op_cache[key] = klein_factor(space, r, dagger)
+        op = space.op_cache[key] = build(space, *labels)
     return op
 
 
@@ -72,17 +64,17 @@ def _apply_u(space, r, parts, sign_mode, vec):
         if m > 2 * space.K - 1:
             raise ModeOutOfWindow(
                 f"density mode {m} exceeds the truncated window")
-        J = _cached_density(space, r, sign_mode * r * m)
+        J = _cached(space, density_op, r, sign_mode * r * m)
         out = J.apply_col(out)
         if not out:
             return {}
-    return {k: v * QC(coef) for k, v in out.items()}
+    return _accumulate({}, out, coef)
 
 
 def reconstructed_field(space: FockSpace, r: int, nu, state_index: int) -> dict:
     """Image vector of V_r(k) applied to one basis state, k = (2 pi / L) nu.
 
-    Exact (Gaussian-rational amplitudes); valid while the input state and
+    Exact (int and Fraction amplitudes); valid while the input state and
     all intermediate density modes stay inside the truncation window.
     """
     nu = Fraction(nu)
@@ -90,7 +82,7 @@ def reconstructed_field(space: FockSpace, r: int, nu, state_index: int) -> dict:
         raise ModeOutOfWindow(f"target momentum nu={nu} outside window")
     q_r = space.charge(state_index, r)
 
-    klein = _cached_klein(space, r, dagger=(r == +1))  # R_r^{-r}
+    klein = _cached(space, klein_factor, r, r == +1)  # R_r^{-r}
     phi = klein.cols[state_index]
     if phi is None:
         raise ModeOutOfWindow("Klein shift leaves the window for this state")
@@ -114,12 +106,6 @@ def reconstructed_field(space: FockSpace, r: int, nu, state_index: int) -> dict:
             if not lowered:
                 continue
             for parts_plus in _partitions(n_plus, max(n_plus, 1)):
-                term = _apply_u(space, r, parts_plus, -1, lowered)
-                for k, v in term.items():
-                    cur = result.get(k)
-                    new = v if cur is None else cur + v
-                    if new.is_zero():
-                        result.pop(k, None)
-                    else:
-                        result[k] = new
+                _accumulate(result, _apply_u(space, r, parts_plus, -1,
+                                             lowered))
     return result

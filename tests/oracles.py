@@ -11,7 +11,6 @@ from fermiphon.correlators import (FLAVORS, CorrelatorSpec, InsertionPoint,
                                    klein_sign, npoint_continuum)
 from fermiphon.errors import BadArgument, FermiphonError, ZeroMode
 from fermiphon.focklab import FockSpace, SparseOperator, density_op
-from fermiphon.focklab.exact import QC
 
 
 class SelectionViolated(FermiphonError):
@@ -118,20 +117,21 @@ def exact_sqrt(s: Fraction) -> Fraction:
 
 
 def boson_ladder(space: FockSpace, m: int,
-                 dagger=False) -> Tuple[SparseOperator, Fraction]:
-    """(op, s) with b(p) = sqrt(s) op at p = (2 pi / L) m != 0, s = 1 / |m|.
+                 dagger=False) -> Tuple[SparseOperator, complex, Fraction]:
+    """(op, phase, s) with b(p) = phase sqrt(s) op at p = (2 pi / L) m != 0,
+    phase = -i or +i and s = 1 / |m|.
 
     b(p) = -i sqrt(2 pi / (L |p|)) J_+(p) for p > 0 and
     b(p) = +i sqrt(2 pi / (L |p|)) J_-(p) for p < 0, and 2 pi / (L |p|) is
-    1 / |m|; op holds the Gaussian-rational part.  b^dag(p) uses
-    J_r(p)^dag = J_r(-p), which holds entrywise on the whole truncated
-    space.
+    1 / |m|; op is the density, a matrix over Q.  b^dag(p) has the
+    conjugate phase and uses J_r(p)^dag = J_r(-p), which holds entrywise on
+    the whole truncated space.
     """
     if m == 0:
         raise ZeroMode("boson ladder operators need p != 0")
     r = +1 if m > 0 else -1
-    phase = QC(0, -1) if m > 0 else QC(0, 1)
+    phase = -1j if m > 0 else 1j
     s = Fraction(1, abs(m))
     if dagger:
-        phase, m = phase.conj(), -m
-    return density_op(space, r, m) * phase, s
+        phase, m = phase.conjugate(), -m
+    return density_op(space, r, m), phase, s

@@ -363,6 +363,7 @@ def test_json_format_option(config_file, tmp_path):
     (None, ["spectrum", "--e-max", "nan"]),
     (None, ["spectrum", "--e-max", "inf"]),
     (None, ["spectrum", "--e-max=-inf"]),
+    (None, ["spectrum", "--e-max", "-inf"]),
     # output that cannot be opened; {tmp} is the test's directory
     (None, ["--output", "{tmp}/no/such/dir/x.csv", "scan"]),
     (None, ["--output", "{tmp}", "solve"]),
@@ -373,7 +374,8 @@ def test_json_format_option(config_file, tmp_path):
         "v_f-overflow", "g-underflow", "g-boundary-rounding",
         "continuum-base-underflow", "velocity-underflow",
         "spectrum-velocity-underflow", "e_max-nan", "e_max-inf",
-        "e_max-neg-inf", "output-missing-dir", "output-is-dir"])
+        "e_max-neg-inf", "e_max-neg-inf-separate", "output-missing-dir",
+        "output-is-dir"])
 def test_bad_input_exit_2_one_line(config_file, tmp_path, capsys, edit, args):
     text = GENERIC_INI
     for old, new in zip(edit[::2], edit[1::2]) if edit else ():
@@ -386,6 +388,43 @@ def test_bad_input_exit_2_one_line(config_file, tmp_path, capsys, edit, args):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_e_max_value_as_separate_token(config_file, tmp_path, capsys):
+    # any value float() reads is taken after --e-max as in --e-max=VALUE,
+    # also one argparse would read as an option (-1e-3, -inf)
+    cfg = config_file(GENERIC_INI)
+    outs = []
+    for args in (["--e-max=-1e-3"], ["--e-max", "-1e-3"]):
+        out = tmp_path / "out.csv"
+        assert run_cli(["--config", cfg, "--output", str(out), "spectrum",
+                        *args]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] and outs[0].startswith(b"q_plus,")
+    assert run_cli(["--config", cfg, "spectrum", "--e-max", "-inf"]) == 2
+    assert capsys.readouterr().err == (
+        "error: e_max must be finite, got -inf\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--e-max", "0.5"], ["spectrum", "--e-max=-1e-3"], ["scan"],
+    ["correlate", "--mode", "finite"]], ids=["spectrum", "spectrum-empty",
+                                             "scan", "correlate"])
+def test_json_table_matches_json_dump(config_file, tmp_path, args):
+    # a JSON table, written row by row, has the bytes json.dump gives for
+    # the CSV rows as a list of objects
+    cfg = config_file(GENERIC_INI)
+    outs = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"out.{fmt}"
+        assert run_cli(["--config", cfg, "--output", str(out), "--format",
+                        fmt, *args]) == 0
+        outs[fmt] = out.read_text()
+    header, *rows = csv.reader(io.StringIO(outs["csv"]))
+    expect = io.StringIO()
+    json.dump([dict(zip(header, row)) for row in rows], expect, indent=2)
+    assert outs["json"] == expect.getvalue() + "\n"
+    assert (outs["json"] == "[]\n") == (not rows)
 
 
 def test_invalid_config_exit_2(tmp_path):
@@ -469,7 +508,7 @@ _SECTIONS = {
               "lambda": _real(-3.0, 3.0), "g": _real(-0.3, 0.3),
               "a": _real(1e-7, 1.0), "L": _real(2.0, 100.0),
               "omega0": _real(1e-3, 1.0)},
-    "grid": {"K": _count(6)},
+    "grid": {"K": None},  # a count up to k_max, drawn by _configs
     "correlator": {
         "ell": _real(0.1, 10.0), "regulator": _real(1e-9, 0.5),
         "x_min": _real(-5.0, 5.0), "x_max": _real(-5.0, 5.0),
@@ -488,12 +527,13 @@ _KEYS = [(title, key) for title, keys in _SECTIONS.items() for key in keys]
 
 
 @st.composite
-def _configs(draw):
+def _configs(draw, k_max=6):
     """INI text with a valid value for every key the config reads, then up
     to three keys left out (None) or given a bad value.  Counts stay small
-    (points <= 4, n_lambda and n_g <= 3): no bad value parses as a larger
-    count."""
-    values = {(title, key): draw(good) for title, keys in _SECTIONS.items()
+    (points <= 4, n_lambda and n_g <= 3, K <= k_max): no bad value parses
+    as a larger count."""
+    values = {(title, key): draw(_count(k_max) if good is None else good)
+              for title, keys in _SECTIONS.items()
               for key, good in keys.items()}
     for where, bad in draw(st.lists(st.tuples(st.sampled_from(_KEYS),
                                               st.none() | _BAD), max_size=3)):
@@ -509,14 +549,17 @@ def _configs(draw):
 @pytest.mark.parametrize("args", [
     ["solve"], ["scan"], ["correlate", "--mode", "finite"],
     ["correlate", "--mode", "continuum"],
-    pytest.param(["spectrum", "--e-max", "0.5"], id="spectrum")],
+    pytest.param(["spectrum", "--e-max", "0.5"], id="spectrum"),
+    ["verify"]],
     ids=lambda a: "-".join(a[-1:]))
 @settings(derandomize=True, deadline=None, max_examples=100)
-@given(text=_configs())
-def test_random_config_exits_0_or_2(args, text):
-    """Any config: exit 0 or 2, never a traceback.  `verify` is left out
-    because its cost is not yet capped; `spectrum` refuses more than
-    LEVEL_CAP levels."""
+@given(data=st.data())
+def test_random_config_exits_0_or_2(args, data):
+    """Any config: exit 0 or 2, never a traceback.  `spectrum` refuses more
+    than LEVEL_CAP levels and `verify` any K > 5; valid K for `verify` stay
+    at most 2 (K = 3 costs 0.5 s a run)."""
+    text = data.draw(_configs(k_max=2 if args == ["verify"] else 6),
+                     label="config")
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "run.ini")
         with open(cfg, "w") as fh:

@@ -6,7 +6,6 @@ from fermiphon.errors import ModeOutOfWindow, TruncationTooLarge, ZeroMode
 from fermiphon.focklab import (SparseOperator, build_space, charge_op,
                                density_op, field_op, free_hamiltonian,
                                klein_factor, ladder_op)
-from fermiphon.focklab.exact import QC
 from oracles import boson_ladder, exact_sqrt
 
 HALF = Fraction(1, 2)
@@ -27,7 +26,7 @@ def adjoint(op):
     rows = {}
     for c in range(op.space.dim):
         for r, amp in op.cols[c].items():
-            rows.setdefault(r, {})[c] = amp.conj()
+            rows.setdefault(r, {})[c] = amp.conjugate()
     return SparseOperator(op.space, lambda r: rows.get(r, {}))
 
 
@@ -75,11 +74,11 @@ def test_ladder_examples(space_k2):
     # creators anticommute
     c1 = ladder_op(sp, +1, HALF, dagger=True)
     c3 = ladder_op(sp, +1, Fraction(3, 2), dagger=True)
-    v12 = c1.apply_col(c3.apply_col({sp.vacuum: QC(1)}))
-    v21 = c3.apply_col(c1.apply_col({sp.vacuum: QC(1)}))
+    v12 = c1.apply_col(c3.apply_col({sp.vacuum: 1}))
+    v21 = c3.apply_col(c1.apply_col({sp.vacuum: 1}))
     assert set(v12) == set(v21)
     for key in v12:
-        assert v12[key] == QC(-1) * v21[key]
+        assert v12[key] == -v21[key]
     with pytest.raises(ModeOutOfWindow):
         ladder_op(sp, +1, Fraction(5, 2))
 
@@ -128,12 +127,12 @@ def test_free_hamiltonian_examples(space_k2):
     h0 = free_hamiltonian(sp)
     assert not h0.cols.get(sp.vacuum)  # H0 Omega = 0
     for i in range(sp.dim):
-        assert h0.entry(i, i) == QC(mode_energy(sp, i))
+        assert h0.entry(i, i) == mode_energy(sp, i)
     # [H0, psi^dag_r(k)] = r k psi^dag_r(k) (lab units)
     for r in (+1, -1):
         for nu in sp.fermion_modes():
             psid = field_op(sp, r, nu, dagger=True)
-            res = h0.commutator(psid) - psid * QC(r * nu)
+            res = h0.commutator(psid) - psid * (r * nu)
             assert res.max_entry(*full_block(sp))[0] == 0
 
 
@@ -146,8 +145,8 @@ def test_klein_examples(space_k2):
     for r in (+1, -1):
         R = klein_factor(sp, r)
         Rd = klein_factor(sp, r, dagger=True)
-        up = ladder_op(sp, r, HALF, dagger=True).apply_col({sp.vacuum: QC(1)})
-        dn = ladder_op(sp, r, -HALF, dagger=True).apply_col({sp.vacuum: QC(1)})
+        up = ladder_op(sp, r, HALF, dagger=True).apply_col({sp.vacuum: 1})
+        dn = ladder_op(sp, r, -HALF, dagger=True).apply_col({sp.vacuum: 1})
         assert R.cols[sp.vacuum] == up
         assert Rd.cols[sp.vacuum] == dn
         # unitarity on the interior window
@@ -170,10 +169,10 @@ def test_partial_columns_propagate(space_k2):
     assert R.cols[edge] is None  # R_+ would shift 3 pi / L to 5 pi / L
     cd = ladder_op(sp, +1, Fraction(3, 2), dagger=True)
     prod = R @ cd
-    for op in (prod, prod * QC(2), prod + cd, cd - prod, cd @ prod):
+    for op in (prod, prod * 2, prod + cd, cd - prod, cd @ prod):
         assert op.cols[sp.vacuum] is None
         assert op.cols.get(sp.vacuum) is None
-        assert op.entry(edge, sp.vacuum) == QC(0)
+        assert op.entry(edge, sp.vacuum) == 0
     # inside the window the product column is computed as usual: R_+ moves
     # the mode at pi / L up to the edge and refills pi / L
     inner = R @ ladder_op(sp, +1, HALF, dagger=True)
@@ -191,18 +190,19 @@ def test_klein_charge_eigenstates(space_k2):
            (-1, True): klein_factor(sp, -1, dagger=True)}
     for qp in range(-2, 3):
         for qm in range(-2, 3):
-            vec = {sp.vacuum: QC(1)}
+            vec = {sp.vacuum: 1}
             word = [ops[(-1, qm > 0)]] * abs(qm) + [ops[(+1, qp < 0)]] * abs(qp)
             for op in word:
                 vec = op.apply_col(vec)
             expect = Fraction(qp * qp + qm * qm, 2)
             hvec = h0.apply_col(vec)
             for key, amp in vec.items():
-                assert hvec.get(key, QC(0)) == QC(expect) * amp
+                assert hvec.get(key, 0) == expect * amp
 
 
 def test_boson_ladder_examples(space_k2):
-    # the oracle's b(p) is sqrt(s) op; s is carried explicitly
+    # the oracle's b(p) is phase sqrt(s) op; the unit phase and the scale s
+    # are carried explicitly, so op stays a matrix over Q
     sp = space_k2
     interior = sp.interior_indices()
     with pytest.raises(ZeroMode):
@@ -210,61 +210,66 @@ def test_boson_ladder_examples(space_k2):
     # b(p) Omega = 0
     for m in (1, -1, 2, -2):
         assert not boson_ladder(sp, m)[0].cols.get(sp.vacuum)
-    # [b(p), b^dag(p)] = s [op, op^dag] = 1 on the |p|-reduced window
+    # [b(p), b^dag(p)] = phase phase^dag s [op, op^dag] = 1 on the
+    # |p|-reduced window: the phases multiply to 1, the rest is the identity
     for m in (1, -1, 2, -2):
-        b, s = boson_ladder(sp, m)
-        bd, _ = boson_ladder(sp, m, dagger=True)
+        b, phase, s = boson_ladder(sp, m)
+        bd, phase_d, _ = boson_ladder(sp, m, dagger=True)
+        assert phase in (1j, -1j) and phase * phase_d == 1
         window = sp.interior_indices(sp.K - abs(m))
-        res = b.commutator(bd) * QC(s) - SparseOperator.identity(sp)
+        res = b.commutator(bd) * s - SparseOperator.identity(sp)
         assert res.max_entry(set(window), window)[0] == 0
-    # [b(p), b(p')] = 0 and [b(p), b^dag(p')] = 0 for p != p' (the positive
-    # scale sqrt(s s') cannot make a nonzero commutator vanish)
-    b1, _ = boson_ladder(sp, 1)
-    b2, _ = boson_ladder(sp, 2)
+    # [b(p), b(p')] = 0 and [b(p), b^dag(p')] = 0 for p != p' (unit phases
+    # and positive scales cannot make a nonzero commutator vanish)
+    b1 = boson_ladder(sp, 1)[0]
+    b2 = boson_ladder(sp, 2)[0]
     assert b1.commutator(b2).max_entry(set(interior), interior)[0] == 0
     res = b1.commutator(boson_ladder(sp, 2, dagger=True)[0])
     assert res.max_entry(set(interior), interior)[0] == 0
     # normalized one-boson state at p = 2 pi / L
-    bd1, s1 = boson_ladder(sp, 1, dagger=True)
+    bd1, phase1, s1 = boson_ladder(sp, 1, dagger=True)
     vec = bd1.cols[sp.vacuum]
-    norm2 = sum((amp.conj() * amp).re for amp in vec.values()) * s1
+    assert phase1.conjugate() * phase1 == 1
+    norm2 = sum((amp.conjugate() * amp).real for amp in vec.values()) * s1
     assert norm2 == 1
 
 
 def test_boson_states_orthonormal(space_k2):
     # <eta^B_m, eta^B_m'> = delta for all window-constructible boson states;
-    # a state is (vec, s) with the state sqrt(s) vec
+    # a state is (vec, phase, s) with the state phase sqrt(s) vec
     sp = space_k2
-    bd1, s1 = boson_ladder(sp, 1, dagger=True)
-    bd1m, s1m = boson_ladder(sp, -1, dagger=True)
+    bd1, phase1, s1 = boson_ladder(sp, 1, dagger=True)
+    bd1m, phase1m, s1m = boson_ladder(sp, -1, dagger=True)
     rp = klein_factor(sp, +1)
     states = {}
-    vac = {sp.vacuum: QC(1)}
-    states["vac"] = (vac, Fraction(1))
-    states["b1"] = (bd1.apply_col(vac), s1)
-    states["b-1"] = (bd1m.apply_col(vac), s1m)
-    states["R+"] = (rp.apply_col(vac), Fraction(1))
+    vac = {sp.vacuum: 1}
+    states["vac"] = (vac, 1, Fraction(1))
+    states["b1"] = (bd1.apply_col(vac), phase1, s1)
+    states["b-1"] = (bd1m.apply_col(vac), phase1m, s1m)
+    states["R+"] = (rp.apply_col(vac), 1, Fraction(1))
     two = bd1.apply_col(bd1.apply_col(vac))
-    states["b1b1/sqrt2"] = (two, Fraction(1, 2) * s1**2)
+    states["b1b1/sqrt2"] = (two, phase1 * phase1, Fraction(1, 2) * s1**2)
 
     def inner(a, b):
-        va, sa = a
-        vb, sb = b
-        s = QC(0)
+        """(phase, rational part) of the inner product."""
+        va, pa, sa = a
+        vb, pb, sb = b
+        s = 0
         for k, amp in va.items():
             if k in vb:
-                s = s + amp.conj() * vb[k]
-        if s.is_zero():
-            return QC(0)
-        # the scales multiply under inner products
-        return s * QC(exact_sqrt(sa * sb))
+                s = s + amp.conjugate() * vb[k]
+        if s == 0:
+            return pa.conjugate() * pb, 0
+        # the phases and the scales multiply under inner products
+        return pa.conjugate() * pb, s * exact_sqrt(sa * sb)
 
     names = list(states)
     for i, na in enumerate(names):
         for nb in names:
-            val = inner(states[na], states[nb])
-            expect = QC(1) if na == nb else QC(0)
+            phase, val = inner(states[na], states[nb])
+            expect = 1 if na == nb else 0
             assert val == expect, (na, nb, val)
+            assert na != nb or phase == 1, (na, phase)
 
 
 def test_cutoff_independence(space_k2, space_k3):
@@ -294,4 +299,4 @@ def test_cutoff_independence(space_k2, space_k3):
             for row in interior:
                 a = small.entry(row, col)
                 b = big.entry(embed(row), embed(col))
-                assert (a - b).is_zero()
+                assert a - b == 0

@@ -1,12 +1,16 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from fermiphon.errors import UnknownIdentity
-from fermiphon.focklab import (SUPPORTED_IDENTITIES, build_space, density_op,
-                               field_op, identity_residual,
+from fermiphon.focklab import (SUPPORTED_IDENTITIES, SparseOperator,
+                               build_space, charge_op, density_op, field_op,
+                               free_hamiltonian, identity_residual,
+                               klein_factor, ladder_op, reconstructed_field,
                                reconstruction_report, run_identity_suite)
-from fermiphon.focklab.exact import QC
+from fermiphon.focklab.identities import _BUILDERS, _reconstruction_residuals
+from fermiphon.focklab.operators import Columns
 from fermiphon.focklab.space import FockSpace
 
 
@@ -23,7 +27,7 @@ def test_schwinger_vacuum_eigenvalues(space_k2):
     for m in (1, 2):
         comm = density_op(sp, +1, m).commutator(density_op(sp, +1, -m))
         vec = comm.cols.get(sp.vacuum, {})
-        assert vec == {sp.vacuum: QC(m)}
+        assert vec == {sp.vacuum: m}
 
 
 def test_kronig_window_k2(space_k2):
@@ -53,8 +57,41 @@ def test_fresh_operator_computes_columns(space_k2):
     sp = space_k2
     op = field_op(sp, +1, Fraction(1, 2), dagger=True)
     one = sp.vacuum | 1 << sp.mode_position(+1, Fraction(1, 2))
-    assert op.cols.get(sp.vacuum) == {one: QC(1)}
-    assert op.cols[sp.vacuum] == {one: QC(1)}
+    assert op.cols.get(sp.vacuum) == {one: 1}
+    assert op.cols[sp.vacuum] == {one: 1}
+
+
+def test_amplitudes_are_rationals(monkeypatch):
+    # every column computed while the interior columns of each operator kind
+    # and of one residual per identity are read holds int or Fraction
+    # amplitudes only; the spy also sees the terms of each residual, which
+    # cancel to empty columns where the identity holds
+    computed = []
+    compute = Columns.__missing__
+
+    def spy(self, c):
+        col = compute(self, c)
+        if col:
+            computed.append(col)
+        return col
+
+    monkeypatch.setattr(Columns, "__missing__", spy)
+    sp = build_space(2)
+    half = Fraction(1, 2)
+    ops = [ladder_op(sp, +1, half), ladder_op(sp, -1, -half, dagger=True),
+           field_op(sp, +1, half), field_op(sp, -1, half, dagger=True),
+           density_op(sp, +1, 1), density_op(sp, -1, 2), free_hamiltonian(sp),
+           charge_op(sp, +1), klein_factor(sp, +1),
+           klein_factor(sp, -1, dagger=True),
+           SparseOperator(sp, partial(reconstructed_field, sp, +1, -half))]
+    ops += [next(_BUILDERS[name](sp))[0] for name in SUPPORTED_IDENTITIES]
+    ops.append(next(_reconstruction_residuals(sp))[0])
+    for op in ops:
+        for c in sp.interior_indices():
+            op.cols[c]
+    assert len(computed) > len(ops)
+    types = {type(amp) for col in computed for amp in col.values()}
+    assert types <= {int, Fraction}, types
 
 
 def test_corrupted_sign_fails_car(monkeypatch):
