@@ -233,25 +233,27 @@ def cmd_scan(cfg: RunConfig):
     lam_min, lam_max, n_lam, g_min, g_max, n_g = cfg.scan_grid
     lam = np.repeat(_grid(lam_min, lam_max, n_lam), n_g)
     g = np.tile(_grid(g_min, g_max, n_g), n_lam)
-    rows = []
-    # points without a solution may hold inf or nan: no warnings for them
-    with np.errstate(all="ignore"):
-        # a block of points at a time keeps the kernel's arrays small
+
+    def rows():
+        # a block of points at a time keeps the kernel's arrays small, and
+        # its rows are written before the next block is solved
         for lo in range(0, lam.size, 2048):
-            params = replace(cfg.model, lam=lam[lo:lo + 2048],
-                             g=g[lo:lo + 2048])
-            sol, status = closed_form(params)
-            tab = exponents(sol)
-            table = np.column_stack((
-                params.lam, params.g, sol.couplings.gamma1,
-                sol.couplings.gamma2, sol.vtilde_f, sol.vtilde_p,
-                tab.delta_cdw, tab.delta_sc)).tolist()
+            # points without a solution may hold inf or nan: no warnings
+            with np.errstate(all="ignore"):
+                params = replace(cfg.model, lam=lam[lo:lo + 2048],
+                                 g=g[lo:lo + 2048])
+                sol, status = closed_form(params)
+                tab = exponents(sol)
+                table = np.column_stack((
+                    params.lam, params.g, sol.couplings.gamma1,
+                    sol.couplings.gamma2, sol.vtilde_f, sol.vtilde_p,
+                    tab.delta_cdw, tab.delta_sc)).tolist()
             for stable, vals in zip((status == 0).tolist(), table):
-                rows.append([_fmt(v) for v in vals] + ["1"] if stable else
-                            [_fmt(vals[0]), _fmt(vals[1]), "", "", "", "",
-                             "", "", "0"])
+                yield ([_fmt(v) for v in vals] + ["1"] if stable else
+                       [_fmt(vals[0]), _fmt(vals[1]), "", "", "", "", "",
+                        "", "0"])
     return 0, Table(["lambda", "g", "gamma1", "gamma2", "vtilde_f",
-                     "vtilde_p", "delta_cdw", "delta_sc", "stable"], rows)
+                     "vtilde_p", "delta_cdw", "delta_sc", "stable"], rows())
 
 
 # --------------------------------------------------------------------------
@@ -282,11 +284,14 @@ def main(argv=None) -> int:
     """Run one subcommand; a FermiphonError or an I/O failure becomes exit 2
     with one line on stderr."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse reads a value such as -1e-3 or -inf after --e-max as an
-    # option; joined as --e-max=VALUE it is read as the value it is
-    while "--e-max" in argv[:-1]:
-        i = argv.index("--e-max")
-        argv[i:i + 2] = ["--e-max=" + argv[i + 1]]
+    # argparse reads a value such as -1e-3 or -inf after --e-max (or an
+    # abbreviation it accepts for it, such as --e-m) as an option; joined as
+    # --e-max=VALUE it is read as the value it is
+    i = 0
+    while i < len(argv) - 1:
+        if len(argv[i]) > 2 and "--e-max".startswith(argv[i]):
+            argv[i:i + 2] = ["--e-max=" + argv[i + 1]]
+        i += 1
     args = build_parser().parse_args(argv)
     try:
         return _run(args)

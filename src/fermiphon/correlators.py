@@ -60,10 +60,8 @@ class CorrelatorSpec:
 
 @dataclass(frozen=True)
 class ExponentTable:
-    """Pair exponents c_{r,X;q,q'} and the derived scaling dimensions."""
+    """Scaling dimensions derived from one Bogoliubov solution."""
 
-    c_same: dict       # (r_rel, X) -> rho_X^2 (r_rel=+1) or sigma_X^2 (-1)
-    c_cross: dict      # X -> rho_X sigma_X
     delta_cdw: float
     delta_sc: float
     fermion_dimension: float
@@ -203,17 +201,10 @@ def _square(x):
 def exponents(sol: BogoliubovSolution) -> ExponentTable:
     """Scaling exponents derived from one Bogoliubov solution, elementwise
     when its fields are arrays over a coupling grid."""
-    c_same = {}
-    c_cross = {}
-    for flavor in FLAVORS:
-        c_same[(+1, flavor)] = _square(sol.rho(flavor))
-        c_same[(-1, flavor)] = _square(sol.sigma(flavor))
-        c_cross[flavor] = sol.rho(flavor) * sol.sigma(flavor)
     delta_cdw = sum(_square(sol.rho(fl) - sol.sigma(fl)) for fl in FLAVORS)
     delta_sc = sum(_square(sol.rho(fl) + sol.sigma(fl)) for fl in FLAVORS)
     dim = sum(_square(sol.rho(fl)) + _square(sol.sigma(fl))
               for fl in FLAVORS)
-    return ExponentTable(c_same=c_same, c_cross=c_cross,
-                         delta_cdw=delta_cdw, delta_sc=delta_sc,
+    return ExponentTable(delta_cdw=delta_cdw, delta_sc=delta_sc,
                          fermion_dimension=dim)
 

@@ -18,12 +18,9 @@ from functools import partial
 
 from ..errors import UnknownIdentity
 from .operators import (SparseOperator, charge_op, density_op, field_op,
-                        free_hamiltonian, klein_factor)
+                        free_hamiltonian, klein_factor, linear)
 from .reconstruction import reconstructed_field
 from .space import CHIRALITIES, FockSpace
-
-SUPPORTED_IDENTITIES = (
-    "CAR", "SCHWINGER", "J_PSI", "H0_J", "J_R", "H0_R", "RR_ANTI", "KRONIG")
 
 
 @dataclass
@@ -162,14 +159,15 @@ def _rr_residuals(space):
 
 
 def _kronig_residuals(space):
+    # H0 = sum_r [Q_r^2 / 2 + sum_{m >= 1} J_r(-r m) J_r(r m)]
     h0 = free_hamiltonian(space)
-    rhs = SparseOperator.zero(space)
+    terms = []
     for r in CHIRALITIES:
         q = charge_op(space, r)
-        rhs = rhs + (q @ q) * Fraction(1, 2)
-        for m in range(1, space.K + 1):
-            rhs = rhs + density_op(space, r, -r * m) @ density_op(space, r, r * m)
-    yield h0 - rhs, None
+        terms.append((Fraction(1, 2), q @ q))
+        terms += [(1, density_op(space, r, -r * m) @ density_op(space, r, r * m))
+                  for m in range(1, space.K + 1)]
+    yield h0 - linear(space, *terms), None
 
 
 _BUILDERS = {
@@ -182,6 +180,8 @@ _BUILDERS = {
     "RR_ANTI": _rr_residuals,
     "KRONIG": _kronig_residuals,
 }
+
+SUPPORTED_IDENTITIES = tuple(_BUILDERS)
 
 
 def _report(space, identity, checks) -> IdentityReport:

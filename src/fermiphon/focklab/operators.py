@@ -2,11 +2,12 @@
 
 Every operator is a matrix of rationals (int and Fraction amplitudes),
 given as a column function: the image of one basis state, computed the
-first time that column is read.  Sums, multiples and products are column
-functions of their operands, so a check evaluates only the columns it
-reads and the states those reach.  Partial operators (Klein factors)
-return None for the columns outside their validity window; partiality is
-data, not an error.
+first time that column is read.  Partial operators (Klein factors) return
+None for the columns outside their validity window; partiality is data,
+not an error.  Two primitives build the rest: `linear`, one flat linear
+combination whose column adds its terms' columns left to right (`+`, `-`
+and scalar `*` are its short cases), and the Klein factor as a bit map
+that sends a basis state to one signed basis state (`_klein_apply`).
 """
 
 from __future__ import annotations
@@ -58,28 +59,16 @@ class SparseOperator:
     def identity(cls, space, scalar=1):
         return cls(space, lambda c: {c: scalar} if scalar else {})
 
-    @classmethod
-    def zero(cls, space):
-        return cls(space, lambda c: {})
-
     # -- algebra -------------------------------------------------------------
 
     def __add__(self, other):
-        def column(c):
-            a, b = self.cols[c], other.cols[c]
-            if a is None or b is None:
-                return None
-            return _accumulate(_accumulate({}, a), b)
-        return SparseOperator(self.space, column)
+        return linear(self.space, (1, self), (1, other))
 
     def __sub__(self, other):
-        return self + (other * -1)
+        return linear(self.space, (1, self), (-1, other))
 
     def __mul__(self, scalar):
-        def column(c):
-            col = self.cols[c]
-            return None if col is None else _accumulate({}, col, scalar)
-        return SparseOperator(self.space, column)
+        return linear(self.space, (scalar, self))
 
     __rmul__ = __mul__
 
@@ -132,6 +121,22 @@ class SparseOperator:
         return best, worst
 
 
+def linear(space: FockSpace, *terms) -> SparseOperator:
+    """The sum of scale * op over the (scale, op) terms.  A column adds the
+    terms' columns left to right into one dict, in the entry order a chain
+    of pairwise sums gives (a cancelled entry is dropped and comes back at
+    the end); it is None where any term's column is None."""
+    def column(c):
+        out = {}
+        for scale, op in terms:
+            col = op.cols[c]
+            if col is None:
+                return None
+            _accumulate(out, col, scale)
+        return out
+    return SparseOperator(space, column)
+
+
 # --------------------------------------------------------------------------
 # single-mode fermion operators
 
@@ -155,24 +160,9 @@ def ladder_op(space: FockSpace, r: int, nu, dagger=False) -> SparseOperator:
 
 
 def field_op(space: FockSpace, r: int, nu, dagger=False) -> SparseOperator:
-    """psi-hat_r(k) in lab units (the sqrt(L / 2 pi) prefactor is 1 at L = 2 pi)."""
-    nu = Fraction(nu)
-    if not space.has_mode(r, nu):
-        raise ModeOutOfWindow(f"mode (r={r:+d}, nu={nu}) outside window")
-    if dagger:
-        return ladder_op(space, r, nu, dagger=(r * nu > 0))
-    return ladder_op(space, r, nu, dagger=(r * nu < 0))
-
-
-def _bilinear(space, r, nu_dag, nu):
-    """Normal-ordered :psi-hat^dag_r(k) psi-hat_r(k'): as an exact matrix."""
-    a = field_op(space, r, nu_dag, dagger=True)
-    b = field_op(space, r, nu)
-    op = a @ b
-    if nu_dag == nu and r * nu < 0:
-        # vacuum subtraction: :psi^dag psi: = psi^dag psi - Theta(-rk)
-        op = op - SparseOperator.identity(space)
-    return op
+    """psi-hat_r(k) in lab units, where sqrt(L / 2 pi) is 1: c_r(k) for
+    r k > 0 and c^dagger_r(k) for r k < 0."""
+    return ladder_op(space, r, nu, dagger=(dagger == (r * Fraction(nu) > 0)))
 
 
 def density_op(space: FockSpace, r: int, m: int, cutoff=None) -> SparseOperator:
@@ -186,15 +176,18 @@ def density_op(space: FockSpace, r: int, m: int, cutoff=None) -> SparseOperator:
     if cutoff is None:
         cutoff = space.edge() - Fraction(abs(m), 2)
     cutoff = Fraction(cutoff)
-    op = SparseOperator.zero(space)
     half_p = Fraction(m, 2)
+    terms = []
     for nu in space.fermion_modes():
-        if abs(nu + half_p) > cutoff:
+        if abs(nu + half_p) > cutoff or not space.has_mode(r, nu + m):
             continue
-        if not space.has_mode(r, nu + m):
-            continue
-        op = op + _bilinear(space, r, nu, nu + m)
-    return op
+        terms.append((1, field_op(space, r, nu, dagger=True)
+                      @ field_op(space, r, nu + m)))
+        if m == 0 and r * nu < 0:
+            # vacuum subtraction: :psi^dag psi: = psi^dag psi - Theta(-rk);
+            # J_r(0) is diagonal, so no term order changes a column
+            terms.append((-1, SparseOperator.identity(space)))
+    return linear(space, *terms)
 
 
 def free_hamiltonian(space: FockSpace, cutoff=None) -> SparseOperator:
@@ -221,48 +214,34 @@ def charge_op(space: FockSpace, r: int) -> SparseOperator:
 # Klein factors
 
 
-def _klein_apply(space: FockSpace, r: int, shift: int, mask: int):
-    """Image of a basis state under R_r (shift=+1) or R_r^dagger (shift=-1).
+def _klein_apply(space: FockSpace, r: int, dagger: bool, mask: int):
+    """Column `mask` of R_r (or R_r^dagger): {image: sign}, or None when a
+    shifted occupation would leave the window.
 
-    Returns (vector dict or None); None marks a column outside the validity
-    window (a shifted mode would leave the truncation).
-    """
-    half = Fraction(1, 2)
-    special_src = -shift * half      # the mode that turns into an annihilator
-    born = shift * half              # mode created from the vacuum by R(^dag)
-    ops = []                         # (dagger, r_op, nu) in product order
-    for pos in range(space.nmodes):
-        if not (mask >> pos) & 1:
-            continue
-        rr = +1 if pos < 2 * space.K else -1
-        nu = space._nus[pos % (2 * space.K)]
-        if rr != r:
-            ops.append((True, rr, nu))
-        elif nu == special_src:
-            ops.append((False, r, born))
-        else:
-            nu2 = nu + shift
-            if not space.has_mode(r, nu2):
-                return None
-            ops.append((True, r, nu2))
-    # anticommuting R past each opposite-chirality creator gives one -1
-    n_opp = sum(1 for dag, rr, _ in ops if rr != r)
-    sign = -1 if n_opp & 1 else 1
-    # start from R_r^{shift} Omega = c^dag_r(born) Omega
-    vec_mask, vec_sign = space.create_sign(0, space.mode_position(r, born))
-    vec = {vec_mask: sign * vec_sign}
-    for dag, rr, nu in reversed(ops):
-        pos = space.mode_position(rr, nu)
-        out = {}
-        act = space.create_sign if dag else space.annihilate_sign
-        for m0, amp in vec.items():
-            new, s = act(m0, pos)
-            if new is not None:
-                out[new] = amp * s
-        vec = out
-        if not vec:
-            break
-    return vec
+    b is the chirality-r block, bit i for nu = K - 1/2 - i.  R_r moves every
+    bit up one step (b >> 1) and toggles nu = 1/2, as bits with r nu < 0
+    count holes; the sign is the parity of the image's bits below nu = 0,
+    and for r = -1 of the + block that R_- anticommutes past.  R_r^dagger
+    mirrors it: b << 1, toggle nu = -1/2, parity below nu = -1/2."""
+    K = space.K
+    low = (1 << 2 * K) - 1             # the chirality-+ block
+    b = mask & low if r > 0 else mask >> 2 * K
+    if dagger:
+        if b >> (2 * K - 1):
+            return None
+        b = ((b << 1) & low) ^ (1 << K)
+        parity = (b >> (K + 1)).bit_count()
+    else:
+        if b & 1:
+            return None
+        b = (b >> 1) ^ (1 << (K - 1))
+        parity = (b >> K).bit_count()
+    if r > 0:
+        mask = (mask & ~low) | b
+    else:
+        parity += (mask & low).bit_count()
+        mask = (mask & low) | (b << 2 * K)
+    return {mask: -1 if parity & 1 else 1}
 
 
 def klein_factor(space: FockSpace, r: int, dagger=False) -> SparseOperator:
@@ -273,5 +252,4 @@ def klein_factor(space: FockSpace, r: int, dagger=False) -> SparseOperator:
     adjoint shifts down with R_r^dag Omega = c^dag_r(-pi/L) Omega.  Columns
     whose shifted image leaves the window are None.
     """
-    return SparseOperator(space, partial(_klein_apply, space, r,
-                                         -1 if dagger else +1))
+    return SparseOperator(space, partial(_klein_apply, space, r, dagger))

@@ -86,8 +86,6 @@ def reconstructed_field(space: FockSpace, r: int, nu, state_index: int) -> dict:
     phi = klein.cols[state_index]
     if phi is None:
         raise ModeOutOfWindow("Klein shift leaves the window for this state")
-    if not phi:
-        return {}
 
     # r k = (q_r - 1/2) - (n+ - n-) in lab units
     delta = q_r - Fraction(1, 2) - r * nu

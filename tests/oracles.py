@@ -135,3 +135,53 @@ def boson_ladder(space: FockSpace, m: int,
     if dagger:
         phase, m = phase.conjugate(), -m
     return density_op(space, r, m), phase, s
+
+
+# --------------------------------------------------------------------------
+# Klein factors
+
+
+def klein_apply(space: FockSpace, r: int, shift: int, mask: int):
+    """Image of a basis state under R_r (shift=+1) or R_r^dagger (shift=-1),
+    built as the product of fermion operators the Klein factor makes of the
+    state's occupied modes, applied one at a time to R_r^{shift} Omega.
+
+    Returns (vector dict or None); None marks a column outside the validity
+    window (a shifted mode would leave the truncation).
+    """
+    half = Fraction(1, 2)
+    special_src = -shift * half      # the mode that turns into an annihilator
+    born = shift * half              # mode created from the vacuum by R(^dag)
+    ops = []                         # (dagger, r_op, nu) in product order
+    for pos in range(space.nmodes):
+        if not (mask >> pos) & 1:
+            continue
+        rr = +1 if pos < 2 * space.K else -1
+        nu = space._nus[pos % (2 * space.K)]
+        if rr != r:
+            ops.append((True, rr, nu))
+        elif nu == special_src:
+            ops.append((False, r, born))
+        else:
+            nu2 = nu + shift
+            if not space.has_mode(r, nu2):
+                return None
+            ops.append((True, r, nu2))
+    # anticommuting R past each opposite-chirality creator gives one -1
+    n_opp = sum(1 for dag, rr, _ in ops if rr != r)
+    sign = -1 if n_opp & 1 else 1
+    # start from R_r^{shift} Omega = c^dag_r(born) Omega
+    vec_mask, vec_sign = space.create_sign(0, space.mode_position(r, born))
+    vec = {vec_mask: sign * vec_sign}
+    for dag, rr, nu in reversed(ops):
+        pos = space.mode_position(rr, nu)
+        out = {}
+        act = space.create_sign if dag else space.annihilate_sign
+        for m0, amp in vec.items():
+            new, s = act(m0, pos)
+            if new is not None:
+                out[new] = amp * s
+        vec = out
+        if not vec:
+            break
+    return vec

@@ -391,16 +391,19 @@ def test_bad_input_exit_2_one_line(config_file, tmp_path, capsys, edit, args):
 
 
 def test_e_max_value_as_separate_token(config_file, tmp_path, capsys):
-    # any value float() reads is taken after --e-max as in --e-max=VALUE,
-    # also one argparse would read as an option (-1e-3, -inf)
+    # any value float() reads is taken after --e-max, or an abbreviation of
+    # it, as in --e-max=VALUE, also one argparse would read as an option
+    # (-1e-3, -inf)
     cfg = config_file(GENERIC_INI)
     outs = []
-    for args in (["--e-max=-1e-3"], ["--e-max", "-1e-3"]):
+    for args in (["--e-max=-1e-3"], ["--e-max", "-1e-3"], ["--e-m", "-1e-3"]):
         out = tmp_path / "out.csv"
         assert run_cli(["--config", cfg, "--output", str(out), "spectrum",
                         *args]) == 0
         outs.append(out.read_bytes())
-    assert outs[0] == outs[1] and outs[0].startswith(b"q_plus,")
+    assert outs[0] == outs[1] == outs[2] and outs[0].startswith(b"q_plus,")
+    assert run_cli(["--config", cfg, "--output", str(out), "spectrum",
+                    "--e-m", "0.1"]) == 0
     assert run_cli(["--config", cfg, "spectrum", "--e-max", "-inf"]) == 2
     assert capsys.readouterr().err == (
         "error: e_max must be finite, got -inf\n")

@@ -6,7 +6,8 @@ from fermiphon.errors import ModeOutOfWindow, TruncationTooLarge, ZeroMode
 from fermiphon.focklab import (SparseOperator, build_space, charge_op,
                                density_op, field_op, free_hamiltonian,
                                klein_factor, ladder_op)
-from oracles import boson_ladder, exact_sqrt
+from fermiphon.focklab.operators import _klein_apply, linear
+from oracles import boson_ladder, exact_sqrt, klein_apply
 
 HALF = Fraction(1, 2)
 
@@ -158,6 +159,42 @@ def test_klein_examples(space_k2):
     rm = klein_factor(sp, -1)
     res = rp.anticommutator(rm)
     assert res.max_entry(set(interior), interior)[0] == 0
+
+
+def test_klein_map_matches_oracle():
+    # the closed-form bit map equals the Klein factor built from fermion
+    # operators, on every basis state and both shifts of both chiralities
+    for K in (1, 2, 3):
+        sp = build_space(K)
+        for r in (+1, -1):
+            for dagger in (False, True):
+                shift = -1 if dagger else +1
+                for mask in range(sp.dim):
+                    assert (_klein_apply(sp, r, dagger, mask)
+                            == klein_apply(sp, r, shift, mask)), (
+                        K, r, dagger, mask)
+
+
+def test_linear_is_the_left_fold(space_k2):
+    # one flat combination has the columns, entry order included, of the
+    # left-nested chain of pairwise sums; the Kronig terms cancel against
+    # H0, so entries are dropped and come back along the way
+    sp = space_k2
+    terms = [(1, free_hamiltonian(sp))]
+    for r in (+1, -1):
+        q = charge_op(sp, r)
+        terms.append((Fraction(-1, 2), q @ q))
+        terms += [(-1, density_op(sp, r, -r * m) @ density_op(sp, r, r * m))
+                  for m in (1, 2)]
+    terms.append((3, klein_factor(sp, +1)))
+    flat = linear(sp, *terms)
+    nested = terms[0][1] * terms[0][0]
+    for scale, op in terms[1:]:
+        nested = nested + op * scale
+    for c in range(sp.dim):
+        a, b = flat.cols[c], nested.cols[c]
+        assert (a is None and b is None) or list(a.items()) == list(b.items())
+    assert any(flat.cols[c] is None for c in range(sp.dim))
 
 
 def test_partial_columns_propagate(space_k2):

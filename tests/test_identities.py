@@ -9,6 +9,7 @@ from fermiphon.focklab import (SUPPORTED_IDENTITIES, SparseOperator,
                                free_hamiltonian, identity_residual,
                                klein_factor, ladder_op, reconstructed_field,
                                reconstruction_report, run_identity_suite)
+from fermiphon.focklab import operators
 from fermiphon.focklab.identities import _BUILDERS, _reconstruction_residuals
 from fermiphon.focklab.operators import Columns
 from fermiphon.focklab.space import FockSpace
@@ -113,3 +114,18 @@ def test_corrupted_sign_fails_car(monkeypatch):
     rep = identity_residual(sp, "CAR")
     assert rep.max_residual > 0
     assert rep.worst_pair is not None
+
+
+def test_klein_without_sign_fails_rr_anti(monkeypatch):
+    # negative control: a Klein map without its sign commutes R_+ with R_-
+    # instead of anticommuting them; the fermion signs play no part in it
+    apply = operators._klein_apply
+
+    def no_sign(*args):
+        col = apply(*args)
+        return None if col is None else {k: abs(v) for k, v in col.items()}
+
+    monkeypatch.setattr(operators, "_klein_apply", no_sign)
+    sp = build_space(2)
+    assert identity_residual(sp, "RR_ANTI").max_residual > 0
+    assert identity_residual(sp, "CAR").max_residual == 0

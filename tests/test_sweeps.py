@@ -270,11 +270,12 @@ def test_scan_matches_per_point_oracle(name):
     cfg = SCANS[name]
     code, table = cli.cmd_scan(cfg)
     assert code == 0
-    assert table.rows == oracle_scan(cfg)
+    assert list(table.rows) == oracle_scan(cfg)
 
 
 def test_scan_grids_reach_their_cases():
-    rows = {name: cli.cmd_scan(cfg)[1].rows for name, cfg in SCANS.items()}
+    rows = {name: list(cli.cmd_scan(cfg)[1].rows)
+            for name, cfg in SCANS.items()}
     lam = {r[0] for r in rows["boundary"]}
     g = {r[1] for r in rows["boundary"]}
     assert "0" in lam and "0" in g
