@@ -1,16 +1,18 @@
 """Command-line front end: config ingestion and the five subcommands.
 
-Outputs are deterministic: fixed summation orders, floats printed with 17
-significant digits, CSV with '.' decimals and complex values split into
-re/im columns.  Exit codes: 0 success, 1 verification failure, 2 invalid
-input, instability or an output that cannot be written.
+Outputs are deterministic: fixed summation orders, floats written as "%.17g",
+complex values split into re/im columns.  A table row is one CSV line ending
+in '\\r\\n' as csv.writer's did, and no field is ever quoted (none holds a
+comma, quote, backslash or control character).  A JSON table is
+`json.dump(rows, indent=2)` of the CSV rows as strings.  Exit codes: 0
+success, 1 failed verification, 2 invalid input, instability, a grid too
+large for memory or an output that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import math
 import sys
@@ -27,10 +29,6 @@ from .errors import (BadArgument, BadGeometry, FermiphonError,
                      UnstableCouplings)
 from .params import ModelParams, momentum_grid, validate_params
 from .vertex import finite_correlator
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 @dataclass
@@ -88,32 +86,31 @@ def _parse_insertions(text: str) -> List[InsertionPoint]:
 
 
 class Table(NamedTuple):
-    """Rows of formatted strings, written as CSV or JSON; rows may be an
-    iterator that formats each row as it is written."""
+    """A header and rows as CSV lines ending in '\\r\\n', written as CSV or
+    JSON; rows may be an iterator that formats each row as it is written."""
 
     header: List[str]
-    rows: Iterable[List[str]]
+    rows: Iterable[str]
 
 
 def _write(out, fmt: str, payload):
-    """A Table as CSV or as a JSON list of objects; any other payload as a
-    JSON document.  A JSON table is written one row at a time, in the bytes
-    of json.dump(rows, out, indent=2)."""
-    if isinstance(payload, Table) and fmt == "csv":
-        w = csv.writer(out)
-        w.writerow(payload.header)
-        w.writerows(payload.rows)
-        return
-    if isinstance(payload, Table):
-        sep = "[\n  "
-        for row in payload.rows:
-            out.write(sep + json.dumps(dict(zip(payload.header, row)),
-                                       indent=2).replace("\n", "\n  "))
-            sep = ",\n  "
-        out.write("[]" if sep == "[\n  " else "\n]")
-    else:
+    """A Table as CSV or as a JSON list of objects, one row at a time (each
+    CSV line's fields fill one object template); any other payload as a JSON
+    document."""
+    if not isinstance(payload, Table):
         json.dump(payload, out, indent=2)
-    out.write("\n")
+        out.write("\n")
+    elif fmt == "csv":
+        out.write(",".join(payload.header) + "\r\n")
+        out.writelines(payload.rows)
+    else:
+        obj = "{\n    %s\n  }" % ",\n    ".join(
+            f'"{name}": "%s"' for name in payload.header)
+        sep = "[\n  "
+        for line in payload.rows:
+            out.write(sep + obj % tuple(line[:-2].split(",")))
+            sep = ",\n  "
+        out.write("[]\n" if sep == "[\n  " else "\n]\n")
 
 
 # --------------------------------------------------------------------------
@@ -163,7 +160,7 @@ def cmd_verify(cfg: RunConfig):
     reports.append(row("DEGENERACY", K - 1, "0" if deg_ok else "mismatch",
                        deg_ok))
     resid, tail = focklab.jacobi_check(0.5, 60)
-    reports.append(row("JACOBI", "z=0.5,order=60", _fmt(resid),
+    reports.append(row("JACOBI", "z=0.5,order=60", "%.17g" % resid,
                        resid <= tail + 1e-12))
     reports.append(report_row(focklab.reconstruction_report(space)))
     return (0 if all(r["pass"] for r in reports) else 1), reports
@@ -185,8 +182,8 @@ def cmd_spectrum(cfg: RunConfig, e_max: float):
             if modes is None:
                 modes = labels[e.occupations] = ";".join(
                     f"{fl}:{m}:{n}" for fl, m, n in e.occupations)
-            yield [str(e.q_plus), str(e.q_minus), str(e.m_p0), modes,
-                   str(e.degeneracy), _fmt(e.energy)]
+            yield "%d,%d,%d,%s,%d,%.17g\r\n" % (
+                e.q_plus, e.q_minus, e.m_p0, modes, e.degeneracy, e.energy)
     return 0, Table(
         ["q_plus", "q_minus", "m_p0", "modes", "degeneracy", "energy"],
         rows())
@@ -224,24 +221,25 @@ def cmd_correlate(cfg: RunConfig, mode: str):
                 spec, cfg.model, sol, grid, xs=positions)]
         else:
             values = npoint_continuum(spec, sol, xs=positions)
-    rows = [[_fmt(x), _fmt(t), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))]
-            for x, v in zip(xs, values)]
+    rows = ["%.17g,%.17g,%.17g,%.17g,%.17g\r\n"
+            % (x, t, v.real, v.imag, abs(v)) for x, v in zip(xs, values)]
     return 0, Table(["x", "t", "re", "im", "abs"], rows)
 
 
 def cmd_scan(cfg: RunConfig):
     lam_min, lam_max, n_lam, g_min, g_max, n_g = cfg.scan_grid
-    lam = np.repeat(_grid(lam_min, lam_max, n_lam), n_g)
-    g = np.tile(_grid(g_min, g_max, n_g), n_lam)
+    lams = _grid(lam_min, lam_max, n_lam)
+    gs = _grid(g_min, g_max, n_g)
 
     def rows():
-        # a block of points at a time keeps the kernel's arrays small, and
-        # its rows are written before the next block is solved
-        for lo in range(0, lam.size, 2048):
+        # blocks of 2048 points k = (lams[k // n_g], gs[k % n_g]) keep the
+        # kernel's arrays small; each is written before the next is solved
+        for lo in range(0, n_lam * n_g, 2048):
+            idx = np.arange(lo, min(lo + 2048, n_lam * n_g))
             # points without a solution may hold inf or nan: no warnings
             with np.errstate(all="ignore"):
-                params = replace(cfg.model, lam=lam[lo:lo + 2048],
-                                 g=g[lo:lo + 2048])
+                params = replace(cfg.model, lam=lams[idx // n_g],
+                                 g=gs[idx % n_g])
                 sol, status = closed_form(params)
                 tab = exponents(sol)
                 table = np.column_stack((
@@ -249,9 +247,8 @@ def cmd_scan(cfg: RunConfig):
                     sol.couplings.gamma2, sol.vtilde_f, sol.vtilde_p,
                     tab.delta_cdw, tab.delta_sc)).tolist()
             for stable, vals in zip((status == 0).tolist(), table):
-                yield ([_fmt(v) for v in vals] + ["1"] if stable else
-                       [_fmt(vals[0]), _fmt(vals[1]), "", "", "", "", "",
-                        "", "0"])
+                yield (("%.17g," * 8 + "1\r\n") % tuple(vals) if stable else
+                       "%.17g,%.17g,,,,,,,0\r\n" % (vals[0], vals[1]))
     return 0, Table(["lambda", "g", "gamma1", "gamma2", "vtilde_f",
                      "vtilde_p", "delta_cdw", "delta_sc", "stable"], rows())
 
@@ -281,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a FermiphonError or an I/O failure becomes exit 2
-    with one line on stderr."""
+    """Run one subcommand; a FermiphonError, a grid too large for memory or
+    an I/O failure becomes exit 2 with one line on stderr."""
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse reads a value such as -1e-3 or -inf after --e-max (or an
     # abbreviation it accepts for it, such as --e-m) as an option; joined as
@@ -299,6 +296,8 @@ def main(argv=None) -> int:
         print(f"unstable couplings: {exc}", file=sys.stderr)
     except FermiphonError as exc:
         print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print("out of memory:", str(exc) or "grid too large", file=sys.stderr)
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
     return 2

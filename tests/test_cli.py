@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -19,6 +20,8 @@ from fermiphon import cli
 from fermiphon.bogoliubov import LEVEL_CAP, solve_closed_form
 from fermiphon.correlators import exponents
 from fermiphon.focklab.space import FockSpace
+
+from test_sweeps import SCANS
 
 FREE_INI = """\
 [model]
@@ -428,6 +431,112 @@ def test_json_table_matches_json_dump(config_file, tmp_path, args):
     json.dump([dict(zip(header, row)) for row in rows], expect, indent=2)
     assert outs["json"] == expect.getvalue() + "\n"
     assert (outs["json"] == "[]\n") == (not rows)
+
+
+TABLE_COMMANDS = {
+    "scan": ["scan"],
+    "spectrum": ["spectrum", "--e-max", "0.5"],
+    "spectrum-empty": ["spectrum", "--e-max=-1e-3"],
+    "correlate-finite": ["correlate", "--mode", "finite"],
+    "correlate-continuum": ["correlate", "--mode", "continuum"],
+}
+
+# sha256 of each table on GENERIC_INI as written through csv.writer and a
+# json.dumps per row, before rows became CSV lines filled from one template
+GENERIC_SHA256 = {
+    ("scan", "csv"):
+        "b5c1eba93375bb272c46671ab0b1b406846b527de36f88ca8fdab4eedfbcd4c3",
+    ("scan", "json"):
+        "18a811dcb788f4faa8eef2f547614a329166578313606489fd396176203cb016",
+    ("spectrum", "csv"):
+        "abfbc7dd19d8dcb9dbc3fc7cb036eb3ffa8f04007b5dc98c7e9fa53aae406844",
+    ("spectrum", "json"):
+        "e7bf793a655ddeedb42b7c569bbb95532dbd38ec0966e8cf3d086be993efd070",
+    ("spectrum-empty", "csv"):
+        "ce332fa67c19d18855462f1c099d196d1a5f1e5794fadf73171ea12be9dc4e04",
+    ("spectrum-empty", "json"):
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    ("correlate-finite", "csv"):
+        "bc3984f1f4fe42d865d4f8bd4f8cb0a6c0a89ed92dba2da7c8f9f70e15ed6e08",
+    ("correlate-finite", "json"):
+        "f00c399f3e58d02dbf1269f7b4a521063d0d57b058f11a8f7b1e26b5005e76fd",
+    ("correlate-continuum", "csv"):
+        "2affaf93eaed8bbcd52afd867f16d8fded59922f003078156f9e160b5822a154",
+    ("correlate-continuum", "json"):
+        "c261f0e832492a041e448a416a16b13f5e89a31400c75694a75c470572905a05",
+}
+
+
+def assert_needs_no_quoting(text):
+    """csv.writer gives back the same bytes for what csv.reader reads, and
+    no field holds a quote, a backslash or a control character."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    again = io.StringIO(newline="")
+    csv.writer(again).writerows(rows)
+    assert again.getvalue() == text
+    for field in (f for row in rows for f in row):
+        assert not any(c in '"\\' or ord(c) < 32 or ord(c) == 127
+                       for c in field), field
+
+
+@pytest.mark.parametrize("name", list(TABLE_COMMANDS))
+def test_generic_tables_pinned_and_unquoted(config_file, tmp_path, name):
+    cfg = config_file(GENERIC_INI)
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"out.{fmt}"
+        assert run_cli(["--config", cfg, "--output", str(out), "--format",
+                        fmt, *TABLE_COMMANDS[name]]) == 0
+        data = out.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == GENERIC_SHA256[name, fmt]
+        if fmt == "csv":
+            assert_needs_no_quoting(data.decode())
+
+
+@pytest.mark.parametrize("name", ["boundary", "g-max-inf", "g-underflow"])
+def test_scan_edge_grids_need_no_quoting(name):
+    # unstable rows with empty fields, nan and inf
+    code, table = cli.cmd_scan(SCANS[name])
+    assert code == 0
+    out = io.StringIO(newline="")
+    cli._write(out, "csv", table)
+    assert_needs_no_quoting(out.getvalue())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", list(TABLE_COMMANDS))
+def test_stdout_equals_output_file(config_file, tmp_path, capsysbinary, name,
+                                   fmt):
+    cfg = config_file(GENERIC_INI)
+    out = tmp_path / "out"
+    assert run_cli(["--config", cfg, "--output", str(out), "--format", fmt,
+                    *TABLE_COMMANDS[name]]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert run_cli(["--config", cfg, "--format", fmt,
+                    *TABLE_COMMANDS[name]]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError(), "grid too large"),
+    (MemoryError("Unable to allocate 72.8 TiB"),
+     "Unable to allocate 72.8 TiB"),
+], ids=["bare", "numpy"])
+@pytest.mark.parametrize("args", [
+    ["scan"], ["correlate", "--mode", "finite"],
+    ["correlate", "--mode", "continuum"]],
+    ids=["scan", "correlate-finite", "correlate-continuum"])
+def test_grid_out_of_memory_exit_2(config_file, tmp_path, capsys,
+                                   monkeypatch, args, exc, message):
+    # a grid too large to allocate fails before --output is opened
+    def no_memory(lo, hi, n):
+        raise exc
+    monkeypatch.setattr(cli, "_grid", no_memory)
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"earlier result\n")
+    assert run_cli(["--config", config_file(GENERIC_INI), "--output",
+                    str(out), *args]) == 2
+    assert capsys.readouterr().err == f"out of memory: {message}\n"
+    assert out.read_bytes() == b"earlier result\n"
 
 
 def test_invalid_config_exit_2(tmp_path):
