@@ -5,8 +5,8 @@ complex values split into re/im columns.  A table row is one CSV line ending
 in '\\r\\n' as csv.writer's did, and no field is ever quoted (none holds a
 comma, quote, backslash or control character).  A JSON table is
 `json.dump(rows, indent=2)` of the CSV rows as strings.  Exit codes: 0
-success, 1 failed verification, 2 invalid input, instability, a grid too
-large for memory or an output that cannot be written.
+success, 1 failed verification, 2 invalid input, instability, a grid past
+GRID_CAP or too large for memory, or an output that cannot be written.
 """
 
 from __future__ import annotations
@@ -26,9 +26,15 @@ from .bogoliubov import closed_form, solve_closed_form, spectrum
 from .correlators import (CorrelatorSpec, InsertionPoint, exponents,
                           klein_sign, npoint_continuum)
 from .errors import (BadArgument, BadGeometry, FermiphonError,
-                     UnstableCouplings)
+                     TruncationTooLarge, UnstableCouplings)
 from .params import ModelParams, momentum_grid, validate_params
 from .vertex import finite_correlator
+
+# most rows one `scan` writes and most points one `correlate` sweeps: 25 times
+# the 200 x 200 scan and 50 times the 2e4-point continuum sweep of the
+# benchmark.  In process on a 2-core Xeon that many take about 7 s as a scan
+# (135 MB of CSV) and 10 s and 240 MB as a continuum 4-point sweep.
+GRID_CAP = 1_000_000
 
 
 @dataclass
@@ -196,10 +202,19 @@ def _grid(lo: float, hi: float, n: int) -> np.ndarray:
         return lo + (hi - lo) * np.arange(n) / max(n - 1, 1)
 
 
+def _check_cap(what: str, count: int):
+    """Raise TruncationTooLarge when a grid asks for more than GRID_CAP
+    rows or points."""
+    if count > GRID_CAP:
+        raise TruncationTooLarge(f"{count} {what} asked for, more than "
+                                 f"{GRID_CAP}; use a coarser grid")
+
+
 def cmd_correlate(cfg: RunConfig, mode: str):
+    x_min, x_max, n, t = cfg.correlate_grid
+    _check_cap("correlate points", n)
     sol = solve_closed_form(cfg.model)
     grid = momentum_grid(L=cfg.model.L, K=cfg.K, a=cfg.model.a)
-    x_min, x_max, n, t = cfg.correlate_grid
     word = [(p.r, p.q) for p in cfg.insertions]
     xs = _grid(x_min, x_max, n).tolist()
     if klein_sign(word) == 0:
@@ -228,6 +243,7 @@ def cmd_correlate(cfg: RunConfig, mode: str):
 
 def cmd_scan(cfg: RunConfig):
     lam_min, lam_max, n_lam, g_min, g_max, n_g = cfg.scan_grid
+    _check_cap("scan rows", n_lam * n_g)
     lams = _grid(lam_min, lam_max, n_lam)
     gs = _grid(g_min, g_max, n_g)
 

@@ -11,15 +11,20 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bogoliubov import BogoliubovSolution
-from .errors import BadArgument
+from .errors import BadArgument, FermiphonError
 
 FLAVORS = ("F", "P")
+
+# Sweeps are evaluated this many points at a time, so that their columns
+# stay small.
+SWEEP_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -33,9 +38,10 @@ class InsertionPoint:
     t: float = 0.0
 
 
-def check_position(x: float, t: float) -> None:
-    """Raise BadArgument unless an insertion's x and t are finite."""
-    if not (math.isfinite(x) and math.isfinite(t)):
+def check_positions(xs: Sequence[float], t: float) -> None:
+    """Raise BadArgument unless t and every x in xs (the positions of one
+    insertion) are finite."""
+    if not (math.isfinite(t) and all(map(math.isfinite, xs))):
         raise BadArgument("insertion x and t must be finite")
 
 
@@ -51,7 +57,7 @@ class CorrelatorSpec:
     def __post_init__(self):
         object.__setattr__(self, "insertions", tuple(self.insertions))
         for p in self.insertions:
-            check_position(p.x, p.t)
+            check_positions([p.x], p.t)
         if not (math.isfinite(self.ell) and self.ell > 0):
             raise BadArgument("ell must be finite and positive")
         if not (math.isfinite(self.regulator) and self.regulator > 0):
@@ -88,22 +94,31 @@ def klein_sign(word: Sequence[Tuple[int, int]]) -> int:
     return -1 if crossings & 1 else 1
 
 
-def regulated_power(ell: float, r: int, x: float, t: float, v: float,
-                    exponent: float, regulator: float) -> complex:
-    """(i ell / (r x - v t + i 0+))^exponent with the principal branch.
+def _regulated_powers(ell: float, r: int, xs: Sequence[float], t: float,
+                      v: float, exponent: float,
+                      regulator: float) -> List[complex]:
+    """(i ell / (r x - v t + i 0+))^exponent for each x in xs, principal
+    branch.
 
     The positive regulator keeps the base off the cut; powers from different
-    factors are never combined algebraically.  Raises BadArgument when the
-    base underflows to 0.
+    factors are never combined algebraically.  Each element is the scalar
+    evaluation (cmath log and exp).  Raises BadArgument, naming the first
+    such x, when the base underflows to 0.
     """
-    z = 1j * ell / (r * x - v * t + 1j * regulator)
     if exponent == 0.0:
-        return 1.0 + 0.0j
-    if z == 0:
-        raise BadArgument(f"i ell / (r x - v t + i reg) underflows to 0 at "
-                          f"ell = {ell:.3g}, pair separation x = {x:.3g}, "
-                          f"t = {t:.3g}")
-    return cmath.exp(exponent * cmath.log(z))
+        return [1.0 + 0.0j] * len(xs)
+    num, vt, reg = 1j * ell, v * t, 1j * regulator
+    exp, log = cmath.exp, cmath.log
+    try:
+        return [exp(exponent * log(num / (r * x - vt + reg))) for x in xs]
+    except ValueError:
+        for x in xs:
+            if num / (r * x - vt + reg) == 0:
+                raise BadArgument(
+                    f"i ell / (r x - v t + i reg) underflows to 0 at "
+                    f"ell = {ell:.3g}, pair separation x = {x:.3g}, "
+                    f"t = {t:.3g}") from None
+        raise
 
 
 def free_finite_L(spec: CorrelatorSpec, L: float) -> complex:
@@ -148,11 +163,14 @@ def npoint_continuum(spec: CorrelatorSpec, sol: BogoliubovSolution,
 
     With xs, a sweep: one value per position x in xs of the first insertion
     (its t and the other insertions as in spec), each checked as the spec
-    checks its own.  The exponent and velocity of every (pair, chirality,
-    flavor) are found once, and the factors of pairs without the first
-    insertion are the same at every x, so they are evaluated once; every
-    value takes the same products in the same order as a lone evaluation.
-    Without xs, the value at spec itself.
+    checks its own.  Evaluated by columns, SWEEP_BLOCK positions at a time:
+    each (pair, chirality, flavor) factor of the first insertion for all
+    positions at once, multiplied into one running product per position in
+    the order of a lone evaluation, then the factors of the other pairs,
+    evaluated once.  Every value is bit for bit a lone evaluation at its x,
+    in O(len(xs)) memory, and a sweep that fails raises what its first
+    failing point raises alone.  Without xs, the value at spec itself (a
+    one-point sweep).
     """
     pts = spec.insertions
     n_pts = len(pts)
@@ -163,33 +181,53 @@ def npoint_continuum(spec: CorrelatorSpec, sol: BogoliubovSolution,
         return values if xs is not None else values[0]
     start = complex(sign) * (1.0 / (2.0 * math.pi * spec.ell)) ** (n_pts / 2.0)
 
-    def channels(n, m):
-        """(r, velocity, exponent) of each regulated factor of pair (n, m)."""
+    def factors(n, m, dxs):
+        """The columns of pair (n, m) over the separations dxs, one per
+        chirality and flavor, each made when asked for."""
         qq = pts[n].q * pts[m].q
-        return [(r, sol.vtilde(flavor),
-                 -qq * _pair_exponent(r, flavor, pts[n].r, pts[m].r, sol))
-                for r in (+1, -1) for flavor in FLAVORS]
+        for r in (+1, -1):
+            for flavor in FLAVORS:
+                yield _regulated_powers(
+                    spec.ell, r, dxs, pts[n].t - pts[m].t,
+                    sol.vtilde(flavor),
+                    -qq * _pair_exponent(r, flavor, pts[n].r, pts[m].r, sol),
+                    spec.regulator)
 
-    moving = [(pts[m].x, pts[0].t - pts[m].t, channels(0, m))
-              for m in range(1, n_pts)]
-    fixed = [regulated_power(spec.ell, r, pts[n].x - pts[m].x,
-                             pts[n].t - pts[m].t, v, c, spec.regulator)
-             for n in range(1, n_pts) for m in range(n + 1, n_pts)
-             for r, v, c in channels(n, m)]
-    values = []
-    for x in positions:
+    fixed = [factor for n in range(1, n_pts) for m in range(n + 1, n_pts)
+             for column in factors(n, m, [pts[n].x - pts[m].x])
+             for factor in column]
+
+    def sweep(positions):
         if pts:
-            check_position(x, pts[0].t)
-        out = start
-        for x_m, dt, chans in moving:
-            dx = x - x_m
-            for r, v, c in chans:
-                out *= regulated_power(spec.ell, r, dx, dt, v, c,
-                                       spec.regulator)
+            check_positions(positions, pts[0].t)
+        values = [start] * len(positions)
+        for m in range(1, n_pts):
+            for column in factors(0, m, [x - pts[m].x for x in positions]):
+                values = list(map(operator.mul, values, column))
         for factor in fixed:
-            out *= factor
-        values.append(out)
+            values = [value * factor for value in values]
+        return values
+
+    values = sweep_blocks(sweep, positions)
     return values if xs is not None else values[0]
+
+
+def sweep_blocks(sweep, positions: Sequence[float]) -> list:
+    """sweep(block) over consecutive blocks of SWEEP_BLOCK positions,
+    joined.  A column-wise sweep fails at the first failing point of a
+    column, not of the block; so a block that fails is swept again one
+    point at a time, and the first failing point raises as its lone
+    evaluation does."""
+    out = []
+    for lo in range(0, len(positions), SWEEP_BLOCK):
+        block = positions[lo:lo + SWEEP_BLOCK]
+        try:
+            out += sweep(block)
+        except (FermiphonError, ArithmeticError, ValueError):
+            for x in block:
+                sweep([x])
+            raise
+    return out
 
 
 def _square(x):

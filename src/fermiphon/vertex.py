@@ -23,13 +23,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bogoliubov import BogoliubovSolution
-from .correlators import CorrelatorSpec, check_position, klein_sign
-from .errors import BadRegulator
+from .correlators import (CorrelatorSpec, check_positions, klein_sign,
+                          sweep_blocks)
+from .errors import BadRegulator, GridTooSmall
 from .params import (TWO_PI, ModelParams, MomentumGrid, check_grid,
                      mode_count)
 
@@ -45,6 +46,9 @@ _U = 2.0 ** -53                  # unit roundoff of float64
 # and the closed form 70-150 us, so they cross near 400 terms.
 _DIRECT_SUM_MAX = 400
 
+# Direct sums run over blocks of this many terms (128 KiB).
+_HEAD_BLOCK_TERMS = 1 << 13
+
 # Relative error of mpmath.e1 at its default 53-bit precision: measured worst
 # 0.95 u over 3000 arguments N w against 150-bit evaluations.
 _E1_REL_ERR = 2.0 * _U
@@ -54,8 +58,7 @@ _E1_REL_ERR = 2.0 * _U
 _MAX_BERNOULLI = 60
 
 
-@dataclass(frozen=True)
-class ModePiece:
+class ModePiece(NamedTuple):
     """alpha(p) = amp * e^{-i p u} e^{-eps |p| / 2} / (i p) on one region."""
 
     amp: complex
@@ -128,8 +131,9 @@ def field_vertex(r: int, q: int, x: float, t: float, eps: float,
         n_a=grid.n_a, spacing=TWO_PI / L, rounding=z["rounding"] + 2.0 * _U)
 
 
-def _direct_rounding(zeta: complex, n: int) -> float:
-    """Worst-case rounding of sum_{m=1}^{n} zeta^m / m added in floats.
+def _direct_rounding(zetas: Sequence[complex], n: int) -> List[float]:
+    """Worst-case rounding of sum_{m=1}^{n} zeta^m / m added in floats, for
+    each zeta in zetas (0 for zeta = 0, whose terms all underflow).
 
     Each term zeta^m / m carries a relative error of at most
     (3 m + m |w| + 3) u, with w = -log zeta and u the unit roundoff (numpy's
@@ -138,8 +142,10 @@ def _direct_rounding(zeta: complex, n: int) -> float:
     (n - 1) u sum |terms|, and sum |terms| <= H_n <= log n + 1.  Together:
     u ((3 + |w|) n + (n + 2) (log n + 1)).
     """
-    w = abs(cmath.log(zeta))
-    return _U * ((3.0 + w) * n + (n + 2) * (math.log(max(n, 1)) + 1.0))
+    log = cmath.log
+    harmonic = (n + 2) * (math.log(max(n, 1)) + 1.0)
+    return [_U * ((3.0 + abs(log(zeta))) * n + harmonic) if zeta else 0.0
+            for zeta in zetas]
 
 
 @lru_cache(maxsize=1)
@@ -224,81 +230,117 @@ def _euler_maclaurin_log_sums(zeta: complex,
     return anchor - tail, tail, err
 
 
-def _log_sums(zeta: complex, n: int) -> Tuple[complex, complex, float]:
-    """(S, T, err): the split -log(1 - zeta) = S + T at m = n, with
+def _log_sums(zetas: Sequence[complex],
+              n: int) -> List[Tuple[complex, complex, float]]:
+    """(S, T, err) per zeta: the split -log(1 - zeta) = S + T at m = n, with
     S = sum_{m=1}^{n} zeta^m / m, T the rest, and err a bound on the
     absolute error of either.  Up to _DIRECT_SUM_MAX terms S is summed
-    directly and T = -log(1 - zeta) - S; above, both come from the
-    Euler-Maclaurin closed form.  T is infinite at zeta = 1."""
-    if zeta == 0:           # e^{-w} underflowed, and so has every term
-        return 0.0j, 0.0j, 0.0
+    directly, the zetas as the rows of one array (a row sums as np.sum sums
+    its terms, bit for bit), and T = -log(1 - zeta) - S; above, both come
+    from the Euler-Maclaurin closed form, one zeta at a time.  T is
+    infinite at zeta = 1."""
+    underflow = (0.0j, 0.0j, 0.0)   # e^{-w} underflowed, and every term
     if n > _DIRECT_SUM_MAX:
-        return _euler_maclaurin_log_sums(zeta, n)
+        return [_euler_maclaurin_log_sums(zeta, n) if zeta else underflow
+                for zeta in zetas]
     m = np.arange(1, n + 1, dtype=np.float64)
-    head = complex(np.sum(zeta ** m / m))
-    err = _direct_rounding(zeta, n)
-    if zeta == 1.0:
-        return head, complex(math.inf), err
-    log_term = -cmath.log(1.0 - zeta)
-    return head, log_term - head, err + 2.0 * _U * (abs(log_term) + 1.0)
+    rows = max(1, _HEAD_BLOCK_TERMS // max(n, 1))
+    heads = []
+    for lo in range(0, len(zetas), rows):
+        block = np.array(zetas[lo:lo + rows], dtype=complex)[:, None]
+        heads += (block ** m / m).sum(axis=1).tolist()
+    log = cmath.log
+    out = []
+    for zeta, head, err in zip(zetas, heads, _direct_rounding(zetas, n)):
+        if not zeta:
+            out.append(underflow)
+        elif zeta == 1.0:
+            out.append((head, complex(math.inf), err))
+        else:
+            log_term = -log(1.0 - zeta)
+            out.append((head, log_term - head,
+                        err + 2.0 * _U * (abs(log_term) + 1.0)))
+    return out
 
 
-def _channel_contraction(ch, v1: VertexFactor, v2: VertexFactor):
-    """c_channel = sum_{p>0} (2 pi / L) p alpha_1(-r' p) alpha_2(r' p).
+def pair_contractions(pairs) -> List[Tuple[complex, float]]:
+    """Contraction constant C(v1, v2) of each pair of vertex factors:
+    zero-mode reordering phase times exp(-sum over channels of the mode
+    contractions), as (value, err) with err a bound on the absolute error
+    of log(value).
 
-    Product terms reduce to A1 A2 zeta^m / m with
-    zeta = exp(s (i r' (u1 - u2) - (eps1 + eps2)/2)), s the mode spacing;
-    the inside region is the head S of the log series -log(1 - zeta) over
-    its first n_a terms and the outside region is the tail T beyond them.
-    At n_a <= _DIRECT_SUM_MAX the head is summed directly and the tail is
-    -log(1 - zeta) - S; above, the tail is the Euler-Maclaurin closed form
-    and the head is -log(1 - zeta) - T, so the cost does not grow with n_a.
-    Returns (value, err) with err a bound on the absolute error of value.
+    Channel (r', X) contracts to
+    c = sum_{p>0} (2 pi / L) p alpha_1(-r' p) alpha_2(r' p), with terms
+    A1 A2 zeta^m / m, zeta = exp(s (i r' (u1 - u2) - (eps1 + eps2)/2)) and
+    s the mode spacing: the head S of -log(1 - zeta) over the n_a inside
+    modes, its tail T outside.  Evaluated by columns, one (channel, region)
+    over all pairs at a time, with one _log_sums call for every zeta; each
+    pair's result takes its own operations in a fixed order.  Raises
+    GridTooSmall unless all factors share one grid.
     """
-    total = 0.0j
-    err = 0.0
-    regions = ((v1.inside[ch], v2.inside[ch]),
-               (v1.outside[ch], v2.outside[ch]))
-    for region, (p1, p2) in enumerate(regions):
-        amp = p1.amp * p2.amp
-        if amp != 0.0:
-            zeta = cmath.exp(v1.spacing * (1j * ch[0] * (p1.u - p2.u)
-                                           - (p1.eps + p2.eps) / 2))
-            sums = _log_sums(zeta, v1.n_a)
-            total += amp * sums[region]
-            err += abs(amp) * sums[2]
-    return total, err
-
-
-def pair_contraction(v1: VertexFactor, v2: VertexFactor):
-    """Contraction constant C(v1, v2): zero-mode reordering phase times
-    exp(-sum over channels of the mode contractions).  Returns (value, err)
-    with err a bound on the absolute error of log(value)."""
-    phase = 0.0j
-    for i, rho in enumerate((+1, -1)):
-        phase += 0.5j * (v1.zero_c[i] * v2.charge(rho)
-                         - v2.zero_c[i] * v1.charge(rho))
-    c_total = 0.0j
-    err = 0.0
+    pairs = list(pairs)
+    if len({(v.n_a, v.spacing) for pair in pairs for v in pair}) > 1:
+        raise GridTooSmall("vertex factors on different grids")
+    n_a, spacing = (pairs[0][0].n_a, pairs[0][0].spacing) if pairs else (0, 0)
+    size = len(pairs)
+    exp = cmath.exp
+    columns = []        # per channel and region: the amps A1 A2 of each pair
+    zetas = []          # the zetas of the nonzero terms, column by column
+    regions = [[(v1.inside, v2.inside) for v1, v2 in pairs],
+               [(v1.outside, v2.outside) for v1, v2 in pairs]]
     for ch in CHANNELS:
-        c, e = _channel_contraction(ch, v1, v2)
-        c_total += c
-        err += e
-    # rounding of the phase and of exp, relative to the result
-    err += 4.0 * _U * (abs(phase) + abs(c_total) + 1.0)
-    return cmath.exp(phase - c_total), err
+        turn = 1j * ch[0]
+        for region in regions:
+            pieces = [(a1[ch], a2[ch]) for a1, a2 in region]
+            amps = [p1.amp * p2.amp for p1, p2 in pieces]
+            zetas += [exp(spacing * (turn * (p1.u - p2.u)
+                                     - (p1.eps + p2.eps) / 2))
+                      for (p1, p2), amp in zip(pieces, amps) if amp != 0.0]
+            columns.append(amps)
+    sums = iter(_log_sums(zetas, n_a))
+    c_total = [0.0j] * size
+    err = [0.0] * size
+    for ch in range(len(CHANNELS)):
+        total = [0.0j] * size
+        ch_err = [0.0] * size
+        for region in (0, 1):
+            amps = columns[2 * ch + region]
+            terms = [next(sums) if amp != 0.0 else None for amp in amps]
+            total = [t + amp * s[region] if amp != 0.0 else t
+                     for t, amp, s in zip(total, amps, terms)]
+            ch_err = [e + abs(amp) * s[2] if amp != 0.0 else e
+                      for e, amp, s in zip(ch_err, amps, terms)]
+        c_total = [c + t for c, t in zip(c_total, total)]
+        err = [e + t for e, t in zip(err, ch_err)]
+    words = {v.klein: v for pair in pairs for v in pair}
+    charges = {k: (v.charge(+1), v.charge(-1)) for k, v in words.items()}
+    out = []
+    for (v1, v2), c, e in zip(pairs, c_total, err):
+        q1, q2 = charges[v1.klein], charges[v2.klein]
+        phase = 0.0j
+        for i in (0, 1):
+            phase += 0.5j * (v1.zero_c[i] * q2[i] - v2.zero_c[i] * q1[i])
+        # rounding of the phase and of exp, relative to the result
+        e += 4.0 * _U * (abs(phase) + abs(c) + 1.0)
+        out.append((exp(phase - c), e))
+    return out
 
 
 def normal_order_product(factors, known=None) -> NormalOrderedProduct:
     """Move all factors into a single boson-normal-ordered vertex: the scalar
-    prefactor collects every pairwise contraction (evaluated in index order;
-    the result is order-independent) and Klein letters concatenate; the
-    leftover zero-mode exponentials act trivially on the vacuum, so they
-    are not kept.  `known` maps index pairs (j, k) to contractions
-    (value, error bound) already evaluated, e.g. between the insertions a
-    sweep keeps fixed."""
+    prefactor collects every pairwise contraction (multiplied in index
+    order; the result is order-independent) and Klein letters concatenate;
+    the leftover zero-mode exponentials act trivially on the vacuum, so
+    they are not kept.  `known` maps index pairs (j, k) to contractions
+    (value, error bound) already evaluated, e.g. by a sweep for all its
+    points at once; the others are evaluated together here."""
     factors = tuple(factors)
-    known = known or {}
+    known = dict(known or {})
+    missing = [(j, k) for j in range(len(factors))
+               for k in range(j + 1, len(factors)) if (j, k) not in known]
+    if missing:
+        known.update(zip(missing, pair_contractions(
+            (factors[j], factors[k]) for j, k in missing)))
     prefactor = 1.0 + 0.0j
     rounding = 0.0
     # each complex product adds at most sqrt(5) u < 3 u of relative error
@@ -307,8 +349,7 @@ def normal_order_product(factors, known=None) -> NormalOrderedProduct:
         rounding += f.rounding + 3.0 * _U
     for j in range(len(factors)):
         for k in range(j + 1, len(factors)):
-            c, err = known[j, k] if (j, k) in known \
-                else pair_contraction(factors[j], factors[k])
+            c, err = known[j, k]
             prefactor *= c
             rounding += err + 3.0 * _U
     klein = tuple(letter for f in factors for letter in f.klein)
@@ -328,8 +369,8 @@ def _renorm_log_sum(L: float, a: float, eps: float) -> Tuple[float, float]:
     """sum_{m=1}^{n_a} e^{-eps s m} / m with s = 2 pi / L over the coupled
     modes, and its error bound.  Cached: every insertion of a correlator
     asks for the same (L, a, eps)."""
-    head, _, err = _log_sums(complex(math.exp(-eps * TWO_PI / L)),
-                             mode_count(L, a))
+    (head, _, err), = _log_sums([complex(math.exp(-eps * TWO_PI / L))],
+                                mode_count(L, a))
     return head.real, err
 
 
@@ -373,29 +414,43 @@ def finite_correlator(spec: CorrelatorSpec, params: ModelParams,
 
     u = 2^-53.  Returns {"value", "tail_bound"}.  With xs, a sweep: one such
     dict per position x in xs of the first insertion (its t and the other
-    insertions as in spec), each checked as the spec checks its own; the
+    insertions as in spec), each checked as the spec checks its own.  The
     vertex factors of the other insertions and their pair contractions are
-    built once, and every value takes the same operations in the same order
-    as a lone evaluation.
+    built once; the pair contractions of the swept one are evaluated by
+    columns (pair_contractions), SWEEP_BLOCK points at a time, and each
+    point's product is assembled as a lone evaluation assembles it.  Every
+    value and bound is bit for bit a lone evaluation at its x, and a sweep
+    that fails raises what its first failing point raises alone.  Without
+    xs, the dict at spec itself (a one-point sweep).
     """
     pts = spec.insertions
     positions = xs if xs is not None else [pts[0].x if pts else 0.0]
     eps = spec.regulator
     fixed = [field_vertex(p.r, p.q, p.x, p.t, eps, sol, grid)
              for p in pts[1:]]
-    known = {(j, k): pair_contraction(fixed[j - 1], fixed[k - 1])
-             for j in range(1, len(pts)) for k in range(j + 1, len(pts))}
-    results = []
-    for x in positions:
-        factors = []
+    fixed_pairs = [(j, k) for j in range(1, len(pts))
+                   for k in range(j + 1, len(pts))]
+    known = dict(zip(fixed_pairs, pair_contractions(
+        (fixed[j - 1], fixed[k - 1]) for j, k in fixed_pairs)))
+
+    def sweep(positions):
+        swept = []
         if pts:
-            check_position(x, pts[0].t)
-            factors = [field_vertex(pts[0].r, pts[0].q, x, pts[0].t, eps,
-                                    sol, grid)] + fixed
-        product = normal_order_product(factors, known)
-        value = vacuum_expectation(product)
-        # e^{2r} - 1 overflows above r = 354; the bound is infinite there
-        growth = math.expm1(2.0 * product.rounding) \
-            if product.rounding < 354.0 else math.inf
-        results.append({"value": value, "tail_bound": abs(value) * growth})
+            check_positions(positions, pts[0].t)
+            swept = [field_vertex(pts[0].r, pts[0].q, x, pts[0].t, eps, sol,
+                                  grid) for x in positions]
+        moving = iter(pair_contractions((v, f) for v in swept for f in fixed))
+        results = []
+        for i in range(len(positions)):
+            for k in range(1, len(pts)):
+                known[0, k] = next(moving)
+            product = normal_order_product(swept[i:i + 1] + fixed, known)
+            value = vacuum_expectation(product)
+            # e^{2r} - 1 overflows above r = 354; the bound is infinite there
+            growth = math.expm1(2.0 * product.rounding) \
+                if product.rounding < 354.0 else math.inf
+            results.append({"value": value, "tail_bound": abs(value) * growth})
+        return results
+
+    results = sweep_blocks(sweep, positions)
     return results if xs is not None else results[0]

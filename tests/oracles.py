@@ -6,11 +6,15 @@ import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from fermiphon.bogoliubov import BogoliubovSolution
 from fermiphon.correlators import (FLAVORS, CorrelatorSpec, InsertionPoint,
                                    klein_sign, npoint_continuum)
 from fermiphon.errors import BadArgument, FermiphonError, ZeroMode
 from fermiphon.focklab import FockSpace, SparseOperator, density_op
+from fermiphon.vertex import (CHANNELS, _DIRECT_SUM_MAX, _U, VertexFactor,
+                              _direct_rounding, _euler_maclaurin_log_sums)
 
 
 class SelectionViolated(FermiphonError):
@@ -33,6 +37,20 @@ def two_point(r: int, x: float, t: float, sol: BogoliubovSolution,
                     InsertionPoint(r=r, q=+1, x=0.0, t=0.0)),
         ell=ell, regulator=regulator)
     return npoint_continuum(spec, sol)
+
+
+def regulated_power(ell: float, r: int, x: float, t: float, v: float,
+                    exponent: float, regulator: float) -> complex:
+    """(i ell / (r x - v t + i 0+))^exponent with the principal branch, one
+    factor at a time.  Raises BadArgument when the base underflows to 0."""
+    z = 1j * ell / (r * x - v * t + 1j * regulator)
+    if exponent == 0.0:
+        return 1.0 + 0.0j
+    if z == 0:
+        raise BadArgument(f"i ell / (r x - v t + i reg) underflows to 0 at "
+                          f"ell = {ell:.3g}, pair separation x = {x:.3g}, "
+                          f"t = {t:.3g}")
+    return cmath.exp(exponent * cmath.log(z))
 
 
 def sum_rules(word: Sequence[Tuple[int, int]]) -> dict:
@@ -101,6 +119,61 @@ def cauchy_residual(U: Sequence[float], V: Sequence[float]) -> float:
     prod_form = num / den
     kernel = [[1.0 / math.sin(u - v) for v in V] for u in U]
     return abs(prod_form - _det(kernel))
+
+
+# --------------------------------------------------------------------------
+# vertex mode sums, one zeta and one pair at a time
+
+
+def log_sums(zeta: complex, n: int) -> Tuple[complex, complex, float]:
+    """(S, T, err) of one zeta, the head summed by its own np.sum."""
+    if zeta == 0:
+        return 0.0j, 0.0j, 0.0
+    if n > _DIRECT_SUM_MAX:
+        return _euler_maclaurin_log_sums(zeta, n)
+    m = np.arange(1, n + 1, dtype=np.float64)
+    head = complex(np.sum(zeta ** m / m))
+    err = _direct_rounding([zeta], n)[0]
+    if zeta == 1.0:
+        return head, complex(math.inf), err
+    log_term = -cmath.log(1.0 - zeta)
+    return head, log_term - head, err + 2.0 * _U * (abs(log_term) + 1.0)
+
+
+def _channel_contraction(ch, v1: VertexFactor, v2: VertexFactor):
+    """c_channel = sum_{p>0} (2 pi / L) p alpha_1(-r' p) alpha_2(r' p): the
+    head of the log series over the inside region, its tail over the
+    outside region.  Returns (value, err)."""
+    total = 0.0j
+    err = 0.0
+    regions = ((v1.inside[ch], v2.inside[ch]),
+               (v1.outside[ch], v2.outside[ch]))
+    for region, (p1, p2) in enumerate(regions):
+        amp = p1.amp * p2.amp
+        if amp != 0.0:
+            zeta = cmath.exp(v1.spacing * (1j * ch[0] * (p1.u - p2.u)
+                                           - (p1.eps + p2.eps) / 2))
+            sums = log_sums(zeta, v1.n_a)
+            total += amp * sums[region]
+            err += abs(amp) * sums[2]
+    return total, err
+
+
+def pair_contraction(v1: VertexFactor, v2: VertexFactor):
+    """Contraction constant C(v1, v2), one channel at a time.  Returns
+    (value, err) with err a bound on the absolute error of log(value)."""
+    phase = 0.0j
+    for i, rho in enumerate((+1, -1)):
+        phase += 0.5j * (v1.zero_c[i] * v2.charge(rho)
+                         - v2.zero_c[i] * v1.charge(rho))
+    c_total = 0.0j
+    err = 0.0
+    for ch in CHANNELS:
+        c, e = _channel_contraction(ch, v1, v2)
+        c_total += c
+        err += e
+    err += 4.0 * _U * (abs(phase) + abs(c_total) + 1.0)
+    return cmath.exp(phase - c_total), err
 
 
 # --------------------------------------------------------------------------

@@ -539,6 +539,51 @@ def test_grid_out_of_memory_exit_2(config_file, tmp_path, capsys,
     assert out.read_bytes() == b"earlier result\n"
 
 
+# (config edits past GRID_CAP, GENERIC_INI's own size, command, message);
+# GENERIC_INI scans 13 rows and sweeps 5 points
+CAPPED = {
+    "scan": ([("n_lambda = 13\n", "n_lambda = 10000000\n"),
+              ("n_g = 1\n", "n_g = 10000000\n")], 13, ["scan"],
+             "100000000000000 scan rows"),
+    "correlate-finite": ([("points = 5\n", "points = 1000001\n")], 5,
+                         ["correlate", "--mode", "finite"],
+                         "1000001 correlate points"),
+    "correlate-continuum": ([("points = 5\n", "points = 1000001\n")], 5,
+                            ["correlate", "--mode", "continuum"],
+                            "1000001 correlate points"),
+}
+
+
+@pytest.mark.parametrize("name", list(CAPPED))
+def test_grid_past_cap_exit_2(config_file, tmp_path, capsys, monkeypatch,
+                              name):
+    # refused before the grid is built and before --output is opened
+    edits, size, args, asked = CAPPED[name]
+    text = GENERIC_INI
+    for edit in edits:
+        text = text.replace(*edit)
+
+    def no_grid(lo, hi, n):
+        raise AssertionError("grid built past GRID_CAP")
+    monkeypatch.setattr(cli, "_grid", no_grid)
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"earlier result\n")
+    assert run_cli(["--config", config_file(text), "--output", str(out),
+                    *args]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {asked} asked for, more than {cli.GRID_CAP}; use a "
+        f"coarser grid\n")
+    assert out.read_bytes() == b"earlier result\n"
+    # the cap itself is allowed, one more row or point is not
+    monkeypatch.undo()
+    cfg = config_file(GENERIC_INI)
+    monkeypatch.setattr(cli, "GRID_CAP", size)
+    assert run_cli(["--config", cfg, "--output", str(out), *args]) == 0
+    monkeypatch.setattr(cli, "GRID_CAP", size - 1)
+    assert run_cli(["--config", cfg, *args]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_invalid_config_exit_2(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[model]\nv_f = -1.0\nv_p = 0.3\nlambda = 0\ng = 0\n"

@@ -8,10 +8,11 @@ from fermiphon import ModelParams
 from fermiphon.bogoliubov import BogoliubovSolution, solve_closed_form
 from fermiphon.correlators import (CorrelatorSpec, InsertionPoint,
                                    exponents, free_finite_L, klein_sign,
-                                   npoint_continuum, regulated_power)
+                                   npoint_continuum)
 from fermiphon.errors import BadArgument
 from oracles import (SelectionViolated, SingularConfiguration,
-                     cauchy_residual, order_correlator, sum_rules, two_point)
+                     cauchy_residual, order_correlator, regulated_power,
+                     sum_rules, two_point)
 
 
 @pytest.fixture(scope="module")

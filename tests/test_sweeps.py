@@ -13,6 +13,7 @@ templates.
 
 import cmath
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -20,16 +21,18 @@ from fermiphon import ModelParams
 from fermiphon import cli
 from fermiphon.bogoliubov import (DEGENERACY_FLOOR, BogoliubovSolution,
                                   SpectrumEntry, solve_closed_form, spectrum)
-from fermiphon.correlators import (FLAVORS, CorrelatorSpec, InsertionPoint,
-                                   _pair_exponent, klein_sign,
-                                   npoint_continuum, regulated_power)
+from fermiphon.correlators import (FLAVORS, SWEEP_BLOCK, CorrelatorSpec,
+                                   InsertionPoint, _pair_exponent, klein_sign,
+                                   npoint_continuum)
 from fermiphon.errors import (BadArgument, DegenerateBranches, FermiphonError,
                               GridTooSmall)
 from fermiphon.params import (TWO_PI, DerivedCouplings, check_grid,
-                              coupled_abs_p_sum, momentum_grid,
+                              coupled_abs_p_sum, mode_count, momentum_grid,
                               validate_params)
-from fermiphon.vertex import (field_vertex, finite_correlator,
+from fermiphon.vertex import (_DIRECT_SUM_MAX, _HEAD_BLOCK_TERMS,
+                              field_vertex, finite_correlator,
                               normal_order_product, vacuum_expectation)
+from oracles import pair_contraction, regulated_power
 
 
 def _fmt(x):
@@ -138,37 +141,46 @@ def oracle_continuum(spec, sol):
 
 
 def oracle_finite(spec, sol, grid):
-    """Every vertex factor and every pair contraction, recomputed."""
+    """Every vertex factor and every pair contraction, recomputed, each
+    contraction one channel and one mode sum (its own np.sum) at a time."""
     factors = [field_vertex(p.r, p.q, p.x, p.t, spec.regulator, sol, grid)
                for p in spec.insertions]
-    product = normal_order_product(factors)
+    known = {(j, k): pair_contraction(factors[j], factors[k])
+             for j in range(len(factors)) for k in range(j + 1, len(factors))}
+    product = normal_order_product(factors, known)
     value = vacuum_expectation(product)
     growth = math.expm1(2.0 * product.rounding) \
         if product.rounding < 354.0 else math.inf
     return {"value": value, "tail_bound": abs(value) * growth}
 
 
+def oracle_specs(cfg):
+    """(x, CorrelatorSpec) at each x of a `correlate` sweep."""
+    x_min, x_max, n, t = cfg.correlate_grid
+    xs = [x_min + (x_max - x_min) * i / max(n - 1, 1) for i in range(n)]
+    return [(x, CorrelatorSpec(
+        insertions=tuple(InsertionPoint(r=p.r, q=p.q, x=p.x + x, t=p.t + t)
+                         if i == 0 else p
+                         for i, p in enumerate(cfg.insertions)),
+        ell=cfg.ell, regulator=cfg.regulator)) for x in xs]
+
+
 def oracle_correlate(cfg, mode):
     """One CorrelatorSpec and one evaluation per x."""
     sol = solve_closed_form(cfg.model)
     grid = momentum_grid(L=cfg.model.L, K=cfg.K, a=cfg.model.a)
-    x_min, x_max, n, t = cfg.correlate_grid
+    t = cfg.correlate_grid[3]
     selected = klein_sign([(p.r, p.q) for p in cfg.insertions]) != 0
-    xs = [x_min + (x_max - x_min) * i / max(n - 1, 1) for i in range(n)]
 
-    def one(x):
+    def one(spec):
         if not selected:
             return 0.0j
-        pts = [InsertionPoint(r=p.r, q=p.q, x=p.x + x, t=p.t + t)
-               if i == 0 else p for i, p in enumerate(cfg.insertions)]
-        spec = CorrelatorSpec(insertions=tuple(pts), ell=cfg.ell,
-                              regulator=cfg.regulator)
         if mode == "finite":
             return oracle_finite(spec, sol, grid)["value"]
         return oracle_continuum(spec, sol)
 
     return [[_fmt(x), _fmt(t), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))]
-            for x, v in ((x, one(x)) for x in xs)]
+            for x, v in ((x, one(spec)) for x, spec in oracle_specs(cfg))]
 
 
 def oracle_occupations(modes, idx, spent, e_max, occ):
@@ -334,14 +346,55 @@ WORDS = {
 }
 
 
+# (word, model, points) of each sweep
+SWEEPS = {name: (word, MODEL, 41) for name, word in WORDS.items()}
+SWEEPS.update({
+    # n_a = 1000 > _DIRECT_SUM_MAX: Euler-Maclaurin mode sums
+    "4pt-n_a-1000": (WORDS["4pt"], replace(MODEL, a=0.01), 41),
+    # free couplings: every cross-chirality exponent is 0
+    "4pt-free": (WORDS["4pt"], replace(MODEL, lam=0.0, g=0.0), 41),
+    # every fixed insertion at t != 0
+    "4pt-fixed-t": ([(+1, -1, 0.0, 0.2), (+1, +1, -0.8, 0.3),
+                     (-1, -1, -1.7, -0.25), (-1, +1, -2.6, 0.6)], MODEL, 41),
+    # more points than one sweep block holds (and so more zetas than one
+    # block of direct sums)
+    "4pt-long": (WORDS["4pt"], MODEL, 2 * SWEEP_BLOCK + 3),
+})
+
+
 @pytest.mark.parametrize("mode", ["continuum", "finite"])
-@pytest.mark.parametrize("word", list(WORDS))
+@pytest.mark.parametrize("word", list(SWEEPS))
 def test_correlate_matches_per_point_oracle(word, mode):
-    ins = [InsertionPoint(*p) for p in WORDS[word]]
-    cfg = run_config(insertions=ins, correlate=(-2.0, 2.0, 41, 0.35))
+    ins, model, points = SWEEPS[word]
+    cfg = run_config(model=model, insertions=[InsertionPoint(*p) for p in ins],
+                     correlate=(-2.0, 2.0, points, 0.35))
     code, table = cli.cmd_correlate(cfg, mode)
     assert code == 0
     assert fields(table.rows) == oracle_correlate(cfg, mode)
+    if mode == "finite":
+        # the error bound of every swept point, too
+        sol = solve_closed_form(model)
+        grid = momentum_grid(L=model.L, K=cfg.K, a=model.a)
+        specs = oracle_specs(cfg)
+        xs = [spec.insertions[0].x if ins else x for x, spec in specs]
+        got = finite_correlator(specs[0][1], model, sol, grid, xs=xs)
+        want = [oracle_finite(spec, sol, grid) for _x, spec in specs]
+        assert [[_fmt(r["value"].real), _fmt(r["value"].imag),
+                 _fmt(r["tail_bound"])] for r in got] \
+            == [[_fmt(r["value"].real), _fmt(r["value"].imag),
+                 _fmt(r["tail_bound"])] for r in want]
+
+
+def test_sweep_cases_reach_their_paths():
+    model = SWEEPS["4pt-n_a-1000"][1]
+    assert mode_count(model.L, model.a) > _DIRECT_SUM_MAX
+    n_a = mode_count(MODEL.L, MODEL.a)
+    assert n_a <= _DIRECT_SUM_MAX
+    # each point of a 4-point sweep contracts 3 pairs: at least 12 zetas
+    assert SWEEPS["4pt-long"][2] > SWEEP_BLOCK
+    assert 12 * SWEEP_BLOCK > _HEAD_BLOCK_TERMS // n_a
+    sol = solve_closed_form(SWEEPS["4pt-free"][1])
+    assert sol.rho_f * sol.sigma_f == 0.0 and sol.rho_p * sol.sigma_p == 0.0
 
 
 @pytest.mark.parametrize("word", ["2pt", "4pt", "6pt", "neg-zero"])
@@ -376,6 +429,56 @@ def test_sweep_checks_every_point():
     values = npoint_continuum(spec, sol, xs=xs[:2])
     assert len(values) == 2
     assert all(cmath.isfinite(v) for v in values)
+
+
+def test_finite_sweep_raises_the_first_failing_point():
+    # alone, the first point fails on the grid before the second fails on
+    # its x; a sweep checks all its x before it builds a vertex factor
+    sol = solve_closed_form(MODEL)
+    wrong = momentum_grid(L=MODEL.L, K=4, a=2.0 * MODEL.a)
+    spec = CorrelatorSpec(insertions=[InsertionPoint(+1, -1, 0.5, 0.0)],
+                          regulator=1e-3)
+    with pytest.raises(GridTooSmall):
+        finite_correlator(spec, MODEL, sol, wrong, xs=[0.5, math.inf])
+
+
+def test_sweep_underflow_names_the_first_failing_point(tmp_path, capsys):
+    # at ell = 1e-150 the base i ell / (r x - v t + i reg) underflows to 0
+    # at separations past about 4e173: the swept insertion's pair with the
+    # last insertion fails first, at an earlier point than its pair with the
+    # second, whose columns a sweep evaluates first
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        "[model]\nv_f = 1.0\nv_p = 0.3\nlambda = 1.0\ng = 0.2\na = 0.5\n"
+        "L = 20.0\n\n[correlator]\nell = 1e-150\nregulator = 0.001\n"
+        "insertions = +:-:0:0 ; +:+:0:0 ; -:-:-1e173:0 ; -:+:-2e173:0\n"
+        "x_min = 0.0\nx_max = 6e173\npoints = 9\nt = 0.0\n")
+    cfg = cli.load_config(str(ini))
+    specs = [spec for _x, spec in oracle_specs(cfg)]
+
+    def first_failure(m):
+        """Index of the first point at which pair (0, m) underflows."""
+        for i, spec in enumerate(specs):
+            try:
+                regulated_power(cfg.ell, +1, spec.insertions[0].x
+                                - spec.insertions[m].x, 0.0, 1.0, 1.0,
+                                cfg.regulator)
+            except BadArgument:
+                return i
+    first = {m: first_failure(m) for m in (1, 2, 3)}
+    assert first[3] < first[2] < first[1] < len(specs)
+    sol = solve_closed_form(cfg.model)
+    with pytest.raises(BadArgument) as lone:
+        oracle_continuum(specs[first[3]], sol)
+    message = str(lone.value)
+    late = specs[first[1]].insertions[0].x - specs[first[1]].insertions[1].x
+    assert f"x = {late:.3g}," not in message
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"earlier result\n")
+    assert cli.main(["--config", str(ini), "--output", str(out),
+                     "correlate", "--mode", "continuum"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert out.read_bytes() == b"earlier result\n"
 
 
 # -- spectrum ---------------------------------------------------------------

@@ -11,11 +11,10 @@ from fermiphon.correlators import (CorrelatorSpec, InsertionPoint,
 from fermiphon.errors import BadRegulator, GridTooSmall
 from fermiphon.vertex import (EULER_GAMMA, NormalOrderedProduct,
                               field_vertex, finite_correlator,
-                              normal_order_product, pair_contraction,
-                              vacuum_expectation, z_renorm,
-                              _channel_contraction, _direct_rounding,
-                              _log_sums, _DIRECT_SUM_MAX)
-from oracles import two_point
+                              normal_order_product, vacuum_expectation,
+                              z_renorm, _direct_rounding, _log_sums,
+                              _DIRECT_SUM_MAX)
+from oracles import _channel_contraction, pair_contraction, two_point
 
 L, A = 20.0, 0.05
 TWO_PI = 2.0 * math.pi
@@ -372,10 +371,10 @@ def test_mode_sum_closed_form_matches_direct_sum():
              for _ in range(9)]
     for theta, eps, n in pinned + drawn:
         zeta = cmath.exp(complex(-eps * s, theta))
-        head, tail, err = _log_sums(zeta, n)
+        (head, tail, err), = _log_sums([zeta], n)
         assert err < 1e-13     # the closed form keeps near full precision
         direct = _chunked_direct_sum(zeta, n)
-        bound = err + _direct_rounding(zeta, n)
+        bound = err + _direct_rounding([zeta], n)[0]
         assert abs(head - direct) <= bound, (theta, eps, n)
         if zeta != 1.0:
             assert abs(tail + cmath.log(1.0 - zeta) + direct) <= bound
@@ -383,7 +382,7 @@ def test_mode_sum_closed_form_matches_direct_sum():
             assert math.isinf(tail.real)
     # a regulator so large that zeta underflows to 0 on either path
     for n in (_DIRECT_SUM_MAX, 10 ** 6):
-        assert _log_sums(0.0j, n) == (0.0, 0.0, 0.0)
+        assert _log_sums([0.0j], n) == [(0.0, 0.0, 0.0)]
 
 
 def test_continuum_ladder_diagnostic():
