@@ -19,15 +19,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, NamedTuple, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, NamedTuple, Tuple
 
 from .errors import (BadArgument, DegenerateBranches, GridTooSmall,
                      TruncationTooLarge, UnstableCouplings, ZeroMode)
 from .params import (TWO_PI, DerivedCouplings, ModelParams, MomentumGrid,
                      check_grid, coupled_abs_p_sum, derived_couplings,
                      instabilities, mode_count, validate_params)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # relative eigenvalue-gap floor below which branch labels would be guesses
 DEGENERACY_FLOOR = 1e-8
@@ -94,6 +95,7 @@ def block_matrices(params: ModelParams, p: float) -> BlockMatrices:
     it was rounded."""
     if p == 0:
         raise ZeroMode("p = 0 is handled analytically, not by 2x2 blocks")
+    import numpy as np
     validate_params(params)
     cpl = derived_couplings(params)
     n_a = mode_count(params.L, params.a)
@@ -118,6 +120,7 @@ def diagonalize_numeric(params: ModelParams, p: float) -> dict:
     M_Pi = A^{-1/2} U and M_Phi = A^{1/2} U are the inverse canonical
     transformation, which makes sum_X' (C^2 - S^2)_{X,X'} = 1 row-wise.
     """
+    import numpy as np
     blocks = block_matrices(params, p)
     evals, evecs = np.linalg.eigh(blocks.C)
     # eigh returns ascending; branch F carries the larger frequency
@@ -177,6 +180,7 @@ def closed_form(params: ModelParams) -> Tuple[BogoliubovSolution, np.ndarray]:
     operations of a scalar evaluation in the same order; numpy warnings are
     off, since points without a solution may overflow or take sqrt(< 0).
     """
+    import numpy as np
     vf, vp, lam, g = params.v_f, params.v_p, params.lam, params.g
     with np.errstate(all="ignore"):
         cpl = derived_couplings(params)
@@ -233,6 +237,7 @@ def closed_form(params: ModelParams) -> Tuple[BogoliubovSolution, np.ndarray]:
 def solve_closed_form(params: ModelParams) -> BogoliubovSolution:
     """closed_form at one point, with float fields; raises where the point
     has no solution (validate_params' errors first)."""
+    import numpy as np
     validate_params(params)
     sol, status = closed_form(replace(params, lam=np.array([params.lam]),
                                       g=np.array([params.g])))

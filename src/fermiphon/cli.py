@@ -7,6 +7,10 @@ comma, quote, backslash or control character).  A JSON table is
 `json.dump(rows, indent=2)` of the CSV rows as strings.  Exit codes: 0
 success, 1 failed verification, 2 invalid input, instability, a grid past
 GRID_CAP or too large for memory, or an output that cannot be written.
+
+Importing this module loads neither numpy nor the Fock lab: `verify` loads
+the Fock lab (pure Python) and never numpy; `solve`, `spectrum`, `correlate`
+and `scan` load numpy in the kernels that use it and never the Fock lab.
 """
 
 from __future__ import annotations
@@ -17,11 +21,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Iterable, List, NamedTuple
+from typing import TYPE_CHECKING, Iterable, List, NamedTuple
 
-import numpy as np
-
-from . import focklab
 from .bogoliubov import closed_form, solve_closed_form, spectrum
 from .correlators import (CorrelatorSpec, InsertionPoint, exponents,
                           klein_sign, npoint_continuum)
@@ -29,6 +30,9 @@ from .errors import (BadArgument, BadGeometry, FermiphonError,
                      TruncationTooLarge, UnstableCouplings)
 from .params import ModelParams, momentum_grid, validate_params
 from .vertex import finite_correlator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # most rows one `scan` writes and most points one `correlate` sweeps: 25 times
 # the 200 x 200 scan and 50 times the 2e4-point continuum sweep of the
@@ -147,6 +151,7 @@ def cmd_solve(cfg: RunConfig):
 def cmd_verify(cfg: RunConfig):
     if cfg.K > 5:
         raise BadArgument("verify requires K <= 5")
+    from . import focklab
     K = cfg.K
     space = focklab.build_space(K)
 
@@ -198,6 +203,7 @@ def cmd_spectrum(cfg: RunConfig, e_max: float):
 def _grid(lo: float, hi: float, n: int) -> np.ndarray:
     """n points lo + (hi - lo) i / (n - 1); non-finite ends give inf or nan
     points, without warnings."""
+    import numpy as np
     with np.errstate(all="ignore"):
         return lo + (hi - lo) * np.arange(n) / max(n - 1, 1)
 
@@ -242,6 +248,7 @@ def cmd_correlate(cfg: RunConfig, mode: str):
 
 
 def cmd_scan(cfg: RunConfig):
+    import numpy as np
     lam_min, lam_max, n_lam, g_min, g_max, n_g = cfg.scan_grid
     _check_cap("scan rows", n_lam * n_g)
     lams = _grid(lam_min, lam_max, n_lam)

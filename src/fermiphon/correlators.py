@@ -15,8 +15,6 @@ import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .bogoliubov import BogoliubovSolution
 from .errors import BadArgument, FermiphonError
 
@@ -170,7 +168,8 @@ def npoint_continuum(spec: CorrelatorSpec, sol: BogoliubovSolution,
     evaluated once.  Every value is bit for bit a lone evaluation at its x,
     in O(len(xs)) memory, and a sweep that fails raises what its first
     failing point raises alone.  Without xs, the value at spec itself (a
-    one-point sweep).
+    one-point sweep).  Raises BadArgument when (1 / 2 pi ell)^(N/2)
+    overflows.
     """
     pts = spec.insertions
     n_pts = len(pts)
@@ -179,7 +178,12 @@ def npoint_continuum(spec: CorrelatorSpec, sol: BogoliubovSolution,
     if sign == 0:
         values = [0.0j] * len(positions)
         return values if xs is not None else values[0]
-    start = complex(sign) * (1.0 / (2.0 * math.pi * spec.ell)) ** (n_pts / 2.0)
+    try:
+        start = complex(sign) * (1.0 / (2.0 * math.pi * spec.ell)) ** (
+            n_pts / 2.0)
+    except OverflowError:
+        raise BadArgument(f"(1 / 2 pi ell)^(N/2) overflows at ell = "
+                          f"{spec.ell:.3g}, N = {n_pts}") from None
 
     def factors(n, m, dxs):
         """The columns of pair (n, m) over the separations dxs, one per
@@ -233,6 +237,7 @@ def sweep_blocks(sweep, positions: Sequence[float]) -> list:
 def _square(x):
     """x^2 through libm pow, as Python's float ** 2 takes it, also on
     arrays (numpy's x ** 2 multiplies, which can differ in the last bit)."""
+    import numpy as np
     return np.float_power(x, 2.0)
 
 

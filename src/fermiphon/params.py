@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BadGeometry, GridTooSmall, UnstableCouplings
 
 TWO_PI = 2.0 * math.pi
@@ -161,6 +159,7 @@ def derived_couplings(params: ModelParams) -> DerivedCouplings:
     """Dimensionless couplings and W for validated params, elementwise over a
     coupling grid.  Squares go through libm pow (np.float_power), as Python's
     float ** 2 does, so a grid point and the scalar call agree bit for bit."""
+    import numpy as np
     gamma1, gamma2 = _gammas(params)
     d = params.v_f**2 * (1.0 - np.float_power(gamma1, 2.0)) - params.v_p**2
     W = np.sqrt(d * d + 4.0 * params.v_f**2 * params.v_p**2

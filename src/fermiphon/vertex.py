@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .bogoliubov import BogoliubovSolution
 from .correlators import (CorrelatorSpec, check_positions, klein_sign,
                           sweep_blocks)
@@ -243,6 +241,7 @@ def _log_sums(zetas: Sequence[complex],
     if n > _DIRECT_SUM_MAX:
         return [_euler_maclaurin_log_sums(zeta, n) if zeta else underflow
                 for zeta in zetas]
+    import numpy as np
     m = np.arange(1, n + 1, dtype=np.float64)
     rows = max(1, _HEAD_BLOCK_TERMS // max(n, 1))
     heads = []

@@ -358,6 +358,11 @@ def test_json_format_option(config_file, tmp_path):
     # cmath.log)
     (("ell = 1.0", "ell = 1e-300", "x_min = 0.5", "x_min = 1e300",
       "x_max = 5.0", "x_max = 1e300"), ["correlate", "--mode", "continuum"]),
+    # the prefactor (1 / 2 pi ell)^(N/2) overflows on a 4-point word (was
+    # an OverflowError traceback)
+    (("ell = 1.0", "ell = 1e-300", "insertions = +:-:0:0 ; +:+:0:0",
+      "insertions = +:-:0:0 ; +:+:0:0 ; -:+:0.3:0 ; -:-:0.7:0"),
+     ["correlate", "--mode", "continuum"]),
     # v_p sqrt(pi v_f) underflows to 0 in gamma2 (was a ZeroDivisionError)
     (("v_f = 1.0", "v_f = 1e-299", "v_p = 0.3", "v_p = 1e-300"), ["solve"]),
     (("v_f = 1.0", "v_f = 1e-299", "v_p = 0.3", "v_p = 1e-300"),
@@ -375,7 +380,8 @@ def test_json_format_option(config_file, tmp_path):
         "finite-reg-nan", "continuum-reg-inf", "continuum-ell-nan",
         "finite-ell-inf", "n_a-overflow", "e0-overflow", "t-inf",
         "v_f-overflow", "g-underflow", "g-boundary-rounding",
-        "continuum-base-underflow", "velocity-underflow",
+        "continuum-base-underflow", "continuum-prefactor-overflow",
+        "velocity-underflow",
         "spectrum-velocity-underflow", "e_max-nan", "e_max-inf",
         "e_max-neg-inf", "e_max-neg-inf-separate", "output-missing-dir",
         "output-is-dir"])
@@ -490,6 +496,29 @@ def test_generic_tables_pinned_and_unquoted(config_file, tmp_path, name):
         assert hashlib.sha256(data).hexdigest() == GENERIC_SHA256[name, fmt]
         if fmt == "csv":
             assert_needs_no_quoting(data.decode())
+
+
+# sha256 of the JSON documents of `solve` on GENERIC_INI and of `verify` on
+# it at K = 2 (verify refuses K > 5), recorded while numpy and the Fock lab
+# were still imported with fermiphon.cli; --format does not change them
+DOCUMENT_COMMANDS = {
+    "solve": (GENERIC_INI, "2811479185453f6c53fb6bce051fbafe"
+                           "73b4299eba3c9efbd5cafd09be7f7b6c"),
+    "verify": (GENERIC_INI.replace("K = 8", "K = 2"),
+               "66429c067b604066f669c033dafa8a3a"
+               "fd019e0215b7b6045e784f72e7316c36"),
+}
+
+
+@pytest.mark.parametrize("name", list(DOCUMENT_COMMANDS))
+def test_generic_documents_pinned(config_file, tmp_path, name):
+    text, digest = DOCUMENT_COMMANDS[name]
+    cfg = config_file(text)
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"out.{fmt}"
+        assert run_cli(["--config", cfg, "--output", str(out), "--format",
+                        fmt, name]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", ["boundary", "g-max-inf", "g-underflow"])
@@ -729,11 +758,37 @@ def test_random_config_exits_0_or_2(args, data):
     assert "Traceback" not in err.getvalue()
 
 
-def test_cli_import_loads_no_mpmath_or_thread_pool():
+def _python(code, *args):
+    """stdout of a fresh interpreter that runs code with the package on its
+    path."""
     src = os.path.dirname(os.path.dirname(fermiphon.__file__))
-    code = ("import sys, fermiphon.cli; print([m for m in "
-            "('mpmath', 'concurrent.futures') if m in sys.modules])")
-    res = subprocess.run([sys.executable, "-c", code], check=True,
+    res = subprocess.run([sys.executable, "-c", code, *args], check=True,
                          capture_output=True, text=True, timeout=60,
                          env=dict(os.environ, PYTHONPATH=src))
-    assert res.stdout.strip() == "[]"
+    return res.stdout.strip()
+
+
+def test_cli_import_loads_no_mpmath_or_thread_pool():
+    # nor numpy or the Fock lab: each subcommand loads only what it runs
+    code = ("import sys, fermiphon.cli; print([m for m in "
+            "('mpmath', 'concurrent.futures', 'numpy', 'fermiphon.focklab') "
+            "if m in sys.modules])")
+    assert _python(code) == "[]"
+
+
+def test_subcommand_loads_only_its_half(config_file, tmp_path):
+    """`verify` runs without numpy and `solve` without the Fock lab; a
+    config refused before any command runs loads neither."""
+    code = ("import sys; from fermiphon import cli; "
+            "code = cli.main(sys.argv[1:]); print(code, [m for m in "
+            "('numpy', 'fermiphon.focklab') if m in sys.modules])")
+    out = str(tmp_path / "out")
+    cases = [
+        (GENERIC_INI.replace("K = 8", "K = 2"), "verify",
+         "0 ['fermiphon.focklab']"),
+        (GENERIC_INI, "solve", "0 ['numpy']"),
+        (GENERIC_INI.replace("v_p = 0.3", "v_p = 3.0"), "scan", "2 []")]
+    for text, command, loaded in cases:
+        cfg = config_file(text)
+        assert _python(code, "--config", cfg, "--output", out,
+                       command) == loaded, command
