@@ -5,20 +5,26 @@ restricted sums
 
     V_r(k) eta = sqrt(L / 2 pi) * sum~ U_r(nu+) U_r(nu-) R_r^{-r} eta
 
-over integer vectors nu+/- >= 0 subject to
+over integers n+/- >= 0 subject to
 
-    r k = (2 pi / L) (q_r - 1/2) - [P(nu+) - P(nu-)],
+    r k = (2 pi / L) (q_r - 1/2) - (n+ - n-).
 
-with U_r built from density operators.  The q_r-dependence of the
-constraint was fixed against the Klein-shift covariance
-R_r V_r(k) = V_r(k + 2 pi / L) R_r and direct evaluation on charged states.
+U_r(nu-) and U_r(nu+) are the z^n coefficients U_n of the vertex-operator
+series exp(s sum_{m >= 1} J_r(s r m) z^m / m), with s = +1 for nu- and
+s = -1 for nu+.  Within one series the densities J_r(s r m) commute, so
+U_0 = 1 and n U_n = s sum_{m=1..n} J_r(s r m) U_{n-m} (the power-series
+exponential).  The q_r-dependence of the constraint was fixed against the
+Klein-shift covariance R_r V_r(k) = V_r(k + 2 pi / L) R_r and direct
+evaluation on charged states.
+
+ModeOutOfWindow is raised when k is outside the window, when R_r^{-r}
+shifts a mode of eta out of it, and when a density mode m > 2K - 1 (outside
+the truncation) would act on a nonzero U_{n-m} vector.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from functools import lru_cache
 
 from ..errors import ModeOutOfWindow
 from .operators import _accumulate, density_op, klein_factor
@@ -34,41 +40,21 @@ def _cached(space, build, *labels):
     return op
 
 
-@lru_cache(maxsize=None)
-def _partitions(n: int, max_part: int):
-    """Partitions of n with parts <= max_part as descending tuples."""
-    if n == 0:
-        return ((),)
-    out = []
-    for part in range(min(n, max_part), 0, -1):
-        for rest in _partitions(n - part, part):
-            out.append((part,) + rest)
-    return tuple(out)
-
-
-def _apply_u(space, r, parts, sign_mode, vec):
-    """Apply U_r(nu) for one partition (multiset of parts m) to a vector.
-
-    sign_mode = -1 builds U(nu+) with factors -(1/m) J_r(-r m); +1 builds
-    U(nu-) with factors +(1/m) J_r(+r m).  Includes the 1/count! weights.
-    """
-    counts = {}
-    for m in parts:
-        counts[m] = counts.get(m, 0) + 1
-    coef = Fraction(1)
-    for m, c in counts.items():
-        coef *= Fraction((-1 if sign_mode < 0 else 1) ** c,
-                         (m ** c) * math.factorial(c))
-    out = vec
-    for m in parts:
-        if m > 2 * space.K - 1:
-            raise ModeOutOfWindow(
-                f"density mode {m} exceeds the truncated window")
-        J = _cached(space, density_op, r, sign_mode * r * m)
-        out = J.apply_col(out)
-        if not out:
-            return {}
-    return _accumulate({}, out, coef)
+def _series(space, r, s, vec, top):
+    """[U_0 vec, ..., U_top vec] for the chirality-r series of sign s."""
+    terms = [vec]
+    for n in range(1, top + 1):
+        out = {}
+        for m in range(1, n + 1):
+            if not terms[n - m]:
+                continue
+            if m > 2 * space.K - 1:
+                raise ModeOutOfWindow(
+                    f"density mode {m} exceeds the truncated window")
+            J = _cached(space, density_op, r, s * r * m)
+            _accumulate(out, J.apply_col(terms[n - m]))
+        terms.append(_accumulate({}, out, Fraction(s, n)))
+    return terms
 
 
 def reconstructed_field(space: FockSpace, r: int, nu, state_index: int) -> dict:
@@ -95,15 +81,8 @@ def reconstructed_field(space: FockSpace, r: int, nu, state_index: int) -> dict:
 
     e_phi = max(space.energy(i) for i in phi)
     result = {}
-    for n_minus in range(int(e_phi) + 1):
+    for n_minus, lowered in enumerate(_series(space, r, +1, phi, int(e_phi))):
         n_plus = n_minus + delta
-        if n_plus < 0:
-            continue
-        for parts_minus in _partitions(n_minus, max(n_minus, 1)):
-            lowered = _apply_u(space, r, parts_minus, +1, phi)
-            if not lowered:
-                continue
-            for parts_plus in _partitions(n_plus, max(n_plus, 1)):
-                _accumulate(result, _apply_u(space, r, parts_plus, -1,
-                                             lowered))
+        if n_plus >= 0:
+            _accumulate(result, _series(space, r, -1, lowered, n_plus)[-1])
     return result

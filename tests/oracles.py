@@ -4,6 +4,7 @@ closed forms the engine itself has no use for."""
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -11,8 +12,12 @@ import numpy as np
 from fermiphon.bogoliubov import BogoliubovSolution
 from fermiphon.correlators import (FLAVORS, CorrelatorSpec, InsertionPoint,
                                    klein_sign, npoint_continuum)
-from fermiphon.errors import BadArgument, FermiphonError, ZeroMode
-from fermiphon.focklab import FockSpace, SparseOperator, density_op
+from fermiphon.errors import (BadArgument, FermiphonError, ModeOutOfWindow,
+                             ZeroMode)
+from fermiphon.focklab import (FockSpace, SparseOperator, density_op,
+                               klein_factor)
+from fermiphon.focklab.operators import _accumulate
+from fermiphon.focklab.reconstruction import _cached
 from fermiphon.vertex import (CHANNELS, _DIRECT_SUM_MAX, _U, VertexFactor,
                               _direct_rounding, _euler_maclaurin_log_sums)
 
@@ -258,3 +263,66 @@ def klein_apply(space: FockSpace, r: int, shift: int, mask: int):
         if not vec:
             break
     return vec
+
+
+# --------------------------------------------------------------------------
+# field reconstruction
+
+
+@lru_cache(maxsize=None)
+def partitions(n: int, max_part: int):
+    """Partitions of n with parts <= max_part as descending tuples."""
+    if n == 0:
+        return ((),)
+    out = []
+    for part in range(min(n, max_part), 0, -1):
+        for rest in partitions(n - part, part):
+            out.append((part,) + rest)
+    return tuple(out)
+
+
+def apply_u(space: FockSpace, r: int, parts, s: int, vec: dict) -> dict:
+    """One partition's term of U_r: prod_m (s / m)^{c_m} / c_m! J_r(s r m)^{c_m}
+    applied to vec, largest part first; s = +1 for nu-, -1 for nu+."""
+    coef = Fraction(1)
+    for m in set(parts):
+        c = parts.count(m)
+        coef *= Fraction(s ** c, m ** c * math.factorial(c))
+    out = vec
+    for m in parts:
+        if m > 2 * space.K - 1:
+            raise ModeOutOfWindow(
+                f"density mode {m} exceeds the truncated window")
+        out = _cached(space, density_op, r, s * r * m).apply_col(out)
+        if not out:
+            return {}
+    return _accumulate({}, out, coef)
+
+
+def partition_reconstructed_field(space: FockSpace, r: int, nu,
+                                  state_index: int) -> dict:
+    """V_r(k) applied to one basis state as the sum over every pair of a
+    nu- partition and a nu+ partition, one chain of densities per pair."""
+    nu = Fraction(nu)
+    if not space.has_mode(r, nu):
+        raise ModeOutOfWindow(f"target momentum nu={nu} outside window")
+    phi = klein_factor(space, r, dagger=(r == +1)).cols[state_index]
+    if phi is None:
+        raise ModeOutOfWindow("Klein shift leaves the window for this state")
+    delta = space.charge(state_index, r) - Fraction(1, 2) - r * nu
+    if delta.denominator != 1:
+        return {}
+    e_phi = max(space.energy(i) for i in phi)
+    result = {}
+    for n_minus in range(int(e_phi) + 1):
+        n_plus = n_minus + int(delta)
+        if n_plus < 0:
+            continue
+        for parts_minus in partitions(n_minus, max(n_minus, 1)):
+            lowered = apply_u(space, r, parts_minus, +1, phi)
+            if not lowered:
+                continue
+            for parts_plus in partitions(n_plus, max(n_plus, 1)):
+                _accumulate(result, apply_u(space, r, parts_plus, -1,
+                                            lowered))
+    return result

@@ -499,25 +499,31 @@ def test_generic_tables_pinned_and_unquoted(config_file, tmp_path, name):
 
 
 # sha256 of the JSON documents of `solve` on GENERIC_INI and of `verify` on
-# it at K = 2 (verify refuses K > 5), recorded while numpy and the Fock lab
-# were still imported with fermiphon.cli; --format does not change them
+# it at K = 2 and 3 (verify refuses K > 5), recorded while numpy and the Fock
+# lab were still imported with fermiphon.cli; the K = 3 pin was recorded
+# while the field was still reconstructed partition by partition, and its
+# reconstruction applied a partition with two distinct parts, such as (2, 1),
+# 166 times, where K = 2 applied none; --format does not change them
 DOCUMENT_COMMANDS = {
-    "solve": (GENERIC_INI, "2811479185453f6c53fb6bce051fbafe"
-                           "73b4299eba3c9efbd5cafd09be7f7b6c"),
-    "verify": (GENERIC_INI.replace("K = 8", "K = 2"),
+    "solve": ("solve", GENERIC_INI, "2811479185453f6c53fb6bce051fbafe"
+                                    "73b4299eba3c9efbd5cafd09be7f7b6c"),
+    "verify": ("verify", GENERIC_INI.replace("K = 8", "K = 2"),
                "66429c067b604066f669c033dafa8a3a"
                "fd019e0215b7b6045e784f72e7316c36"),
+    "verify-k3": ("verify", GENERIC_INI.replace("K = 8", "K = 3"),
+                  "92b9754015c4eb6f8cb07f2ff418e73e"
+                  "11a098454d1fe199ae97f8d4da42d899"),
 }
 
 
 @pytest.mark.parametrize("name", list(DOCUMENT_COMMANDS))
 def test_generic_documents_pinned(config_file, tmp_path, name):
-    text, digest = DOCUMENT_COMMANDS[name]
+    command, text, digest = DOCUMENT_COMMANDS[name]
     cfg = config_file(text)
     for fmt in ("csv", "json"):
         out = tmp_path / f"out.{fmt}"
         assert run_cli(["--config", cfg, "--output", str(out), "--format",
-                        fmt, name]) == 0
+                        fmt, command]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

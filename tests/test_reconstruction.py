@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from fermiphon.errors import ModeOutOfWindow
-from fermiphon.focklab import field_op, klein_factor, reconstructed_field
+from fermiphon.focklab import (build_space, field_op, klein_factor,
+                               reconstructed_field)
+from oracles import partition_reconstructed_field
 
 HALF = Fraction(1, 2)
 
@@ -46,8 +48,55 @@ def test_matches_field_operator_interior(space_k2):
 
 
 def test_mode_out_of_window(space_k2):
-    with pytest.raises(ModeOutOfWindow):
-        reconstructed_field(space_k2, +1, Fraction(7, 2), space_k2.vacuum)
+    # a target mode outside K = 2, and a nu+ series that needs J_-(4) on
+    # state 35 (the + modes at 3/2 and 1/2 and the - mode at 1/2 occupied,
+    # energy 5/2)
+    cases = [(+1, Fraction(7, 2), space_k2.vacuum, "target momentum"),
+             (-1, HALF, 35, "density mode 4 exceeds the truncated window")]
+    for r, nu, state, message in cases:
+        with pytest.raises(ModeOutOfWindow, match=message):
+            reconstructed_field(space_k2, r, nu, state)
+
+
+# the columns compared with the partition sum at each K, and the number of
+# (r, nu, column) cases where only the partition sum refuses: one chain of
+# densities reaches a mode above 2K - 1, but the sum over the partitions of
+# that n- cancels, so the recursion never applies the mode
+ORACLE_COLUMNS = {
+    1: (lambda sp: range(sp.dim), 0),
+    2: (lambda sp: range(sp.dim), 12),
+    3: (lambda sp: sp.interior_indices(3), 0),
+    4: (lambda sp: sp.interior_indices(), 0),
+}
+
+
+@pytest.mark.parametrize("K", list(ORACLE_COLUMNS))
+def test_recursion_matches_partition_sum(K):
+    # the recursion gives the partition sum's vector, entry order included,
+    # and refuses only where the partition sum refuses; where only the
+    # partition sum refuses, it gives psi-hat's column
+    sp = build_space(K)
+    columns, expected_only_oracle = ORACLE_COLUMNS[K]
+    only_oracle = 0
+    for r in (+1, -1):
+        for nu in sp.fermion_modes():
+            psi = field_op(sp, r, nu)
+            for col in columns(sp):
+                try:
+                    ref = partition_reconstructed_field(sp, r, nu, col)
+                except ModeOutOfWindow:
+                    ref = None
+                if ref is None:
+                    try:
+                        vec = reconstructed_field(sp, r, nu, col)
+                    except ModeOutOfWindow:
+                        continue
+                    only_oracle += 1
+                    assert vec == psi.cols.get(col, {}), (r, nu, col)
+                else:
+                    vec = reconstructed_field(sp, r, nu, col)
+                    assert list(vec.items()) == list(ref.items()), (r, nu, col)
+    assert only_oracle == expected_only_oracle
 
 
 def test_klein_shift_out_of_window(space_k2):
