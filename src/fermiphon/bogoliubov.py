@@ -12,7 +12,7 @@ diagonalize_numeric) are the check the tests hold the closed form to.
 Every eigenstate is a charge pair, a phonon zero-mode level and a set of
 boson occupations, with a closed-form energy.  spectrum enumerates the
 occupations once, as one tree shared by every charge and zero-mode sector,
-and refuses more than LEVEL_CAP occupations or levels.
+and refuses more than LEVEL_CAP stored occupation entries or levels.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ if TYPE_CHECKING:
 # relative eigenvalue-gap floor below which branch labels would be guesses
 DEGENERACY_FLOOR = 1e-8
 
-# most boson occupations, and most levels, one spectrum call enumerates: about
-# five times the 62k levels of the reference model at K = 40, e_max = 1.2,
-# and reached in about a second
+# most occupation-tuple entries the tree stores, and most levels, one
+# spectrum call enumerates: about five times the 62k levels of the reference
+# model at K = 40, e_max = 1.2 (whose tree stores 28k entries), and reached in
+# about a second
 LEVEL_CAP = 300_000
 
 
@@ -267,10 +268,12 @@ def _too_many(what: str, e_max: float) -> TruncationTooLarge:
                               f"e_max = {e_max:.6g}; lower e_max")
 
 
-def _grow(tree, modes, idx, node, spent, e_max):
+def _grow(tree, modes, idx, node, spent, e_max, stored):
     """Append to `tree` every extension of `node` (energy `spent`) by boson
     occupations of modes[idx:] up to e_max, in preorder: each state before
-    its extensions, modes ascending, occupations ascending."""
+    its extensions, modes ascending, occupations ascending.  `stored`
+    counts the (flavor, m, n) entries of the tree's occupation tuples, each
+    state holding its whole tuple; returns the new count."""
     parent, inc, occs, end = tree
     for i in range(idx, len(modes)):
         fl, m, e = modes[i]
@@ -279,15 +282,19 @@ def _grow(tree, modes, idx, node, spent, e_max):
         n = 1
         while spent + n * e <= e_max:
             k = len(parent)
-            if k >= LEVEL_CAP:
+            occ = occs[node] + ((fl, m, n),)
+            stored += len(occ)
+            if stored > LEVEL_CAP:
                 raise _too_many("boson occupations", e_max)
             parent.append(node)
             inc.append(n * e)
-            occs.append(occs[node] + ((fl, m, n),))
+            occs.append(occ)
             end.append(k)
-            _grow(tree, modes, i + 1, k, spent + n * e, e_max)
+            stored = _grow(tree, modes, i + 1, k, spent + n * e, e_max,
+                           stored)
             end[k] = len(parent)
             n += 1
+    return stored
 
 
 def spectrum(params: ModelParams, solution: BogoliubovSolution, e_max: float,
@@ -304,8 +311,9 @@ def spectrum(params: ModelParams, solution: BogoliubovSolution, e_max: float,
     skips a subtree once its energy passes e_max.  Levels share the tree's
     occupation tuples.  Raises GridTooSmall when the grid disagrees with
     params, or when a mode outside the grid could still contribute below
-    e_max, and TruncationTooLarge once the tree or the levels pass
-    LEVEL_CAP; BadArgument when e_max is not finite.
+    e_max, and TruncationTooLarge once the entries of the tree's occupation
+    tuples or the levels pass LEVEL_CAP; BadArgument when e_max is not
+    finite.
     """
     if not math.isfinite(e_max):
         raise BadArgument(f"e_max must be finite, got {e_max}")
@@ -339,7 +347,7 @@ def spectrum(params: ModelParams, solution: BogoliubovSolution, e_max: float,
     modes.sort(key=lambda t: t[2])
     # preorder lists: parent, energy increment, occupations, end of subtree
     tree = parent, inc, occs, end = [0], [0.0], [()], [0]
-    _grow(tree, modes, 0, 0, 0.0, e_max)
+    _grow(tree, modes, 0, 0, 0.0, e_max, 0)
     size = end[0] = len(parent)
 
     g1 = solution.couplings.gamma1

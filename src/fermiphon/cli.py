@@ -220,7 +220,9 @@ def cmd_correlate(cfg: RunConfig, mode: str):
     x_min, x_max, n, t = cfg.correlate_grid
     _check_cap("correlate points", n)
     sol = solve_closed_form(cfg.model)
-    grid = momentum_grid(L=cfg.model.L, K=cfg.K, a=cfg.model.a)
+    # only the vertex engine reads the grid
+    grid = momentum_grid(L=cfg.model.L, K=cfg.K, a=cfg.model.a) \
+        if mode == "finite" else None
     word = [(p.r, p.q) for p in cfg.insertions]
     xs = _grid(x_min, x_max, n).tolist()
     if klein_sign(word) == 0:

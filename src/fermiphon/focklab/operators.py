@@ -100,9 +100,6 @@ class SparseOperator:
 
     # -- inspection ----------------------------------------------------------
 
-    def entry(self, row, col):
-        return self.cols.get(col, {}).get(row, 0)
-
     def max_entry(self, rows: set, cols):
         """(the exact largest magnitude of an entry in the block, (row, col)
         of the first entry in column order that reaches it); (0, None) when

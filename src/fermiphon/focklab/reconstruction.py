@@ -73,11 +73,9 @@ def reconstructed_field(space: FockSpace, r: int, nu, state_index: int) -> dict:
     if phi is None:
         raise ModeOutOfWindow("Klein shift leaves the window for this state")
 
-    # r k = (q_r - 1/2) - (n+ - n-) in lab units
-    delta = q_r - Fraction(1, 2) - r * nu
-    if delta.denominator != 1:
-        return {}
-    delta = int(delta)
+    # r k = (q_r - 1/2) - (n+ - n-) in lab units; nu is half-odd, so
+    # delta = n+ - n- is an integer
+    delta = int(q_r - Fraction(1, 2) - r * nu)
 
     e_phi = max(space.energy(i) for i in phi)
     result = {}

@@ -71,18 +71,6 @@ class MomentumGrid:
     a: float
     n_a: int
 
-    @property
-    def spacing(self):
-        return TWO_PI / self.L
-
-    def fermion_momenta(self):
-        """Physical fermion momenta in the window, ascending."""
-        return [self.spacing * (n + 0.5) for n in range(-self.K, self.K)]
-
-    def boson_momenta(self):
-        """Physical boson momenta in the window (including 0), ascending."""
-        return [self.spacing * m for m in range(-self.K, self.K + 1)]
-
 
 def mode_count(L: float, a: float) -> int:
     """n_a = floor(L / 2a), the number of positive coupled boson modes.

@@ -69,7 +69,7 @@ class VertexFactor:
     """One regularized field insertion in vertex-operator form."""
 
     prefactor: complex
-    klein: Tuple[Tuple[int, int], ...]          # (chirality, winding)
+    klein: Tuple[Tuple[int, int], ...]          # (chirality r, q)
     zero_c: Tuple[complex, complex]             # exponent coeffs of (Q_+, Q_-)
     inside: Dict[Tuple[int, str], ModePiece]    # channel -> modes m <= n_a
     outside: Dict[Tuple[int, str], ModePiece]   # channel -> modes m > n_a
@@ -79,7 +79,7 @@ class VertexFactor:
 
     def charge(self, rho: int) -> int:
         """Q_rho charge carried by the Klein word."""
-        return sum(w * rho for (r, w) in self.klein if r == rho)
+        return sum(q for r, q in self.klein if r == rho)
 
 
 @dataclass
@@ -93,7 +93,7 @@ def field_vertex(r: int, q: int, x: float, t: float, eps: float,
                  sol: BogoliubovSolution, grid: MomentumGrid) -> VertexFactor:
     """Vertex-operator form of the interacting Heisenberg field psi^q_r(x,t).
 
-    Winding q r on chirality r; zero-mode phase
+    Klein letter (r, q), the factor R_r^{q r}; zero-mode phase
     -2 pi q ((r x - v_F t) Q_r + gamma1 v_F t Q_{-r}) / L; channel (r, X)
     coefficients q r rho_X(p) with phases e^{-i p (x - r vtilde_X(p) t)} and
     channel (-r, X) coefficients -q r sigma_X(p) with x + r vtilde_X(p) t,
@@ -124,7 +124,7 @@ def field_vertex(r: int, q: int, x: float, t: float, eps: float,
         outside[(-r, flavor)] = ModePiece(amp=0.0, u=0.0, eps=eps)
     z = z_renorm(params, sol, eps)
     return VertexFactor(
-        prefactor=z["Z"] / math.sqrt(L), klein=((r, q * r),),
+        prefactor=z["Z"] / math.sqrt(L), klein=((r, q),),
         zero_c=(complex(zp), complex(zm)), inside=inside, outside=outside,
         n_a=grid.n_a, spacing=TWO_PI / L, rounding=z["rounding"] + 2.0 * _U)
 
@@ -272,45 +272,41 @@ def pair_contractions(pairs) -> List[Tuple[complex, float]]:
     c = sum_{p>0} (2 pi / L) p alpha_1(-r' p) alpha_2(r' p), with terms
     A1 A2 zeta^m / m, zeta = exp(s (i r' (u1 - u2) - (eps1 + eps2)/2)) and
     s the mode spacing: the head S of -log(1 - zeta) over the n_a inside
-    modes, its tail T outside.  Evaluated by columns, one (channel, region)
-    over all pairs at a time, with one _log_sums call for every zeta; each
-    pair's result takes its own operations in a fixed order.  Raises
-    GridTooSmall unless all factors share one grid.
+    modes, its tail T outside.  One _log_sums call evaluates every zeta of
+    every pair; each pair adds its channels in CHANNELS order, each the
+    inside term before the outside one.  Raises GridTooSmall unless all
+    factors share one grid.
     """
     pairs = list(pairs)
     if len({(v.n_a, v.spacing) for pair in pairs for v in pair}) > 1:
         raise GridTooSmall("vertex factors on different grids")
     n_a, spacing = (pairs[0][0].n_a, pairs[0][0].spacing) if pairs else (0, 0)
-    size = len(pairs)
     exp = cmath.exp
-    columns = []        # per channel and region: the amps A1 A2 of each pair
-    zetas = []          # the zetas of the nonzero terms, column by column
-    regions = [[(v1.inside, v2.inside) for v1, v2 in pairs],
-               [(v1.outside, v2.outside) for v1, v2 in pairs]]
-    for ch in CHANNELS:
-        turn = 1j * ch[0]
-        for region in regions:
-            pieces = [(a1[ch], a2[ch]) for a1, a2 in region]
-            amps = [p1.amp * p2.amp for p1, p2 in pieces]
-            zetas += [exp(spacing * (turn * (p1.u - p2.u)
-                                     - (p1.eps + p2.eps) / 2))
-                      for (p1, p2), amp in zip(pieces, amps) if amp != 0.0]
-            columns.append(amps)
-    sums = iter(_log_sums(zetas, n_a))
-    c_total = [0.0j] * size
-    err = [0.0] * size
-    for ch in range(len(CHANNELS)):
-        total = [0.0j] * size
-        ch_err = [0.0] * size
-        for region in (0, 1):
-            amps = columns[2 * ch + region]
-            terms = [next(sums) if amp != 0.0 else None for amp in amps]
-            total = [t + amp * s[region] if amp != 0.0 else t
-                     for t, amp, s in zip(total, amps, terms)]
-            ch_err = [e + abs(amp) * s[2] if amp != 0.0 else e
-                      for e, amp, s in zip(ch_err, amps, terms)]
-        c_total = [c + t for c, t in zip(c_total, total)]
-        err = [e + t for e, t in zip(err, ch_err)]
+    nch = len(CHANNELS)
+    terms = []          # (slot, region, A1 A2) of each nonzero term
+    zetas = []
+    for i, (v1, v2) in enumerate(pairs):
+        regions = ((0, v1.inside, v2.inside), (1, v1.outside, v2.outside))
+        for c, ch in enumerate(CHANNELS):
+            turn = 1j * ch[0]
+            for region, a1, a2 in regions:
+                p1, p2 = a1[ch], a2[ch]
+                amp = p1.amp * p2.amp
+                if amp != 0.0:
+                    terms.append((i * nch + c, region, amp))
+                    zetas.append(exp(spacing * (turn * (p1.u - p2.u)
+                                                - (p1.eps + p2.eps) / 2)))
+    # slot i * nch + c: the total and error of channel c of pair i
+    totals = [0.0j] * (nch * len(pairs))
+    errs = [0.0] * (nch * len(pairs))
+    for (slot, region, amp), s in zip(terms, _log_sums(zetas, n_a)):
+        totals[slot] += amp * s[region]
+        errs[slot] += abs(amp) * s[2]
+    c_total = [0.0j] * len(pairs)
+    err = [0.0] * len(pairs)
+    for slot, (c, e) in enumerate(zip(totals, errs)):
+        c_total[slot // nch] += c
+        err[slot // nch] += e
     words = {v.klein: v for pair in pairs for v in pair}
     charges = {k: (v.charge(+1), v.charge(-1)) for k, v in words.items()}
     out = []
@@ -325,42 +321,36 @@ def pair_contractions(pairs) -> List[Tuple[complex, float]]:
     return out
 
 
-def normal_order_product(factors, known=None) -> NormalOrderedProduct:
+def normal_order_product(factors, contractions=None) -> NormalOrderedProduct:
     """Move all factors into a single boson-normal-ordered vertex: the scalar
     prefactor collects every pairwise contraction (multiplied in index
     order; the result is order-independent) and Klein letters concatenate;
     the leftover zero-mode exponentials act trivially on the vacuum, so
-    they are not kept.  `known` maps index pairs (j, k) to contractions
-    (value, error bound) already evaluated, e.g. by a sweep for all its
-    points at once; the others are evaluated together here."""
+    they are not kept.  `contractions` lists the (value, error bound) of
+    the pairs (j, k), j < k, in index order, e.g. as a sweep evaluates them
+    for all its points at once; without it they are evaluated here."""
     factors = tuple(factors)
-    known = dict(known or {})
-    missing = [(j, k) for j in range(len(factors))
-               for k in range(j + 1, len(factors)) if (j, k) not in known]
-    if missing:
-        known.update(zip(missing, pair_contractions(
-            (factors[j], factors[k]) for j, k in missing)))
+    if contractions is None:
+        contractions = pair_contractions(
+            (factors[j], factors[k]) for j in range(len(factors))
+            for k in range(j + 1, len(factors)))
     prefactor = 1.0 + 0.0j
     rounding = 0.0
     # each complex product adds at most sqrt(5) u < 3 u of relative error
     for f in factors:
         prefactor *= f.prefactor
         rounding += f.rounding + 3.0 * _U
-    for j in range(len(factors)):
-        for k in range(j + 1, len(factors)):
-            c, err = known[j, k]
-            prefactor *= c
-            rounding += err + 3.0 * _U
+    for c, err in contractions:
+        prefactor *= c
+        rounding += err + 3.0 * _U
     klein = tuple(letter for f in factors for letter in f.klein)
     return NormalOrderedProduct(prefactor=prefactor, klein=klein,
                                 rounding=rounding)
 
 
 def vacuum_expectation(product: NormalOrderedProduct) -> complex:
-    """<Omega, product Omega>: prefactor times the Klein-word sign.  A letter
-    (r, w) has winding w = q r, so its dagger flag is q = w r."""
-    word = [(r, w * r) for r, w in product.klein]
-    return product.prefactor * klein_sign(word)
+    """<Omega, product Omega>: prefactor times the Klein-word sign."""
+    return product.prefactor * klein_sign(product.klein)
 
 
 @lru_cache(maxsize=64)
@@ -415,8 +405,8 @@ def finite_correlator(spec: CorrelatorSpec, params: ModelParams,
     dict per position x in xs of the first insertion (its t and the other
     insertions as in spec), each checked as the spec checks its own.  The
     vertex factors of the other insertions and their pair contractions are
-    built once; the pair contractions of the swept one are evaluated by
-    columns (pair_contractions), SWEEP_BLOCK points at a time, and each
+    built once; the pair contractions of the swept one are evaluated in
+    one pair_contractions call, SWEEP_BLOCK points at a time, and each
     point's product is assembled as a lone evaluation assembles it.  Every
     value and bound is bit for bit a lone evaluation at its x, and a sweep
     that fails raises what its first failing point raises alone.  Without
@@ -427,10 +417,9 @@ def finite_correlator(spec: CorrelatorSpec, params: ModelParams,
     eps = spec.regulator
     fixed = [field_vertex(p.r, p.q, p.x, p.t, eps, sol, grid)
              for p in pts[1:]]
-    fixed_pairs = [(j, k) for j in range(1, len(pts))
-                   for k in range(j + 1, len(pts))]
-    known = dict(zip(fixed_pairs, pair_contractions(
-        (fixed[j - 1], fixed[k - 1]) for j, k in fixed_pairs)))
+    n = len(fixed)
+    fixed_pairs = pair_contractions((fixed[j], fixed[k]) for j in range(n)
+                                    for k in range(j + 1, n))
 
     def sweep(positions):
         swept = []
@@ -438,12 +427,12 @@ def finite_correlator(spec: CorrelatorSpec, params: ModelParams,
             check_positions(positions, pts[0].t)
             swept = [field_vertex(pts[0].r, pts[0].q, x, pts[0].t, eps, sol,
                                   grid) for x in positions]
-        moving = iter(pair_contractions((v, f) for v in swept for f in fixed))
+        moving = pair_contractions((v, f) for v in swept for f in fixed)
         results = []
         for i in range(len(positions)):
-            for k in range(1, len(pts)):
-                known[0, k] = next(moving)
-            product = normal_order_product(swept[i:i + 1] + fixed, known)
+            product = normal_order_product(
+                swept[i:i + 1] + fixed,
+                moving[i * n:(i + 1) * n] + fixed_pairs)
             value = vacuum_expectation(product)
             # e^{2r} - 1 overflows above r = 354; the bound is infinite there
             growth = math.expm1(2.0 * product.rounding) \

@@ -221,6 +221,31 @@ def test_correlate_selection_violation_warns(config_file, tmp_path, capsys):
     assert all(float(r["abs"]) == 0.0 for r in rows)
 
 
+def test_empty_insertion_tokens_ignored(config_file, tmp_path):
+    outs = []
+    for word in ("+:-:0:0 ; +:+:0:0", "+:-:0:0 ;; +:+:0:0 ;"):
+        cfg = config_file(GENERIC_INI.replace(
+            "insertions = +:-:0:0 ; +:+:0:0", f"insertions = {word}"))
+        out = tmp_path / "corr.csv"
+        assert run_cli(["--config", cfg, "--output", str(out), "correlate",
+                        "--mode", "finite"]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_continuum_needs_no_vertex_grid(config_file, tmp_path, capsys):
+    # a > L / 2 leaves no coupled mode (n_a = 0); `solve` and the continuum
+    # correlator accept it, the finite one needs a grid and refuses it
+    cfg = config_file(GENERIC_INI.replace("a = 0.05", "a = 12"))
+    out = str(tmp_path / "corr.csv")
+    assert run_cli(["--config", cfg, "--output", out, "correlate",
+                    "--mode", "continuum"]) == 0
+    assert len(open(out).read().splitlines()) == 6
+    assert run_cli(["--config", cfg, "--output", out, "correlate",
+                    "--mode", "finite"]) == 2
+    assert capsys.readouterr().err == "error: need 0 < a <= L/2\n"
+
+
 def test_correlate_finite_vs_continuum_trend(config_file, tmp_path):
     # at matched parameters the two modes differ by the multiplicative
     # renormalization; the ratio |finite / continuum| tracks
@@ -375,6 +400,8 @@ def test_json_format_option(config_file, tmp_path):
     # output that cannot be opened; {tmp} is the test's directory
     (None, ["--output", "{tmp}/no/such/dir/x.csv", "scan"]),
     (None, ["--output", "{tmp}", "solve"]),
+    (("L = 20.0", "L = 20.0\nomega0 = -1"), ["solve"]),
+    (("K = 8", "K = 0"), ["verify"]),
 ], ids=["finite-reg0", "continuum-reg0", "finite-reg-neg", "points0",
         "points-neg", "n_lambda0", "n_g-neg", "g0-degenerate",
         "finite-reg-nan", "continuum-reg-inf", "continuum-ell-nan",
@@ -384,7 +411,7 @@ def test_json_format_option(config_file, tmp_path):
         "velocity-underflow",
         "spectrum-velocity-underflow", "e_max-nan", "e_max-inf",
         "e_max-neg-inf", "e_max-neg-inf-separate", "output-missing-dir",
-        "output-is-dir"])
+        "output-is-dir", "omega0-neg", "verify-k0"])
 def test_bad_input_exit_2_one_line(config_file, tmp_path, capsys, edit, args):
     text = GENERIC_INI
     for old, new in zip(edit[::2], edit[1::2]) if edit else ():
@@ -643,9 +670,12 @@ def test_failed_command_keeps_existing_output(config_file, tmp_path, edit,
 @pytest.mark.parametrize("edit, e_max", [
     # the occupation tree passes the cap (ran past 15 s without one)
     (("K = 8", "K = 60"), "2.5"),
+    # a deep tree: its occupation tuples pass the cap long before its
+    # states do (counting states alone took 6 s and 640 MB to refuse)
+    (("K = 8", "K = 400000"), "1000"),
     # a tiny omega0 puts 5e8 zero-mode levels m_p0 below e_max
     (("L = 20.0", "L = 20.0\nomega0 = 1e-9"), "0.5"),
-], ids=["tree", "zero-mode-levels"])
+], ids=["tree", "deep-tree", "zero-mode-levels"])
 def test_oversized_spectrum_refused(config_file, tmp_path, capsys, edit,
                                     e_max):
     cfg = config_file(GENERIC_INI.replace(*edit))

@@ -145,9 +145,9 @@ def oracle_finite(spec, sol, grid):
     contraction one channel and one mode sum (its own np.sum) at a time."""
     factors = [field_vertex(p.r, p.q, p.x, p.t, spec.regulator, sol, grid)
                for p in spec.insertions]
-    known = {(j, k): pair_contraction(factors[j], factors[k])
-             for j in range(len(factors)) for k in range(j + 1, len(factors))}
-    product = normal_order_product(factors, known)
+    product = normal_order_product(factors, [
+        pair_contraction(factors[j], factors[k])
+        for j in range(len(factors)) for k in range(j + 1, len(factors))])
     value = vacuum_expectation(product)
     growth = math.expm1(2.0 * product.rounding) \
         if product.rounding < 354.0 else math.inf

@@ -201,13 +201,13 @@ def test_klein_word_sign_matches_correlators():
         n = rng.integers(1, 9)
         word = [(int(rng.choice((1, -1))), int(rng.choice((1, -1))))
                 for _ in range(n)]
-        # vertex letters are (r, w) with w = q r; correlators take (r, q)
-        letters = tuple((r, q * r) for r, q in word)
-        assert _klein_word_sign(letters) == klein_sign(word)
+        # the oracle reads windings w = q r; vertex letters are (r, q)
+        windings = [(r, q * r) for r, q in word]
+        assert _klein_word_sign(windings) == klein_sign(word)
         # the production path: vacuum_expectation on the same Klein word
-        product = NormalOrderedProduct(prefactor=1.0 + 0.0j, klein=letters,
-                                       rounding=0.0)
-        assert vacuum_expectation(product) == _klein_word_sign(letters)
+        product = NormalOrderedProduct(prefactor=1.0 + 0.0j,
+                                       klein=tuple(word), rounding=0.0)
+        assert vacuum_expectation(product) == _klein_word_sign(windings)
 
 
 def test_z_renorm(coupled_setup):
