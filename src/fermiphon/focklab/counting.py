@@ -19,6 +19,8 @@ def degeneracy_counts(space: FockSpace, e_max) -> dict:
     the truncation artifact threshold (e_max <= K recommended).
     """
     e_max = Fraction(e_max)
+    if e_max < 0:
+        return {}
     fermi = {}
     for mask in space.interior_indices(e_max):
         e = space.energy(mask)

@@ -102,20 +102,19 @@ def _schwinger_residuals(space):
 
 def _j_psi_residuals(space):
     # [J_r(p), psi^dag_r'(k)] = delta_{r,r'} psi^dag_r(k - p), exact on the
-    # whole lattice whenever both modes sit in the window and the density
-    # cutoff keeps the connecting term.
+    # whole lattice whenever both modes sit in the window, where the
+    # density keeps the connecting term.
     for r in CHIRALITIES:
         for m in range(1, 2 * space.K):
             for sm in (1, -1):
                 p = sm * m
-                cutoff = space.edge() - Fraction(abs(p), 2)
-                J = density_op(space, r, p, cutoff)
+                J = density_op(space, r, p)
                 for rp in CHIRALITIES:
                     for nu in space.fermion_modes():
                         if not space.has_mode(rp, nu - p):
                             continue
                         res = J.commutator(field_op(space, rp, nu, dagger=True))
-                        if r == rp and abs(nu - Fraction(p, 2)) <= cutoff:
+                        if r == rp:
                             res = res - field_op(space, rp, nu - p, dagger=True)
                         yield res, None
 

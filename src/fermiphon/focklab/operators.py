@@ -6,8 +6,10 @@ first time that column is read.  Partial operators (Klein factors) return
 None for the columns outside their validity window; partiality is data,
 not an error.  Two primitives build the rest: `linear`, one flat linear
 combination whose column adds its terms' columns left to right (`+`, `-`
-and scalar `*` are its short cases), and the Klein factor as a bit map
-that sends a basis state to one signed basis state (`_klein_apply`).
+and scalar `*` are its short cases), and bit moves that send a basis state
+to at most one signed basis state.  A ladder operator is one
+`FockSpace.move`, each bilinear of a density two of them, and the Klein
+factor one shift of a chirality block (`_klein_apply`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from functools import partial
 
 from ..errors import ModeOutOfWindow
-from .space import CHIRALITIES, FockSpace
+from .space import FockSpace
 
 
 class Columns(dict):
@@ -148,10 +150,9 @@ def ladder_op(space: FockSpace, r: int, nu, dagger=False) -> SparseOperator:
     if not space.has_mode(r, nu):
         raise ModeOutOfWindow(f"mode (r={r:+d}, nu={nu}) outside window")
     pos = space.mode_position(r, nu)
-    act = space.create_sign if dagger else space.annihilate_sign
 
     def column(mask):
-        new, sign = act(mask, pos)
+        new, sign = space.move(mask, pos, dagger)
         return {} if new is None else {new: sign}
     return SparseOperator(space, column)
 
@@ -162,39 +163,38 @@ def field_op(space: FockSpace, r: int, nu, dagger=False) -> SparseOperator:
     return ladder_op(space, r, nu, dagger=(dagger == (r * Fraction(nu) > 0)))
 
 
-def density_op(space: FockSpace, r: int, m: int, cutoff=None) -> SparseOperator:
-    """Regularized density J-hat^Lambda_r(p) at p = (2 pi / L) m.
+def density_op(space: FockSpace, r: int, m: int) -> SparseOperator:
+    """Normal-ordered density J-hat_r(p) at p = (2 pi / L) m.
 
-    Keeps the bilinear at fermion momentum k when |k + p/2| <= cutoff; terms
-    whose modes leave the window are dropped (the validity window shrinks
-    accordingly).  Default cutoff is the largest that drops nothing:
-    edge - |m|/2.
+    Keeps the bilinear psi^dag_r(k) psi_r(k + p) at every fermion momentum
+    k whose two modes sit in the window, in descending k; each one is two
+    moves of a basis state, psi_r(k + p) first.  J_r(0) subtracts the
+    vacuum part, one for each of the K momenta with r k < 0; it is
+    diagonal, so the subtraction can come last.
     """
-    if cutoff is None:
-        cutoff = space.edge() - Fraction(abs(m), 2)
-    cutoff = Fraction(cutoff)
-    half_p = Fraction(m, 2)
-    terms = []
-    for nu in space.fermion_modes():
-        if abs(nu + half_p) > cutoff or not space.has_mode(r, nu + m):
-            continue
-        terms.append((1, field_op(space, r, nu, dagger=True)
-                      @ field_op(space, r, nu + m)))
-        if m == 0 and r * nu < 0:
-            # vacuum subtraction: :psi^dag psi: = psi^dag psi - Theta(-rk);
-            # J_r(0) is diagonal, so no term order changes a column
-            terms.append((-1, SparseOperator.identity(space)))
-    return linear(space, *terms)
-
-
-def free_hamiltonian(space: FockSpace, cutoff=None) -> SparseOperator:
-    """H0 = sum_{r, |k| <= cutoff} |k| c^dag c, diagonal, in units 2 pi / L."""
-    cutoff = space.edge() if cutoff is None else Fraction(cutoff)
-    keep = sum(1 << space.mode_position(r, nu) for r in CHIRALITIES
-               for nu in space.fermion_modes() if abs(nu) <= cutoff)
+    terms = [(space.mode_position(r, nu + m), r * (nu + m) < 0,
+              space.mode_position(r, nu), r * nu > 0)
+             for nu in space.fermion_modes() if space.has_mode(r, nu + m)]
 
     def column(mask):
-        e = space.energy(mask & keep)
+        out = {}
+        for pos_in, create_in, pos_out, create_out in terms:
+            mid, sign_in = space.move(mask, pos_in, create_in)
+            if mid is not None:
+                new, sign_out = space.move(mid, pos_out, create_out)
+                if new is not None:
+                    _accumulate(out, {new: sign_in * sign_out})
+        if m == 0:
+            _accumulate(out, {mask: -space.K})
+        return out
+    return SparseOperator(space, column)
+
+
+def free_hamiltonian(space: FockSpace) -> SparseOperator:
+    """H0 = sum_{r, k} |k| c^dag c over the window, diagonal, in units
+    2 pi / L."""
+    def column(mask):
+        e = space.energy(mask)
         return {mask: e} if e else {}
     return SparseOperator(space, column)
 

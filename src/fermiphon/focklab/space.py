@@ -29,7 +29,7 @@ class FockSpace:
 
     Mode positions follow the ordered-product convention used to define
     basis states: chirality + before -, momenta descending within each
-    chirality.  All creation-operator signs derive from this order.
+    chirality.  Every fermion sign (`move`) derives from this order.
     """
 
     def __init__(self, K: int):
@@ -105,19 +105,14 @@ class FockSpace:
                        if s + e <= budget]
         return sorted(m for m, _ in states)
 
-    def create_sign(self, mask: int, pos: int):
-        """Apply c^dagger at bit pos to a basis mask.
+    def move(self, mask: int, pos: int, create: bool):
+        """Apply c^dagger (create) or c at bit pos to a basis mask.
 
-        Returns (new_mask, sign) or (None, 0) when Pauli-blocked.  The sign
-        is the parity of occupied modes preceding pos in the canonical order.
+        Returns (new_mask, sign), or (None, 0) when the mode is already
+        full (c^dagger) or empty (c).  The sign is the parity of the
+        occupied modes preceding pos in the canonical order.
         """
-        if (mask >> pos) & 1:
-            return None, 0
-        below = mask & ((1 << pos) - 1)
-        return mask | (1 << pos), -1 if below.bit_count() & 1 else 1
-
-    def annihilate_sign(self, mask: int, pos: int):
-        if not (mask >> pos) & 1:
+        if ((mask >> pos) & 1) == create:
             return None, 0
         below = mask & ((1 << pos) - 1)
         return mask ^ (1 << pos), -1 if below.bit_count() & 1 else 1

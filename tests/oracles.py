@@ -15,8 +15,8 @@ from fermiphon.correlators import (FLAVORS, CorrelatorSpec, InsertionPoint,
 from fermiphon.errors import (BadArgument, FermiphonError, ModeOutOfWindow,
                              ZeroMode)
 from fermiphon.focklab import (FockSpace, SparseOperator, density_op,
-                               klein_factor)
-from fermiphon.focklab.operators import _accumulate
+                               field_op, klein_factor)
+from fermiphon.focklab.operators import _accumulate, linear
 from fermiphon.focklab.reconstruction import _cached
 from fermiphon.vertex import (CHANNELS, _DIRECT_SUM_MAX, _U, VertexFactor,
                               _direct_rounding, _euler_maclaurin_log_sums)
@@ -182,6 +182,27 @@ def pair_contraction(v1: VertexFactor, v2: VertexFactor):
 
 
 # --------------------------------------------------------------------------
+# densities
+
+
+def density_from_fields(space: FockSpace, r: int, m: int) -> SparseOperator:
+    """J-hat_r(p) at p = (2 pi / L) m built in the operator algebra: the
+    linear combination of the products psi^dag_r(k) psi_r(k + p) with
+    |k + p/2| <= edge - |p|/2 (both modes in the window), in descending k,
+    each followed by -1 for m = 0 and r k < 0 (the vacuum part)."""
+    cutoff = space.edge() - Fraction(abs(m), 2)
+    terms = []
+    for nu in space.fermion_modes():
+        if abs(nu + Fraction(m, 2)) > cutoff:
+            continue
+        terms.append((1, field_op(space, r, nu, dagger=True)
+                      @ field_op(space, r, nu + m)))
+        if m == 0 and r * nu < 0:
+            terms.append((-1, SparseOperator.identity(space)))
+    return linear(space, *terms)
+
+
+# --------------------------------------------------------------------------
 # boson ladder operators
 
 
@@ -249,14 +270,13 @@ def klein_apply(space: FockSpace, r: int, shift: int, mask: int):
     n_opp = sum(1 for dag, rr, _ in ops if rr != r)
     sign = -1 if n_opp & 1 else 1
     # start from R_r^{shift} Omega = c^dag_r(born) Omega
-    vec_mask, vec_sign = space.create_sign(0, space.mode_position(r, born))
+    vec_mask, vec_sign = space.move(0, space.mode_position(r, born), True)
     vec = {vec_mask: sign * vec_sign}
     for dag, rr, nu in reversed(ops):
         pos = space.mode_position(rr, nu)
         out = {}
-        act = space.create_sign if dag else space.annihilate_sign
         for m0, amp in vec.items():
-            new, s = act(m0, pos)
+            new, s = space.move(m0, pos, dag)
             if new is not None:
                 out[new] = amp * s
         vec = out

@@ -153,14 +153,13 @@ def test_verify_k1_smaller_window(config_file, tmp_path):
 
 
 def test_verify_corrupted_sign_fails(config_file, tmp_path, monkeypatch):
-    orig_c = FockSpace.create_sign
-    orig_a = FockSpace.annihilate_sign
-    monkeypatch.setattr(
-        FockSpace, "create_sign",
-        lambda self, m, p: (lambda t: (t[0], abs(t[1])))(orig_c(self, m, p)))
-    monkeypatch.setattr(
-        FockSpace, "annihilate_sign",
-        lambda self, m, p: (lambda t: (t[0], abs(t[1])))(orig_a(self, m, p)))
+    orig = FockSpace.move
+
+    def no_sign(self, mask, pos, create):
+        new, s = orig(self, mask, pos, create)
+        return new, abs(s)
+
+    monkeypatch.setattr(FockSpace, "move", no_sign)
     cfg = config_file(FREE_INI)
     out = str(tmp_path / "verify.json")
     assert run_cli(["--config", cfg, "--output", out, "verify"]) == 1
@@ -540,6 +539,9 @@ DOCUMENT_COMMANDS = {
     "verify-k3": ("verify", GENERIC_INI.replace("K = 8", "K = 3"),
                   "92b9754015c4eb6f8cb07f2ff418e73e"
                   "11a098454d1fe199ae97f8d4da42d899"),
+    "verify-k4": ("verify", GENERIC_INI.replace("K = 8", "K = 4"),
+                  "d626c7e9315743c6488e8ff11073b805"
+                  "cd477a9b84a0397dda262fd11594d557"),
 }
 
 

@@ -11,6 +11,11 @@ def test_vacuum_level(space_k2):
     assert counts[Fraction(0)] == (1, 1)
 
 
+@pytest.mark.parametrize("e_max", [-0.5, -1, -3])
+def test_negative_energy_counts_nothing(space_k2, e_max):
+    assert degeneracy_counts(space_k2, e_max) == {}
+
+
 def test_first_level(space_k2):
     # E = pi / L: one excitation at k = +-pi/L per chirality on the fermion
     # side, (q+, q-) in {(+-1, 0), (0, +-1)} on the boson side

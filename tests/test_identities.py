@@ -97,19 +97,13 @@ def test_amplitudes_are_rationals(monkeypatch):
 
 def test_corrupted_sign_fails_car(monkeypatch):
     # negative control: dropping the fermionic signs breaks the CAR
-    orig_c = FockSpace.create_sign
-    orig_a = FockSpace.annihilate_sign
+    orig = FockSpace.move
 
-    def no_sign_c(self, mask, pos):
-        new, s = orig_c(self, mask, pos)
+    def no_sign(self, mask, pos, create):
+        new, s = orig(self, mask, pos, create)
         return new, abs(s)
 
-    def no_sign_a(self, mask, pos):
-        new, s = orig_a(self, mask, pos)
-        return new, abs(s)
-
-    monkeypatch.setattr(FockSpace, "create_sign", no_sign_c)
-    monkeypatch.setattr(FockSpace, "annihilate_sign", no_sign_a)
+    monkeypatch.setattr(FockSpace, "move", no_sign)
     sp = build_space(2)
     rep = identity_residual(sp, "CAR")
     assert rep.max_residual > 0
