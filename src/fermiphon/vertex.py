@@ -12,7 +12,9 @@ per channel; the piecewise structure splits each contraction into the head
 (the n_a interior modes) and the tail of a log series summing to
 -log(1 - zeta).  Up to 400 modes the head is added directly; beyond, the
 tail comes from an Euler-Maclaurin closed form anchored on the exponential
-integral E1, so a contraction costs the same at any n_a.  Every mode sum
+integral E1, so a contraction costs the same at any n_a; E1 comes from its
+asymptotic series where its argument has modulus at least 40, and from
+mpmath.e1 below.  Every mode sum
 carries a bound on its error (rounding, and the Euler-Maclaurin remainder),
 and finite_correlator reports their total.
 """
@@ -40,16 +42,30 @@ _U = 2.0 ** -53                  # unit roundoff of float64
 
 # Mode sums with at most this many terms are added directly; longer ones use
 # the Euler-Maclaurin closed form, whose cost does not depend on n.  Measured
-# on a 2-core Xeon (numpy 2.4): the direct sum costs about 0.25 us per term
-# and the closed form 70-150 us, so they cross near 400 terms.
+# per sum in process on a 2-core Xeon (numpy 2.4): the direct sum costs
+# 0.27 us per term at 400 terms (0.03 below 100, where numpy's power
+# multiplies repeatedly); the closed form costs 7-18 us where its E1
+# argument N |w| is at least _E1_SERIES_MIN and 110-290 us below, where
+# mpmath.e1 serves it.  For |w| from 0.16 to 1.6 the two cross near 200
+# terms; for |w| below 0.1 past 400.
 _DIRECT_SUM_MAX = 400
 
 # Direct sums run over blocks of this many terms (128 KiB).
 _HEAD_BLOCK_TERMS = 1 << 13
 
-# Relative error of mpmath.e1 at its default 53-bit precision: measured worst
-# 0.95 u over 3000 arguments N w against 150-bit evaluations.
+# E1 comes from its asymptotic series (_e1) at |z| >= _E1_SERIES_MIN.  The
+# series reaches float precision where its smallest term, min_k k! / |z|^k,
+# is at most u; at integer |z| = R that is R! / R^R (about
+# sqrt(2 pi R) e^{-R}), and it falls as |z| grows: R = 40.
+_E1_SERIES_MIN = float(next(r for r in range(1, 100)
+                            if math.factorial(r) / r ** r <= _U))
+
+# Below _E1_SERIES_MIN, E1 comes from mpmath.e1, whose relative error at its
+# default 53-bit precision measured worst 0.95 u over 3000 arguments N w
+# against 150-bit evaluations.
 _E1_REL_ERR = 2.0 * _U
+
+_TINY = 5e-324                  # smallest subnormal float64, 2^-1074
 
 # Bernoulli terms shrink like (|w| / 2 pi)^{2k} <= 4^{-k} for |Im w| <= pi,
 # so about 27 reach rounding; the cap leaves room for Re w > 0.
@@ -146,6 +162,49 @@ def _direct_rounding(zetas: Sequence[complex], n: int) -> List[float]:
             for zeta in zetas]
 
 
+def _e1(z: complex) -> Tuple[complex, float]:
+    """E1(z) for Re z >= 0 and |z| >= _E1_SERIES_MIN, and a bound on its
+    absolute error.
+
+    e^z z E1(z) = sum_{k<n} (-1)^k k! / z^k + rho_n (DLMF 6.12.1), with
+    |rho_n| <= n! / |z|^n: by DLMF 6.2.2, E1(z) = e^{-z} int_0^inf
+    e^{-t} / (t + z) dt, and |t + z| >= |z| for t >= 0 and Re z >= 0.
+    Terms are added while that bound is at least u / 4 and n + 1 < |z|
+    (beyond, the terms grow); at |z| >= _E1_SERIES_MIN the last bound is
+    at most u.
+
+    Rounding, by running error analysis (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3), to first order in u:
+    * term k, the product of j (-1/z) over j = 1 .. k, carries 9k u of
+      relative error (-1/z within 5u; per factor, the real product u and
+      the complex one sqrt(5) u);
+    * adding it to the running sum of the terms k >= 1 costs u times that
+      sum, and adding the sum to 1 costs u |S|;
+    * e^{-z} (exp, cos and sin each within one ulp: 5u) and the two complex
+      products of e^{-z} (1/z) S add 15u of the value; 16u covers that
+      and every second-order term.
+    Where e^{-z} is subnormal or underflows to 0 the value loses its
+    relative precision, but its absolute error stays below the smallest
+    subnormal float, which the bound adds.
+    """
+    az = abs(z)
+    r = -1.0 / z
+    term = 1.0 + 0.0j
+    tail = 0.0j                 # sum of the terms k >= 1
+    rounding = 0.0              # in units of u
+    n, bound = 1, 1.0 / az      # terms k < n are in; bound = n! / |z|^n
+    while bound >= _U / 4 and n + 1 < az:
+        term *= n * r
+        tail += term
+        rounding += 9.0 * n * abs(term) + abs(tail)
+        n += 1
+        bound *= n / az
+    total = 1.0 + tail
+    err = bound + _U * (rounding + abs(total))
+    value = -cmath.exp(-z) * (r * total)
+    return value, (16.0 * _U + err / abs(total)) * abs(value) + _TINY
+
+
 @lru_cache(maxsize=1)
 def _bernoulli_ratios() -> Tuple[float, ...]:
     """B_{2k} / (2k) for k = 1 .. _MAX_BERNOULLI."""
@@ -175,13 +234,14 @@ def _euler_maclaurin_log_sums(zeta: complex,
       int_N^inf |f^{(j)}| <= e^{-N Re w} (|w|^j log(1 + 1 / (N Re w))
       + ((|w| + j / N)^j - |w|^j) / j) by DLMF 6.8.2 and
       (i - 1)! <= j^{i - 1};
-    * the relative error _E1_REL_ERR of mpmath.e1;
+    * the error of E1(N w): the bound that _e1 returns at
+      |N w| >= _E1_SERIES_MIN, and the relative error _E1_REL_ERR of
+      mpmath.e1 below;
     * float rounding: w = -log zeta carries a relative error of about 2u,
       which moves T by |zeta^N / (1 - zeta)| 2u |w| and f(N) and each c_j
       (all multiples of e^{-N w}) by (N |w| + 2) 2u relative; the log, the
       products and the additions add a few u of each magnitude.
     """
-    import mpmath
     w = -cmath.log(zeta)
     big_n = n + 1
     sigma = w.real
@@ -189,10 +249,16 @@ def _euler_maclaurin_log_sums(zeta: complex,
     decay = math.exp(-sigma * big_n)
     if w == 0:
         anchor = math.log(big_n) + EULER_GAMMA
-        e1 = 0.0j
+        e1, e1_err = 0.0j, 0.0
     else:
         anchor = -cmath.log(1.0 - zeta)
-        e1 = complex(mpmath.e1(w * big_n))
+        z = w * big_n
+        if abs(z) >= _E1_SERIES_MIN and z.real >= 0.0:
+            e1, e1_err = _e1(z)
+        else:
+            import mpmath
+            e1 = complex(mpmath.e1(z))
+            e1_err = _E1_REL_ERR * abs(e1)
     scale = abs(anchor) + abs(e1)
     ratios = _bernoulli_ratios()
     corr = 0.5 * fn
@@ -221,7 +287,7 @@ def _euler_maclaurin_log_sums(zeta: complex,
     slope = decay * aw / abs(1.0 - zeta) if aw else 0.0
     rounding = 2.0 * _U * (slope + (aw * big_n + 2.0) * mag) \
         + 4.0 * _U * (scale + mag)
-    err = remainder + _E1_REL_ERR * abs(e1) + rounding
+    err = remainder + e1_err + rounding
     if w == 0:
         return anchor - corr, complex(math.inf), err
     tail = e1 + corr
@@ -395,8 +461,10 @@ def finite_correlator(spec: CorrelatorSpec, params: ModelParams,
     * per mode sum of n terms (weighted by |A1 A2|): for n <= 400 the
       worst-case rounding of the direct sum, u ((3 + |w|) n + (n + 2) H_n);
       above, the Euler-Maclaurin remainder at the last kept Bernoulli term,
-      2 zeta(2p) / (2 pi)^{2p} int |f^{(2p)}|, plus the relative error 2u of
-      mpmath.e1 and the rounding of the closed form;
+      2 zeta(2p) / (2 pi)^{2p} int |f^{(2p)}|, plus the error of
+      E1(N w) (the bound of its asymptotic series at |N w| >= 40, 17u to
+      19u relative; below, the relative error 2u of mpmath.e1) and the
+      rounding of the closed form;
     * per pair, the rounding of the zero-mode phase and of exp;
     * per insertion, the relative error of Z (its own mode sum) and of each
       complex product.

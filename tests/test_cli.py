@@ -496,7 +496,24 @@ GENERIC_SHA256 = {
         "2affaf93eaed8bbcd52afd867f16d8fded59922f003078156f9e160b5822a154",
     ("correlate-continuum", "json"):
         "c261f0e832492a041e448a416a16b13f5e89a31400c75694a75c470572905a05",
+    # finite correlate at the spacings of FINE_SPACINGS, recorded while
+    # every E1 of the Euler-Maclaurin mode sums still came from mpmath.e1
+    ("correlate-finite-na1e5", "csv"):
+        "ec49378ddf9f137be5d2c6070b5e608451816596e1e7693afc20d681be382ffb",
+    ("correlate-finite-na1e5", "json"):
+        "5972c6fce62d869bfdaaa50eec5a4f28940a641d4e485fbeb323fd407b628f3d",
+    ("correlate-finite-na1e6", "csv"):
+        "ec49378ddf9f137be5d2c6070b5e608451816596e1e7693afc20d681be382ffb",
+    ("correlate-finite-na1e6", "json"):
+        "5972c6fce62d869bfdaaa50eec5a4f28940a641d4e485fbeb323fd407b628f3d",
 }
+
+# finite correlate on GENERIC_INI at a finer spacing a, named by
+# n_a = L / 2a: its mode sums take the Euler-Maclaurin closed form; at
+# n_a = 1e5 the E1 argument of Z's sum (about 31) is below the series
+# range, at 1e6 none is
+FINE_SPACINGS = {"correlate-finite-na1e5": "a = 0.0001",
+                 "correlate-finite-na1e6": "a = 1e-05"}
 
 
 def assert_needs_no_quoting(text):
@@ -511,13 +528,15 @@ def assert_needs_no_quoting(text):
                        for c in field), field
 
 
-@pytest.mark.parametrize("name", list(TABLE_COMMANDS))
+@pytest.mark.parametrize("name", list(TABLE_COMMANDS) + list(FINE_SPACINGS))
 def test_generic_tables_pinned_and_unquoted(config_file, tmp_path, name):
-    cfg = config_file(GENERIC_INI)
+    cfg = config_file(GENERIC_INI.replace("a = 0.05", FINE_SPACINGS[name])
+                      if name in FINE_SPACINGS else GENERIC_INI)
+    command = TABLE_COMMANDS.get(name, TABLE_COMMANDS["correlate-finite"])
     for fmt in ("csv", "json"):
         out = tmp_path / f"out.{fmt}"
         assert run_cli(["--config", cfg, "--output", str(out), "--format",
-                        fmt, *TABLE_COMMANDS[name]]) == 0
+                        fmt, *command]) == 0
         data = out.read_bytes()
         assert hashlib.sha256(data).hexdigest() == GENERIC_SHA256[name, fmt]
         if fmt == "csv":

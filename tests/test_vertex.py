@@ -9,11 +9,12 @@ from fermiphon.bogoliubov import solve_closed_form
 from fermiphon.correlators import (CorrelatorSpec, InsertionPoint,
                                    free_finite_L, klein_sign)
 from fermiphon.errors import BadRegulator, GridTooSmall
+from fermiphon import vertex
 from fermiphon.vertex import (EULER_GAMMA, NormalOrderedProduct,
                               field_vertex, finite_correlator,
                               normal_order_product, vacuum_expectation,
-                              z_renorm, _direct_rounding, _log_sums,
-                              _DIRECT_SUM_MAX)
+                              z_renorm, _direct_rounding, _e1, _log_sums,
+                              _DIRECT_SUM_MAX, _E1_SERIES_MIN, _U)
 from oracles import _channel_contraction, pair_contraction, two_point
 
 L, A = 20.0, 0.05
@@ -383,6 +384,69 @@ def test_mode_sum_closed_form_matches_direct_sum():
     # a regulator so large that zeta underflows to 0 on either path
     for n in (_DIRECT_SUM_MAX, 10 ** 6):
         assert _log_sums([0.0j], n) == [(0.0, 0.0, 0.0)]
+
+
+def test_e1_series_within_its_bound():
+    # the asymptotic series against 120-bit mpmath.e1 at the same float z:
+    # |z| log-uniform from the series threshold R to 1e8 at phases uniform
+    # over the right half-plane (mostly where e^{-z} underflows), then at
+    # phases near the imaginary axis (where the mode sums call it), then at
+    # pinned points: |z| = R and just above, phases +-pi / 2 exactly and
+    # within 1e-6 of them, and arguments where e^{-z} is subnormal or 0
+    import mpmath
+    rng = np.random.default_rng(17)
+    log_r = rng.uniform(math.log(_E1_SERIES_MIN), math.log(1e8), 500)
+    half = math.pi / 2
+    phases = np.concatenate([
+        rng.uniform(-half, half, 250),
+        np.sign(rng.uniform(-1.0, 1.0, 250))
+        * (half - 10.0 ** rng.uniform(-8.0, -1.0, 250))])
+    zs = [cmath.rect(math.exp(lr), ph) for lr, ph in zip(log_r, phases)]
+    for r in (_E1_SERIES_MIN, math.nextafter(_E1_SERIES_MIN, 50.0), 40.7,
+              1e4, 1e8):
+        zs += [complex(0.0, r), complex(0.0, -r), complex(r, 0.0),
+               cmath.rect(r, half - 1e-6), cmath.rect(r, 1e-6 - half)]
+    zs += [complex(709.0, 50.0), complex(740.0, -3.0), complex(746.0, 1e3)]
+    ratios = []
+    with mpmath.workprec(120):
+        for z in zs:
+            value, bound = _e1(z)
+            exact = mpmath.e1(mpmath.mpc(z.real, z.imag))
+            error = abs(mpmath.mpc(value.real, value.imag) - exact)
+            assert error <= bound, z
+            if z.real < 700.0:      # e^{-z} normal: the bound is tight
+                assert bound <= 64.0 * _U * abs(value), z
+                ratios.append(float(error / bound))
+    assert len(ratios) > 250 and max(ratios) > 0.01
+
+
+def test_mode_sums_take_the_series_near_the_continuum(monkeypatch):
+    # at n_a = 1e6 (L = 20) every E1 argument N w of the Euler-Maclaurin
+    # mode sums lies at |N w| >= R, where the series serves it; at
+    # n_a = 1e4, Z's sum at eps = 1e-3 has N w near 3 and calls mpmath.e1
+    import mpmath
+
+    def refuse(z):
+        raise AssertionError("mpmath.e1 called")
+    monkeypatch.setattr(mpmath, "e1", refuse)
+    monkeypatch.setattr(vertex, "_renorm_log_sum",
+                        vertex._renorm_log_sum.__wrapped__)
+    s = TWO_PI / L
+    zeta = cmath.exp(complex(-1e-3 * s, 0.05))
+    (head, tail, err), = _log_sums([zeta], 10 ** 6)
+    assert err < 1e-13 and math.isfinite(abs(tail))
+    params = ModelParams(v_f=1.0, v_p=0.3, lam=1.0, g=0.2, a=1e-5, L=L)
+    spec = CorrelatorSpec(insertions=(InsertionPoint(+1, -1, 0.5, 0.0),
+                                      InsertionPoint(+1, +1, 0.0, 0.0)),
+                          ell=1.0, regulator=1e-3)
+    out = finite_correlator(spec, params, solve_closed_form(params),
+                            momentum_grid(L=L, K=8, a=1e-5))
+    assert math.isfinite(out["tail_bound"]) and abs(out["value"]) > 0.0
+    calls = []
+    monkeypatch.setattr(mpmath, "e1", lambda z: calls.append(z) or 1.0)
+    near = ModelParams(v_f=1.0, v_p=0.3, lam=1.0, g=0.2, a=1e-3, L=L)
+    z_renorm(near, solve_closed_form(near), 1e-3)
+    assert len(calls) == 1 and abs(calls[0]) < _E1_SERIES_MIN
 
 
 def test_continuum_ladder_diagnostic():
