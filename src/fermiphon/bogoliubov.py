@@ -12,12 +12,19 @@ diagonalize_numeric) are the check the tests hold the closed form to.
 Every eigenstate is a charge pair, a phonon zero-mode level and a set of
 boson occupations, with a closed-form energy.  spectrum enumerates the
 occupations once, as one tree shared by every charge and zero-mode sector,
-and refuses more than LEVEL_CAP stored occupation entries or levels.
+and walks the tree for a block of sectors at once as a numpy array, one
+tree depth at a time, with the float additions of a per-sector walk.  It
+returns the levels as columns (a Spectrum, read as a sequence of
+SpectrumEntry), and refuses more than LEVEL_CAP stored occupation entries
+or levels; a block holds at most LEVEL_CAP floats, and the level count is
+checked after each block.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, List, NamedTuple, Tuple
 
@@ -87,6 +94,31 @@ class SpectrumEntry(NamedTuple):
     occupations: Tuple[Tuple[str, int, int], ...]  # (flavor, m, occupation)
     energy: float
     degeneracy: int
+
+
+@dataclass(frozen=True, eq=False)
+class Spectrum(Sequence):
+    """spectrum's levels as columns, one entry per level in spectrum order,
+    and the occupation tuple of each node of the shared occupation tree:
+    level i has occupations[node[i]].  As a Sequence, indexed by position,
+    its items are SpectrumEntry."""
+
+    q_plus: np.ndarray
+    q_minus: np.ndarray
+    m_p0: np.ndarray
+    node: np.ndarray
+    energy: np.ndarray
+    degeneracy: np.ndarray
+    occupations: List[Tuple[Tuple[str, int, int], ...]]
+
+    def __len__(self) -> int:
+        return len(self.energy)
+
+    def __getitem__(self, i: int) -> SpectrumEntry:
+        return SpectrumEntry(
+            int(self.q_plus[i]), int(self.q_minus[i]), int(self.m_p0[i]),
+            self.occupations[self.node[i]], float(self.energy[i]),
+            int(self.degeneracy[i]))
 
 
 def block_matrices(params: ModelParams, p: float) -> BlockMatrices:
@@ -274,7 +306,7 @@ def _grow(tree, modes, idx, node, spent, e_max, stored):
     its extensions, modes ascending, occupations ascending.  `stored`
     counts the (flavor, m, n) entries of the tree's occupation tuples, each
     state holding its whole tuple; returns the new count."""
-    parent, inc, occs, end = tree
+    parent, inc, occs = tree
     for i in range(idx, len(modes)):
         fl, m, e = modes[i]
         if spent + e > e_max:
@@ -289,35 +321,91 @@ def _grow(tree, modes, idx, node, spent, e_max, stored):
             parent.append(node)
             inc.append(n * e)
             occs.append(occ)
-            end.append(k)
             stored = _grow(tree, modes, i + 1, k, spent + n * e, e_max,
                            stored)
-            end[k] = len(parent)
             n += 1
     return stored
 
 
+def _sectors(params: ModelParams, solution: BogoliubovSolution,
+             e_max: float):
+    """((q_plus, q_minus, m_p0), base energy) of every charge and zero-mode
+    sector with a base energy up to e_max: q_plus, then q_minus, then m_p0
+    ascending."""
+    g1 = solution.couplings.gamma1
+    charge_scale = math.pi * params.v_f / params.L
+    qmax = int(math.floor(math.sqrt(e_max / (charge_scale * (1.0 - abs(g1))))
+                          )) + 1 if e_max > 0 else 0
+    # row qp holds the q_minus with (q_minus + g1 qp)^2 <= e_max /
+    # charge_scale - qp^2 (1 - g1^2); the slack covers the rounding of the
+    # charge energy (under 28 ulp of qmax^2) and of this bound, so each row
+    # is scanned over a superset of its sectors, not over all of [-qmax, qmax]
+    slack = 1.0 + 1e-14 * qmax * qmax
+    for qp in range(-qmax, qmax + 1):
+        center = -g1 * qp
+        half = math.sqrt(max(0.0, e_max / charge_scale
+                             - qp * qp * (1.0 - g1 * g1)) + slack)
+        for qm in range(max(-qmax, math.floor(center - half) - 1),
+                        min(qmax, math.ceil(center + half) + 1) + 1):
+            e_q = charge_scale * (qp * qp + qm * qm + 2.0 * g1 * qp * qm)
+            mp0 = 0
+            while e_q + mp0 * params.omega0 <= e_max:
+                yield (qp, qm, mp0), e_q + mp0 * params.omega0
+                mp0 += 1
+
+
+def degeneracies(energies: np.ndarray) -> np.ndarray:
+    """The degeneracy of each of the ascending `energies`: a group is
+    anchored at its first energy e and takes every following energy within
+    1e-12 max(1, |e|) of e; each level gets the size of its group.  Runs of
+    equal energies are compared once."""
+    import numpy as np
+    new = np.ones(len(energies), dtype=bool)
+    new[1:] = energies[1:] != energies[:-1]
+    starts = np.flatnonzero(new).tolist() + [len(energies)]
+    values = energies[new].tolist()
+    sizes = []
+    a = 0
+    while a < len(values):
+        e = values[a]
+        b = a + 1
+        while b < len(values) and abs(values[b] - e) \
+                <= 1e-12 * max(1.0, abs(e)):
+            b += 1
+        sizes.append(starts[b] - starts[a])
+        a = b
+    sizes = np.array(sizes, dtype=np.int64)
+    return np.repeat(sizes, sizes)
+
+
 def spectrum(params: ModelParams, solution: BogoliubovSolution, e_max: float,
-             grid: MomentumGrid) -> List[SpectrumEntry]:
+             grid: MomentumGrid) -> Spectrum:
     """All eigenvalue labels with energy - E0 <= e_max, sorted ascending by
-    energy, then by descending q_plus and q_minus, then in enumeration order.
+    energy, then by descending q_plus and q_minus, then by m_p0 and tree
+    node (the order of a per-sector enumeration).
 
     A level is a charge pair, a phonon zero-mode level m_p0 and a set of
     boson occupations over grid modes; a mode m moves at vtilde_X if it
     couples (m <= n_a) and at the bare v_X otherwise.  The occupations form
     one tree, built once at budget e_max from energy 0 and shared by every
-    (q_plus, q_minus, m_p0) sector: a sector walks it from its own base
-    energy with the same float additions as a per-sector enumeration, and
-    skips a subtree once its energy passes e_max.  Levels share the tree's
-    occupation tuples.  Raises GridTooSmall when the grid disagrees with
-    params, or when a mode outside the grid could still contribute below
-    e_max, and TruncationTooLarge once the entries of the tree's occupation
-    tuples or the levels pass LEVEL_CAP; BadArgument when e_max is not
-    finite.
+    (q_plus, q_minus, m_p0) sector.  A block of sectors walks it as one
+    array, a row per sector and a column per node, one tree depth at a
+    time: a node's energy is its parent's plus its increment, the float
+    additions of a per-sector enumeration.  The increments are positive, so
+    the entries up to e_max are exactly the nodes such an enumeration keeps
+    (it skips a subtree once its energy passes e_max).  A block holds at
+    most LEVEL_CAP floats, and the sectors are generated block by block.
+    One lexsort orders the kept levels, `degeneracies` counts their groups,
+    and the levels come back as the columns of a Spectrum.  Raises
+    GridTooSmall when the grid disagrees with params, or when a mode outside
+    the grid could still contribute below e_max, and TruncationTooLarge once
+    the entries of the tree's occupation tuples, or the levels after a
+    block, pass LEVEL_CAP; BadArgument when e_max is not finite.
     """
     if not math.isfinite(e_max):
         raise BadArgument(f"e_max must be finite, got {e_max}")
     check_grid(params, grid)
+    import numpy as np
     spacing = TWO_PI / params.L
     # mode energies inside the grid; mode K + 1 must lie above e_max
     modes = []
@@ -345,66 +433,48 @@ def spectrum(params: ModelParams, solution: BogoliubovSolution, e_max: float,
     # both signs of p carry independent occupations
     modes = [(fl, sgn * m, e) for (fl, m, e) in modes for sgn in (1, -1)]
     modes.sort(key=lambda t: t[2])
-    # preorder lists: parent, energy increment, occupations, end of subtree
-    tree = parent, inc, occs, end = [0], [0.0], [()], [0]
+    # preorder lists: parent, energy increment, occupations
+    tree = parent, inc, occs = [0], [0.0], [()]
     _grow(tree, modes, 0, 0, 0.0, e_max, 0)
-    size = end[0] = len(parent)
+    size = len(parent)
+    parent, inc = np.array(parent), np.array(inc)
+    # the nodes of each depth (the length of their occupation tuples)
+    depth = np.array([len(occ) for occ in occs])
+    by_depth = np.argsort(depth, kind="stable")
+    cuts = np.searchsorted(depth[by_depth], np.arange(1, depth.max() + 2))
+    layers = [by_depth[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
 
-    g1 = solution.couplings.gamma1
-    charge_scale = math.pi * params.v_f / params.L
+    sectors = _sectors(params, solution, e_max)
+    labels = []     # (q_plus, q_minus, m_p0) of each sector
+    rows, nodes, spent = [np.empty(0, np.intp)], [np.empty(0, np.intp)], \
+        [np.empty(0)]
+    count = 0
+    while True:
+        block = list(itertools.islice(sectors, max(1, LEVEL_CAP // size)))
+        if not block:
+            break
+        walk = np.empty((len(block), size))
+        walk[:, 0] = [base for _, base in block]
+        for ks in layers:
+            walk[:, ks] = walk[:, parent[ks]] + inc[ks]
+        kept = walk <= e_max
+        row, node = np.nonzero(kept)
+        count += len(row)
+        if count > LEVEL_CAP:
+            raise _too_many("levels", e_max)
+        rows.append(row + len(labels))
+        nodes.append(node)
+        spent.append(walk[kept])
+        labels += [label for label, _ in block]
 
-    def charge_energy(qp, qm):
-        return charge_scale * (qp * qp + qm * qm + 2.0 * g1 * qp * qm)
-
-    qmax = int(math.floor(math.sqrt(e_max / (charge_scale * (1.0 - abs(g1))))
-                          )) + 1 if e_max > 0 else 0
-    # row qp holds the q_minus with (q_minus + g1 qp)^2 <= e_max /
-    # charge_scale - qp^2 (1 - g1^2); the slack covers the rounding of
-    # charge_energy (under 28 ulp of qmax^2) and of this bound, so each row
-    # is scanned over a superset of its sectors, not over all of [-qmax, qmax]
-    slack = 1.0 + 1e-14 * qmax * qmax
-
-    e0 = solution.e0
-    spent = [0.0] * size
-    levels = []     # (energy, -q_plus, -q_minus, m_p0, tree node)
-    for qp in range(-qmax, qmax + 1):
-        center = -g1 * qp
-        half = math.sqrt(max(0.0, e_max / charge_scale
-                             - qp * qp * (1.0 - g1 * g1)) + slack)
-        for qm in range(max(-qmax, math.floor(center - half) - 1),
-                        min(qmax, math.ceil(center + half) + 1) + 1):
-            e_q = charge_energy(qp, qm)
-            if e_q > e_max:
-                continue
-            mp0 = 0
-            while e_q + mp0 * params.omega0 <= e_max:
-                spent[0] = e_q + mp0 * params.omega0
-                levels.append((e0 + spent[0], -qp, -qm, mp0, 0))
-                k = 1
-                while k < size:
-                    s = spent[parent[k]] + inc[k]
-                    if s > e_max:
-                        k = end[k]
-                        continue
-                    spent[k] = s
-                    levels.append((e0 + s, -qp, -qm, mp0, k))
-                    k += 1
-                if len(levels) > LEVEL_CAP:
-                    raise _too_many("levels", e_max)
-                mp0 += 1
-
-    # within one sector (m_p0, node) ascending is enumeration order
-    levels.sort()
-    # attach degeneracy tallies (counts of equal energies up to 1e-12 rel)
-    out = []
-    i = 0
-    while i < len(levels):
-        e_i = levels[i][0]
-        j = i
-        while j < len(levels) and abs(levels[j][0] - e_i) \
-                <= 1e-12 * max(1.0, abs(e_i)):
-            j += 1
-        out += [SpectrumEntry(-nqp, -nqm, mp0, occs[k], energy, j - i)
-                for energy, nqp, nqm, mp0, k in levels[i:j]]
-        i = j
-    return out
+    sector = np.concatenate(rows)
+    q_plus, q_minus, m_p0 = np.array(labels, dtype=np.int64).reshape(
+        -1, 3)[sector].T
+    node = np.concatenate(nodes)
+    energy = solution.e0 + np.concatenate(spent)
+    # the key of a level tuple (energy, -q_plus, -q_minus, m_p0, node)
+    order = np.lexsort((node, m_p0, -q_minus, -q_plus, energy))
+    energy = energy[order]
+    return Spectrum(q_plus=q_plus[order], q_minus=q_minus[order],
+                    m_p0=m_p0[order], node=node[order], energy=energy,
+                    degeneracy=degeneracies(energy), occupations=occs)

@@ -3,10 +3,14 @@
 Outputs are deterministic: fixed summation orders, floats written as "%.17g",
 complex values split into re/im columns.  A table row is one CSV line ending
 in '\\r\\n' as csv.writer's did, and no field is ever quoted (none holds a
-comma, quote, backslash or control character).  A JSON table is
-`json.dump(rows, indent=2)` of the CSV rows as strings.  Exit codes: 0
-success, 1 failed verification, 2 invalid input, instability, a grid past
-GRID_CAP or too large for memory, or an output that cannot be written.
+comma, quote, backslash or control character).  A value that many rows
+share is formatted once: `scan` formats lambda and gamma1 once per lambda
+and g and gamma2 once per g, `spectrum` each tree node's modes, each
+sector's charges and zero-mode level and each distinct energy, and
+`correlate` its t.  A JSON table is `json.dump(rows, indent=2)` of the CSV
+rows as strings.  Exit codes: 0 success, 1 failed verification, 2 invalid
+input, instability, a grid past GRID_CAP or too large for memory, or an
+output that cannot be written.
 
 Importing this module loads neither numpy nor the Fock lab: `verify` loads
 the Fock lab (pure Python) and never numpy; `solve`, `spectrum`, `correlate`
@@ -28,7 +32,7 @@ from .correlators import (CorrelatorSpec, InsertionPoint, exponents,
                           klein_sign, npoint_continuum)
 from .errors import (BadArgument, BadGeometry, FermiphonError,
                      TruncationTooLarge, UnstableCouplings)
-from .params import ModelParams, momentum_grid, validate_params
+from .params import ModelParams, _gammas, momentum_grid, validate_params
 from .vertex import finite_correlator
 
 if TYPE_CHECKING:
@@ -178,23 +182,31 @@ def cmd_verify(cfg: RunConfig):
 
 
 def cmd_spectrum(cfg: RunConfig, e_max: float):
+    import numpy as np
     sol = solve_closed_form(cfg.model)
     grid = momentum_grid(L=cfg.model.L, K=cfg.K, a=cfg.model.a)
-    entries = spectrum(cfg.model, sol, e_max, grid)
+    levels = spectrum(cfg.model, sol, e_max, grid)
 
     def rows():
-        labels = {}     # levels share occupations: format each one once
-        # each level is dropped once formatted: the level list shrinks as
-        # the output grows
-        entries.reverse()
-        while entries:
-            e = entries.pop()
-            modes = labels.get(e.occupations)
-            if modes is None:
-                modes = labels[e.occupations] = ";".join(
-                    f"{fl}:{m}:{n}" for fl, m, n in e.occupations)
-            yield "%d,%d,%d,%s,%d,%.17g\r\n" % (
-                e.q_plus, e.q_minus, e.m_p0, modes, e.degeneracy, e.energy)
+        # levels share tree nodes, sectors and energies: each node's modes,
+        # each sector's prefix and each energy (with the degeneracy of its
+        # group) is formatted once
+        modes = [";".join(f"{fl}:{m}:{n}" for fl, m, n in occ)
+                 for occ in levels.occupations]
+        bits = levels.energy.view(np.int64)
+        new = np.ones(len(bits), dtype=bool)
+        new[1:] = bits[1:] != bits[:-1]
+        tails = ["%d,%.17g\r\n" % pair for pair in zip(
+            levels.degeneracy[new].tolist(), levels.energy[new].tolist())]
+        prefixes = {}
+        sectors = zip(levels.q_plus.tolist(), levels.q_minus.tolist(),
+                      levels.m_p0.tolist())
+        for sector, k, run in zip(sectors, levels.node.tolist(),
+                                  (np.cumsum(new) - 1).tolist()):
+            prefix = prefixes.get(sector)
+            if prefix is None:
+                prefix = prefixes[sector] = "%d,%d,%d," % sector
+            yield prefix + modes[k] + "," + tails[run]
     return 0, Table(
         ["q_plus", "q_minus", "m_p0", "modes", "degeneracy", "energy"],
         rows())
@@ -244,8 +256,9 @@ def cmd_correlate(cfg: RunConfig, mode: str):
                 spec, cfg.model, sol, grid, xs=positions)]
         else:
             values = npoint_continuum(spec, sol, xs=positions)
-    rows = ["%.17g,%.17g,%.17g,%.17g,%.17g\r\n"
-            % (x, t, v.real, v.imag, abs(v)) for x, v in zip(xs, values)]
+    # t is one value for every row: formatted once
+    row = "%%.17g,%.17g,%%.17g,%%.17g,%%.17g\r\n" % t
+    rows = [row % (x, v.real, v.imag, abs(v)) for x, v in zip(xs, values)]
     return 0, Table(["x", "t", "re", "im", "abs"], rows)
 
 
@@ -257,23 +270,31 @@ def cmd_scan(cfg: RunConfig):
     gs = _grid(g_min, g_max, n_g)
 
     def rows():
+        # lambda and gamma1 depend on the lambda axis only, g and gamma2 on
+        # the g axis: each is formatted once per grid line; gamma1 and
+        # gamma2 are the float operations closed_form takes at each point
+        with np.errstate(all="ignore"):
+            g1s, g2s = _gammas(replace(cfg.model, lam=lams, g=gs))
+        lam_s, g_s, g1_s, g2_s = (["%.17g" % v for v in axis.tolist()]
+                                  for axis in (lams, gs, g1s, g2s))
         # blocks of 2048 points k = (lams[k // n_g], gs[k % n_g]) keep the
         # kernel's arrays small; each is written before the next is solved
         for lo in range(0, n_lam * n_g, 2048):
-            idx = np.arange(lo, min(lo + 2048, n_lam * n_g))
+            lam_at, g_at = np.divmod(
+                np.arange(lo, min(lo + 2048, n_lam * n_g)), n_g)
             # points without a solution may hold inf or nan: no warnings
             with np.errstate(all="ignore"):
-                params = replace(cfg.model, lam=lams[idx // n_g],
-                                 g=gs[idx % n_g])
-                sol, status = closed_form(params)
+                sol, status = closed_form(replace(cfg.model, lam=lams[lam_at],
+                                                  g=gs[g_at]))
                 tab = exponents(sol)
                 table = np.column_stack((
-                    params.lam, params.g, sol.couplings.gamma1,
-                    sol.couplings.gamma2, sol.vtilde_f, sol.vtilde_p,
-                    tab.delta_cdw, tab.delta_sc)).tolist()
-            for stable, vals in zip((status == 0).tolist(), table):
-                yield (("%.17g," * 8 + "1\r\n") % tuple(vals) if stable else
-                       "%.17g,%.17g,,,,,,,0\r\n" % (vals[0], vals[1]))
+                    sol.vtilde_f, sol.vtilde_p, tab.delta_cdw,
+                    tab.delta_sc)).tolist()
+            for i, j, stable, vals in zip(lam_at.tolist(), g_at.tolist(),
+                                          (status == 0).tolist(), table):
+                yield ("%s,%s,%s,%s,%.17g,%.17g,%.17g,%.17g,1\r\n" % (
+                    lam_s[i], g_s[j], g1_s[i], g2_s[j], *vals) if stable
+                    else "%s,%s,,,,,,,0\r\n" % (lam_s[i], g_s[j]))
     return 0, Table(["lambda", "g", "gamma1", "gamma2", "vtilde_f",
                      "vtilde_p", "delta_cdw", "delta_sc", "stable"], rows())
 

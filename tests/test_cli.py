@@ -21,7 +21,7 @@ from fermiphon.bogoliubov import LEVEL_CAP, solve_closed_form
 from fermiphon.correlators import exponents
 from fermiphon.focklab.space import FockSpace
 
-from test_sweeps import SCANS
+from test_sweeps import SCANS, SPECTRA
 
 FREE_INI = """\
 [model]
@@ -583,6 +583,82 @@ def test_scan_edge_grids_need_no_quoting(name):
     out = io.StringIO(newline="")
     cli._write(out, "csv", table)
     assert_needs_no_quoting(out.getvalue())
+
+
+def _spectrum_ini(name):
+    """An INI holding the model and K of test_sweeps.SPECTRA[name]."""
+    params, K, _e_max = SPECTRA[name]
+    return "".join(["[model]\n"] + [
+        f"{key} = {getattr(params, field)!r}\n" for key, field in (
+            ("v_f", "v_f"), ("v_p", "v_p"), ("lambda", "lam"), ("g", "g"),
+            ("a", "a"), ("L", "L"), ("omega0", "omega0"))]
+        + [f"\n[grid]\nK = {K}\n"])
+
+
+# a 57 x 41 scan: 2,337 rows cross the 2048-point block, the gamma2
+# stability boundary and both signs of lambda
+SCAN_2D_INI = GENERIC_INI.replace(
+    "lambda_min = -5.0\nlambda_max = 7.0\nn_lambda = 13\n"
+    "g_min = 0.0\ng_max = 0.0\nn_g = 1\n",
+    "lambda_min = -4.0\nlambda_max = 5.0\nn_lambda = 57\n"
+    "g_min = -0.9\ng_max = 0.9\nn_g = 41\n")
+
+# (config, command, csv sha256, json sha256), recorded while every spectrum
+# level and every scan field was still formatted on its own
+PINNED_TABLES = {
+    "scan-2d": (SCAN_2D_INI, ["scan"],
+                "c58d777cca4fc682939ebbc2aa7f92d94431f778d352e8c7b5a652d518ba8edf",
+                "79d6227c2a5d1ad3ff8ce29ca77fd76ba800a689a8b7321220d81c534f336317"),
+    "spectrum-free": (
+        _spectrum_ini("free"), ["spectrum", "--e-max", "2.0"],
+        "788203e4a73312867c4fcacd2ddeb04c09031559d32a37e941c8771d60e9d92f",
+        "d2936f3b1aeed6a45d7657a19f95b0b1710963c69fd6806dbe7238df96a5c837"),
+    "spectrum-lambda-negative": (
+        _spectrum_ini("lambda-negative"), ["spectrum", "--e-max", "0.8"],
+        "8da50102906d6f798f46420bdcfe726647fe345378cabf03f939596efc46cb5a",
+        "b5a83ffcbc0585d6ee672e9910c635639a3665096676e90c9e73156e8e079577"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_TABLES))
+def test_tables_pinned(config_file, tmp_path, name):
+    text, command, *digests = PINNED_TABLES[name]
+    cfg = config_file(text)
+    for fmt, digest in zip(("csv", "json"), digests):
+        out = tmp_path / f"out.{fmt}"
+        assert run_cli(["--config", cfg, "--output", str(out), "--format",
+                        fmt, *command]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    rows = out.read_text()
+    if name == "scan-2d":
+        assert rows.count('"lambda": ') == 57 * 41
+        assert '"stable": "0"' in rows and '"stable": "1"' in rows
+        assert '"lambda": "-' in rows
+
+
+# sha256 of the SCANS edge grids as written by cmd_scan, csv then json,
+# recorded as PINNED_TABLES were
+SCAN_EDGE_SHA256 = {
+    "boundary": (
+        "58ce0f45a2c1a01dde07c40717745961708bf19a61d2b4ac28ed362fc7340ec7",
+        "f6ccc4d571fa3faeee74151d0c7e449c4e88a2ac1b3eb9cec83b4fa1dfd2106f"),
+    "g-max-inf": (
+        "0ec7416c35349eacbbff8759676ac9e1becbad1a2a3fbbcaf13db9e97f2df9d0",
+        "2a392c10ae84af28be992d792964bf5adc0ebd661d766b3742fe0ef80e9d4c13"),
+    "g-underflow": (
+        "6ae83e9d4b3a1fd6680f5e50b99ad4dc823fbd20d770b3564abc0b8b79eebc5c",
+        "fa652b5a3ca7810a564af0c1a02c0efb2805185af710e6e7ce99fc5f56bd8032"),
+}
+
+
+@pytest.mark.parametrize("name", list(SCAN_EDGE_SHA256))
+def test_scan_edge_grids_pinned(name):
+    for fmt, digest in zip(("csv", "json"), SCAN_EDGE_SHA256[name]):
+        code, table = cli.cmd_scan(SCANS[name])
+        assert code == 0
+        out = io.StringIO(newline="")
+        cli._write(out, fmt, table)
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -15,12 +15,14 @@ import cmath
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fermiphon import ModelParams
 from fermiphon import cli
 from fermiphon.bogoliubov import (DEGENERACY_FLOOR, BogoliubovSolution,
-                                  SpectrumEntry, solve_closed_form, spectrum)
+                                  SpectrumEntry, degeneracies,
+                                  solve_closed_form, spectrum)
 from fermiphon.correlators import (FLAVORS, SWEEP_BLOCK, CorrelatorSpec,
                                    InsertionPoint, _pair_exponent, klein_sign,
                                    npoint_continuum)
@@ -244,15 +246,22 @@ def oracle_spectrum(params, solution, e_max, grid):
                 mp0 += 1
 
     levels.sort(key=lambda t: (t[4], -t[0], -t[1]))
+    return [SpectrumEntry(*level, deg) for level, deg in zip(
+        levels, oracle_degeneracies([level[4] for level in levels]))]
+
+
+def oracle_degeneracies(energies):
+    """Level by level: a group is anchored at its first energy and takes
+    the following levels within 1e-12 max(1, |e|) of it."""
     out = []
     i = 0
-    while i < len(levels):
-        e_i = levels[i][4]
+    while i < len(energies):
+        e_i = energies[i]
         j = i
-        while j < len(levels) and abs(levels[j][4] - e_i) \
+        while j < len(energies) and abs(energies[j] - e_i) \
                 <= 1e-12 * max(1.0, abs(e_i)):
             j += 1
-        out += [SpectrumEntry(*levels[k], j - i) for k in range(i, j)]
+        out += [j - i] * (j - i)
         i = j
     return out
 
@@ -553,10 +562,62 @@ def test_spectrum_configs_reach_their_cases():
                                 momentum_grid(L=params.L, K=K, a=params.a))
     assert max(e.degeneracy for e in levels["free"]) > 1
     assert [e.occupations for e in levels["e_max-0"]] == [()]
-    assert levels["e_max-negative"] == []
+    assert len(levels["e_max-negative"]) == 0
     sol = solve_closed_form(REFERENCE)
     assert max(e.energy for e in levels["e_max-on-a-level"]
                if (e.q_plus, e.q_minus, e.m_p0) == (0, 0, 0)) \
         == sol.e0 + SPECTRA["e_max-on-a-level"][2]
     assert any(abs(m) > 2 for e in levels["bare-modes"]
                for _fl, m, _n in e.occupations)
+
+
+def _chain(start, step, n):
+    """n energies from start, each `step` tolerances above the last."""
+    out = [start]
+    for _ in range(n - 1):
+        out.append(out[-1] + step * 1e-12 * max(1.0, abs(out[-1])))
+    return out
+
+
+DEGENERACY_LISTS = {
+    # steps of 0.6 tolerances: a chained rule would take the whole list
+    "chain-below-1": _chain(0.5, 0.6, 9),
+    "chain-above-1": _chain(3.0, 0.6, 9),
+    "chain-negative": _chain(-7.0, 0.6, 9),
+    # the tolerance switches from absolute to relative at |e| = 1
+    "ties-across-1": [1.0 - 1.5e-12, 1.0 - 0.6e-12, 1.0 - 0.2e-12, 1.0,
+                      1.0 + 0.5e-12, 1.0 + 1.1e-12, 1.0 + 1.6e-12],
+    "ties-across-minus-1": [-1.0 - 1.6e-12, -1.0 - 0.9e-12, -1.0, -1.0,
+                            -1.0 + 0.4e-12, -1.0 + 1.2e-12, -1.0 + 1.3e-12],
+    "exact-ties": [-2.0, -2.0, -2.0 + 1e-12, 0.0, 0.0, 0.0, 0.7e-12, 4.0,
+                   4.0 + 4e-12, 4.0 + 4e-12, 4.0 + 5e-12],
+    "negative": [-3.0, -3.0 + 2e-12, -3.0 + 3.5e-12, -1e-3, -1e-3 + 1e-12,
+                 -1e-13, 0.0],
+    "single": [0.25],
+    "singles": [-1.0, 0.0, 1.0, 2.0],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("name", list(DEGENERACY_LISTS))
+def test_degeneracies_match_anchored_loop(name):
+    energies = DEGENERACY_LISTS[name]
+    assert energies == sorted(energies)
+    got = degeneracies(np.array(energies, dtype=float)).tolist()
+    assert got == oracle_degeneracies(energies)
+    if name.startswith("chain"):
+        # anchored: 0.6 + 0.6 tolerances leave the group
+        assert got == [2] * 8 + [1]
+
+
+def test_degeneracies_match_anchored_loop_on_random_steps():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        start = rng.choice([-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+        steps = rng.choice([0.0, 0.3, 0.6, 0.99, 1.0, 1.01, 2.0], size=30)
+        energies = [start]
+        for step in steps:
+            energies.append(energies[-1] + step * 1e-12
+                            * max(1.0, abs(energies[-1])))
+        assert degeneracies(np.array(energies)).tolist() \
+            == oracle_degeneracies(energies)
