@@ -25,6 +25,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, List, NamedTuple
 
 from .bogoliubov import closed_form, solve_closed_form, spectrum
@@ -108,9 +109,8 @@ class Table(NamedTuple):
 
 
 def _write(out, fmt: str, payload):
-    """A Table as CSV or as a JSON list of objects, one row at a time (each
-    CSV line's fields fill one object template); any other payload as a JSON
-    document."""
+    """A Table as CSV or as a JSON list of objects (each CSV line's fields
+    fill one object template); any other payload as a JSON document."""
     if not isinstance(payload, Table):
         json.dump(payload, out, indent=2)
         out.write("\n")
@@ -120,9 +120,13 @@ def _write(out, fmt: str, payload):
     else:
         obj = "{\n    %s\n  }" % ",\n    ".join(
             f'"{name}": "%s"' for name in payload.header)
+        rows = iter(payload.rows)
         sep = "[\n  "
-        for line in payload.rows:
-            out.write(sep + obj % tuple(line[:-2].split(",")))
+        # a block of lines is split into fields at once and fills one
+        # template of as many objects
+        while block := list(islice(rows, 2048)):
+            fields = "".join(block)[:-2].replace("\r\n", ",").split(",")
+            out.write(sep + ",\n  ".join([obj] * len(block)) % tuple(fields))
             sep = ",\n  "
         out.write("[]\n" if sep == "[\n  " else "\n]\n")
 
@@ -153,8 +157,8 @@ def cmd_solve(cfg: RunConfig):
 
 
 def cmd_verify(cfg: RunConfig):
-    if cfg.K > 5:
-        raise BadArgument("verify requires K <= 5")
+    if cfg.K > 6:
+        raise BadArgument("verify requires K <= 6")
     from . import focklab
     K = cfg.K
     space = focklab.build_space(K)

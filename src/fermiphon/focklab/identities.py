@@ -104,6 +104,8 @@ def _j_psi_residuals(space):
     # [J_r(p), psi^dag_r'(k)] = delta_{r,r'} psi^dag_r(k - p), exact on the
     # whole lattice whenever both modes sit in the window, where the
     # density keeps the connecting term.
+    psi_dag = {(r, nu): field_op(space, r, nu, dagger=True)
+               for r in CHIRALITIES for nu in space.fermion_modes()}
     for r in CHIRALITIES:
         for m in range(1, 2 * space.K):
             for sm in (1, -1):
@@ -113,9 +115,9 @@ def _j_psi_residuals(space):
                     for nu in space.fermion_modes():
                         if not space.has_mode(rp, nu - p):
                             continue
-                        res = J.commutator(field_op(space, rp, nu, dagger=True))
+                        res = J.commutator(psi_dag[rp, nu])
                         if r == rp:
-                            res = res - field_op(space, rp, nu - p, dagger=True)
+                            res = res - psi_dag[rp, nu - p]
                         yield res, None
 
 

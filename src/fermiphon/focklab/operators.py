@@ -1,15 +1,20 @@
 """Exact sparse operators on the truncated Fock space.
 
 Every operator is a matrix of rationals (int and Fraction amplitudes),
-given as a column function: the image of one basis state, computed the
-first time that column is read.  Partial operators (Klein factors) return
-None for the columns outside their validity window; partiality is data,
-not an error.  Two primitives build the rest: `linear`, one flat linear
-combination whose column adds its terms' columns left to right (`+`, `-`
-and scalar `*` are its short cases), and bit moves that send a basis state
-to at most one signed basis state.  A ladder operator is one
-`FockSpace.move`, each bilinear of a density two of them, and the Klein
-factor one shift of a chirality block (`_klein_apply`).
+given as a column function: the image of one basis state.  Partial
+operators (Klein factors) return None for the columns outside their
+validity window; partiality is data, not an error.  Two kinds build the
+rest.  A monomial sends a basis state to at most one basis state times an
+amplitude: a ladder operator is one `FockSpace.move`, the Klein factor one
+shift of a chirality block (`_klein_apply`), and H0, Q_r and multiples of
+the identity are diagonal.  Any other operator, a density (each bilinear
+two moves) or a sum or product, has dict columns.  `@` composes two
+monomials without building a dict and applies a monomial factor through its
+image; `linear` is one flat linear combination whose column adds its terms'
+columns left to right, a monomial term's one entry directly (`+`, `-` and
+scalar `*` are its short cases).  The operators the builders return keep
+their columns once read; a sum or product is read once per column, so it
+computes each column when read.
 """
 
 from __future__ import annotations
@@ -23,20 +28,32 @@ from .space import FockSpace
 
 class Columns(dict):
     """cols[c] is column c as {row: amplitude}, or None outside the validity
-    window; each column is computed on first read and kept.  get() treats a
-    None column as absent."""
+    window; each column is computed when read, and kept when `keep` is set.
+    get() treats a None column as absent."""
 
-    def __init__(self, column):
+    def __init__(self, column, keep):
         super().__init__()
         self._column = column
+        self._keep = keep
 
     def __missing__(self, c):
-        col = self[c] = self._column(c)
+        col = self._column(c)
+        if self._keep:
+            self[c] = col
         return col
 
     def get(self, c, default=None):
         col = self[c]
         return default if col is None else col
+
+
+def _add(out: dict, r, amp):
+    """out[r] += amp; an entry that cancels is dropped."""
+    new = out.get(r, 0) + amp
+    if new:
+        out[r] = new
+    else:
+        out.pop(r, None)
 
 
 def _accumulate(out: dict, col: dict, scale=1) -> dict:
@@ -51,15 +68,17 @@ def _accumulate(out: dict, col: dict, scale=1) -> dict:
 
 
 class SparseOperator:
-    """Exact sparse matrix over a FockSpace basis, given column by column."""
+    """Exact sparse matrix over a FockSpace basis, given column by column.
+    The operators the builders return keep each column once read; sums and
+    products compute a column each time it is read."""
 
-    def __init__(self, space: FockSpace, column):
+    def __init__(self, space: FockSpace, column, keep=False):
         self.space = space
-        self.cols = Columns(column)
+        self.cols = Columns(column, keep)
 
-    @classmethod
-    def identity(cls, space, scalar=1):
-        return cls(space, lambda c: {c: scalar} if scalar else {})
+    @staticmethod
+    def identity(space, scalar=1):
+        return Monomial(space, lambda c: (c, scalar) if scalar else (None, 0))
 
     # -- algebra -------------------------------------------------------------
 
@@ -86,12 +105,64 @@ class SparseOperator:
     def __matmul__(self, other):
         """self @ other; a result column is None unless every basis state
         reached by the corresponding column of `other` is a column of `self`
-        inside its validity window."""
-        def column(c):
-            col = other.cols[c]
-            if col is None or any(self.cols[r] is None for r in col):
-                return None
-            return self.apply_col(col)
+        inside its validity window.  A product of two monomials composes
+        their images and builds no dict; with a monomial on the right, a
+        column is one column of self times an amplitude, and with one on
+        the left, each entry of other's column goes through its image;
+        otherwise self's columns are added, scaled by other's entries."""
+        left, right = self.cols, other.cols
+        if isinstance(other, Monomial):
+            image = other.image
+            if isinstance(self, Monomial):
+                outer = self.image
+
+                def compose(c):
+                    im = image(c)
+                    if im is None or im[0] is None:
+                        return im
+                    im2 = outer(im[0])
+                    if im2 is None or im2[0] is None:
+                        return im2
+                    return im2[0], im[1] * im2[1]
+                return Monomial(self.space, compose)
+
+            def column(c):
+                im = image(c)
+                if im is None:
+                    return None
+                mid, scale = im
+                if mid is None:
+                    return {}
+                col = left[mid]
+                return None if col is None else {
+                    r: amp * scale for r, amp in col.items()}
+        elif isinstance(self, Monomial):
+            image = self.image
+
+            def column(c):
+                col = right[c]
+                if col is None:
+                    return None
+                out = {}
+                for r, amp in col.items():
+                    im = image(r)
+                    if im is None:
+                        return None
+                    if im[0] is not None:
+                        _add(out, im[0], im[1] * amp)
+                return out
+        else:
+            def column(c):
+                col = right[c]
+                if col is None:
+                    return None
+                out = {}
+                for r, amp in col.items():
+                    lcol = left[r]
+                    if lcol is None:
+                        return None
+                    _accumulate(out, lcol, amp)
+                return out
         return SparseOperator(self.space, column)
 
     def commutator(self, other):
@@ -109,7 +180,7 @@ class SparseOperator:
         best = 0
         worst = None
         for c in cols:
-            col = self.cols.get(c)
+            col = self.cols[c]
             if not col:
                 continue
             for r, amp in col.items():
@@ -120,18 +191,46 @@ class SparseOperator:
         return best, worst
 
 
+class Monomial(SparseOperator):
+    """An operator that sends each basis state to at most one basis state:
+    image(c) is (row, amplitude), (None, 0) for a zero column, or None
+    outside the validity window.  The amplitude is a sign for ladder
+    operators, fields and Klein factors, the energy or charge for H0 and
+    Q_r, and the scalar for a multiple of the identity."""
+
+    def __init__(self, space: FockSpace, image, keep=False):
+        self.image = image
+
+        def column(c):
+            im = image(c)
+            return None if im is None else {} if im[0] is None else {
+                im[0]: im[1]}
+        super().__init__(space, column, keep)
+
+
 def linear(space: FockSpace, *terms) -> SparseOperator:
     """The sum of scale * op over the (scale, op) terms.  A column adds the
     terms' columns left to right into one dict, in the entry order a chain
     of pairwise sums gives (a cancelled entry is dropped and comes back at
-    the end); it is None where any term's column is None."""
+    the end); it is None where any term's column is None.  A monomial term
+    adds its one entry."""
+    parts = [(scale, op.image if isinstance(op, Monomial) else None, op.cols)
+             for scale, op in terms]
+
     def column(c):
         out = {}
-        for scale, op in terms:
-            col = op.cols[c]
-            if col is None:
+        for scale, image, cols in parts:
+            if image is None:
+                col = cols[c]
+                if col is None:
+                    return None
+                _accumulate(out, col, scale)
+                continue
+            im = image(c)
+            if im is None:
                 return None
-            _accumulate(out, col, scale)
+            if im[0] is not None:
+                _add(out, im[0], im[1] * scale)
         return out
     return SparseOperator(space, column)
 
@@ -150,11 +249,8 @@ def ladder_op(space: FockSpace, r: int, nu, dagger=False) -> SparseOperator:
     if not space.has_mode(r, nu):
         raise ModeOutOfWindow(f"mode (r={r:+d}, nu={nu}) outside window")
     pos = space.mode_position(r, nu)
-
-    def column(mask):
-        new, sign = space.move(mask, pos, dagger)
-        return {} if new is None else {new: sign}
-    return SparseOperator(space, column)
+    return Monomial(space, lambda mask: space.move(mask, pos, dagger),
+                    keep=True)
 
 
 def field_op(space: FockSpace, r: int, nu, dagger=False) -> SparseOperator:
@@ -183,28 +279,28 @@ def density_op(space: FockSpace, r: int, m: int) -> SparseOperator:
             if mid is not None:
                 new, sign_out = space.move(mid, pos_out, create_out)
                 if new is not None:
-                    _accumulate(out, {new: sign_in * sign_out})
+                    _add(out, new, sign_in * sign_out)
         if m == 0:
-            _accumulate(out, {mask: -space.K})
+            _add(out, mask, -space.K)
         return out
-    return SparseOperator(space, column)
+    return SparseOperator(space, column, keep=True)
 
 
 def free_hamiltonian(space: FockSpace) -> SparseOperator:
     """H0 = sum_{r, k} |k| c^dag c over the window, diagonal, in units
     2 pi / L."""
-    def column(mask):
+    def image(mask):
         e = space.energy(mask)
-        return {mask: e} if e else {}
-    return SparseOperator(space, column)
+        return (mask, e) if e else (None, 0)
+    return Monomial(space, image, keep=True)
 
 
 def charge_op(space: FockSpace, r: int) -> SparseOperator:
     """Q_r = J-hat_r(0), diagonal with the exact integer charges."""
-    def column(mask):
+    def image(mask):
         q = space.charge(mask, r)
-        return {mask: q} if q else {}
-    return SparseOperator(space, column)
+        return (mask, q) if q else (None, 0)
+    return Monomial(space, image, keep=True)
 
 
 # --------------------------------------------------------------------------
@@ -212,8 +308,8 @@ def charge_op(space: FockSpace, r: int) -> SparseOperator:
 
 
 def _klein_apply(space: FockSpace, r: int, dagger: bool, mask: int):
-    """Column `mask` of R_r (or R_r^dagger): {image: sign}, or None when a
-    shifted occupation would leave the window.
+    """Image of `mask` under R_r (or R_r^dagger): (image, sign), or None
+    when a shifted occupation would leave the window.
 
     b is the chirality-r block, bit i for nu = K - 1/2 - i.  R_r moves every
     bit up one step (b >> 1) and toggles nu = 1/2, as bits with r nu < 0
@@ -238,7 +334,7 @@ def _klein_apply(space: FockSpace, r: int, dagger: bool, mask: int):
     else:
         parity += (mask & low).bit_count()
         mask = (mask & low) | (b << 2 * K)
-    return {mask: -1 if parity & 1 else 1}
+    return mask, -1 if parity & 1 else 1
 
 
 def klein_factor(space: FockSpace, r: int, dagger=False) -> SparseOperator:
@@ -249,4 +345,4 @@ def klein_factor(space: FockSpace, r: int, dagger=False) -> SparseOperator:
     adjoint shifts down with R_r^dag Omega = c^dag_r(-pi/L) Omega.  Columns
     whose shifted image leaves the window are None.
     """
-    return SparseOperator(space, partial(_klein_apply, space, r, dagger))
+    return Monomial(space, partial(_klein_apply, space, r, dagger), keep=True)

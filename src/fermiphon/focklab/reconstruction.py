@@ -13,9 +13,10 @@ U_r(nu-) and U_r(nu+) are the z^n coefficients U_n of the vertex-operator
 series exp(s sum_{m >= 1} J_r(s r m) z^m / m), with s = +1 for nu- and
 s = -1 for nu+.  Within one series the densities J_r(s r m) commute, so
 U_0 = 1 and n U_n = s sum_{m=1..n} J_r(s r m) U_{n-m} (the power-series
-exponential).  The q_r-dependence of the constraint was fixed against the
-Klein-shift covariance R_r V_r(k) = V_r(k + 2 pi / L) R_r and direct
-evaluation on charged states.
+exponential); the recursion runs on n! U_n, a matrix over the integers, and
+each result term is divided by n-! n+! once.  The q_r-dependence of the
+constraint was fixed against the Klein-shift covariance
+R_r V_r(k) = V_r(k + 2 pi / L) R_r and direct evaluation on charged states.
 
 ModeOutOfWindow is raised when k is outside the window, when R_r^{-r}
 shifts a mode of eta out of it, and when a density mode m > 2K - 1 (outside
@@ -25,6 +26,7 @@ the truncation) would act on a nonzero U_{n-m} vector.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from ..errors import ModeOutOfWindow
 from .operators import _accumulate, density_op, klein_factor
@@ -41,19 +43,24 @@ def _cached(space, build, *labels):
 
 
 def _series(space, r, s, vec, top):
-    """[U_0 vec, ..., U_top vec] for the chirality-r series of sign s."""
+    """[T_0, ..., T_top] with T_n = n! U_n vec for the chirality-r series of
+    sign s: T_0 = vec and T_n = s sum_{m=1..n} (n-1)!/(n-m)! J_r(s r m)
+    T_{n-m}, integer for an integer vec."""
     terms = [vec]
     for n in range(1, top + 1):
         out = {}
+        scale = s
         for m in range(1, n + 1):
+            if m > 1:
+                scale *= n - m + 1      # s (n-1)! / (n-m)!
             if not terms[n - m]:
                 continue
             if m > 2 * space.K - 1:
                 raise ModeOutOfWindow(
                     f"density mode {m} exceeds the truncated window")
             J = _cached(space, density_op, r, s * r * m)
-            _accumulate(out, J.apply_col(terms[n - m]))
-        terms.append(_accumulate({}, out, Fraction(s, n)))
+            _accumulate(out, J.apply_col(terms[n - m]), scale)
+        terms.append(out)
     return terms
 
 
@@ -69,18 +76,19 @@ def reconstructed_field(space: FockSpace, r: int, nu, state_index: int) -> dict:
     q_r = space.charge(state_index, r)
 
     klein = _cached(space, klein_factor, r, r == +1)  # R_r^{-r}
-    phi = klein.cols[state_index]
-    if phi is None:
+    image = klein.image(state_index)
+    if image is None:
         raise ModeOutOfWindow("Klein shift leaves the window for this state")
 
     # r k = (q_r - 1/2) - (n+ - n-) in lab units; nu is half-odd, so
     # delta = n+ - n- is an integer
     delta = int(q_r - Fraction(1, 2) - r * nu)
 
-    e_phi = max(space.energy(i) for i in phi)
     result = {}
-    for n_minus, lowered in enumerate(_series(space, r, +1, phi, int(e_phi))):
+    lowered = _series(space, r, +1, dict([image]), int(space.energy(image[0])))
+    for n_minus, vec in enumerate(lowered):
         n_plus = n_minus + delta
         if n_plus >= 0:
-            _accumulate(result, _series(space, r, -1, lowered, n_plus)[-1])
+            _accumulate(result, _series(space, r, -1, vec, n_plus)[-1],
+                        Fraction(1, factorial(n_minus) * factorial(n_plus)))
     return result

@@ -3,8 +3,9 @@
 The lab works in dimensionless units where the mode spacing 2 pi / L is 1,
 so it needs only the truncation K.  Fermion momenta are the half-odd-integers
 nu = n + 1/2 with -K <= n < K; every momentum/energy computed here is exact
-(Fraction, in units of 2 pi / L).  All operator identities verified on this
-space are homogeneous in L, so residual-zero statements carry over to any L.
+(int or Fraction, in units of 2 pi / L).  All operator identities verified on
+this space are homogeneous in L, so residual-zero statements carry over to
+any L.
 
 Basis states are the integers 0 <= mask < dim; their quantum numbers are
 computed from the mask when asked for, and only the states below an energy
@@ -52,6 +53,10 @@ class FockSpace:
         # (r nu > 0) or -1 (r nu < 0)
         self._twice_abs_nu = [int(2 * abs(self._nus[pos % (2 * K)]))
                               for pos in range(nmodes)]
+        # 2 |nu| summed over the occupied modes of one chirality block
+        self._block_energy = [0]
+        for e in self._twice_abs_nu[:2 * K]:
+            self._block_energy += [t + e for t in self._block_energy]
         low = (1 << K) - 1
         self._charge_bits = {+1: (low, low << K),
                              -1: (low << 3 * K, low << 2 * K)}
@@ -59,10 +64,13 @@ class FockSpace:
         # operators built once per space, keyed by their kind and labels
         self.op_cache = {}
 
-    def energy(self, mask: int) -> Fraction:
-        """Free energy: sum of |nu| over the occupied modes."""
-        return Fraction(sum(e for pos, e in enumerate(self._twice_abs_nu)
-                            if (mask >> pos) & 1), 2)
+    def energy(self, mask: int):
+        """Free energy: sum of |nu| over the occupied modes, an int when it
+        is integral and a Fraction otherwise."""
+        K2 = 2 * self.K
+        twice = (self._block_energy[mask & ((1 << K2) - 1)]
+                 + self._block_energy[mask >> K2])
+        return Fraction(twice, 2) if twice & 1 else twice >> 1
 
     def charge(self, mask: int, r: int) -> int:
         """Q_r: occupied modes with r nu > 0 minus those with r nu < 0."""

@@ -182,6 +182,41 @@ def pair_contraction(v1: VertexFactor, v2: VertexFactor):
 
 
 # --------------------------------------------------------------------------
+# products and sums through dict columns
+
+
+def dict_product(left: SparseOperator,
+                 right: SparseOperator) -> SparseOperator:
+    """left @ right read off dict columns only: a column is None unless every
+    basis state reached by right's column is a column of left inside its
+    validity window (one scan before any product), and otherwise adds left's
+    columns scaled by right's entries, in right's entry order."""
+    def column(c):
+        col = right.cols[c]
+        if col is None or any(left.cols[r] is None for r in col):
+            return None
+        out = {}
+        for r, amp in col.items():
+            _accumulate(out, left.cols[r], amp)
+        return out
+    return SparseOperator(left.space, column)
+
+
+def dict_linear(space: FockSpace, *terms) -> SparseOperator:
+    """The sum of scale * op over the (scale, op) terms, each term's dict
+    column added left to right; None where any term's column is None."""
+    def column(c):
+        out = {}
+        for scale, op in terms:
+            col = op.cols[c]
+            if col is None:
+                return None
+            _accumulate(out, col, scale)
+        return out
+    return SparseOperator(space, column)
+
+
+# --------------------------------------------------------------------------
 # densities
 
 

@@ -170,7 +170,7 @@ def test_verify_corrupted_sign_fails(config_file, tmp_path, monkeypatch):
 
 
 def test_verify_k_guard(config_file):
-    cfg = config_file(FREE_INI.replace("K = 2", "K = 6"))
+    cfg = config_file(FREE_INI.replace("K = 2", "K = 7"))
     assert run_cli(["--config", cfg, "verify"]) == 2
 
 
@@ -544,8 +544,8 @@ def test_generic_tables_pinned_and_unquoted(config_file, tmp_path, name):
 
 
 # sha256 of the JSON documents of `solve` on GENERIC_INI and of `verify` on
-# it at K = 2 and 3 (verify refuses K > 5), recorded while numpy and the Fock
-# lab were still imported with fermiphon.cli; the K = 3 pin was recorded
+# it at K = 2, 3 and 4 (verify refuses K > 6), recorded while numpy and the
+# Fock lab were still imported with fermiphon.cli; the K = 3 pin was recorded
 # while the field was still reconstructed partition by partition, and its
 # reconstruction applied a partition with two distinct parts, such as (2, 1),
 # 166 times, where K = 2 applied none; --format does not change them
@@ -753,8 +753,8 @@ def test_invalid_config_exit_2(tmp_path):
 
 @pytest.mark.parametrize("edit, args", [
     (("K = 8", "K = 1"), ["spectrum", "--e-max", "0.6"]),
-    (("K = 8", "K = 6"), ["verify"]),
-], ids=["spectrum-grid-too-small", "verify-k6"])
+    (("K = 8", "K = 7"), ["verify"]),
+], ids=["spectrum-grid-too-small", "verify-k7"])
 def test_failed_command_keeps_existing_output(config_file, tmp_path, edit,
                                               args):
     cfg = config_file(GENERIC_INI.replace(*edit))
@@ -875,7 +875,7 @@ def _configs(draw, k_max=6):
 @given(data=st.data())
 def test_random_config_exits_0_or_2(args, data):
     """Any config: exit 0 or 2, never a traceback.  `spectrum` refuses more
-    than LEVEL_CAP levels and `verify` any K > 5; valid K for `verify` stay
+    than LEVEL_CAP levels and `verify` any K > 6; valid K for `verify` stay
     at most 2 (K = 3 costs 0.5 s a run)."""
     text = data.draw(_configs(k_max=2 if args == ["verify"] else 6),
                      label="config")

@@ -7,8 +7,8 @@ from fermiphon.focklab import (SparseOperator, build_space, charge_op,
                                density_op, field_op, free_hamiltonian,
                                klein_factor, ladder_op)
 from fermiphon.focklab.operators import _klein_apply, linear
-from oracles import (boson_ladder, density_from_fields, exact_sqrt,
-                     klein_apply)
+from oracles import (boson_ladder, density_from_fields, dict_linear,
+                     dict_product, exact_sqrt, klein_apply)
 
 HALF = Fraction(1, 2)
 
@@ -177,6 +177,82 @@ def test_density_moves_match_field_products():
                             == list(fields.cols[mask].items())), (K, r, m, mask)
 
 
+def assert_same_columns(a, b, space, what):
+    """Every column of a equals that of b, entry order included, and a
+    column is None (outside the validity window) exactly where b's is."""
+    for c in range(space.dim):
+        x, y = a.cols[c], b.cols[c]
+        assert x == y and (x is None or list(x.items()) == list(y.items())), (
+            space.K, what, c, x, y)
+
+
+def monomial_products(sp):
+    """(name, left, right) pairs with a monomial factor, at the two window
+    edges and the two modes next to the Fermi points."""
+    nus = sp.fermion_modes()
+    top, up, down, bottom = nus[0], nus[sp.K - 1], nus[sp.K], nus[-1]
+    R = {(r, d): klein_factor(sp, r, dagger=d)
+         for r in (+1, -1) for d in (False, True)}
+    J, Jm = density_op(sp, +1, 1), density_op(sp, -1, 2 * sp.K - 1)
+    h0, q = free_hamiltonian(sp), charge_op(sp, -1)
+    return [
+        ("c c^dag", ladder_op(sp, +1, up), ladder_op(sp, +1, up, True)),
+        ("c^dag c", ladder_op(sp, +1, up, True), ladder_op(sp, +1, up)),
+        ("c^dag c'", ladder_op(sp, +1, top, True), ladder_op(sp, -1, bottom)),
+        ("c c'^dag", ladder_op(sp, -1, down), ladder_op(sp, +1, top, True)),
+        ("psi psi^dag", field_op(sp, +1, up), field_op(sp, +1, up, True)),
+        ("psi psi'^dag", field_op(sp, -1, top), field_op(sp, +1, down, True)),
+        ("R psi^dag edge", R[+1, False], field_op(sp, +1, top, True)),
+        ("R^dag psi", R[-1, True], field_op(sp, -1, bottom)),
+        ("psi R", field_op(sp, +1, down, True), R[+1, False]),
+        ("psi R^dag", field_op(sp, -1, top), R[-1, True]),
+        ("R+ R-", R[+1, False], R[-1, False]),
+        ("R- R+", R[-1, False], R[+1, False]),
+        ("R^dag R", R[+1, True], R[+1, False]),
+        ("psi J", field_op(sp, +1, up, True), J),
+        ("J psi", J, field_op(sp, +1, up, True)),
+        ("R J", R[-1, False], Jm),
+        ("J R", Jm, R[-1, False]),
+        ("(J R) c", Jm @ R[-1, False], ladder_op(sp, -1, down)),
+        ("H0 J", h0, J),
+        ("J H0", J, h0),
+        ("Q Q", q, q),
+        ("Q R", q, R[-1, True]),
+        ("2 I psi", SparseOperator.identity(sp, 2), field_op(sp, -1, up)),
+    ]
+
+
+def test_monomial_products_match_dict_product():
+    # a product with a monomial factor has the columns of the dict-column
+    # product, entry order and None included
+    for K in (1, 2, 3):
+        sp = build_space(K)
+        for name, left, right in monomial_products(sp):
+            assert_same_columns(left @ right, dict_product(left, right), sp,
+                                name)
+
+
+def test_linear_monomial_terms_match_dict_sum():
+    # a sum with monomial terms, and with sums and products of them, has
+    # the columns of the dict-column sum of the same terms
+    for K in (1, 2, 3):
+        sp = build_space(K)
+        up = sp.fermion_modes()[sp.K - 1]
+        psi, psid = field_op(sp, +1, up), field_op(sp, +1, up, dagger=True)
+        R = klein_factor(sp, +1)
+        J = density_op(sp, -1, 1)
+        sums = [
+            ((1, psi @ psid + psid @ psi), (-1, SparseOperator.identity(sp))),
+            ((2, R), (-1, psid @ R), (Fraction(1, 2), J)),
+            ((1, J @ psid - psid @ J), (-1, psid)),
+            ((1, R), (3, R * Fraction(-1, 3))),
+            ((-1, J), (1, J @ R + R @ J), (2, R * -1)),
+        ]
+        for i, terms in enumerate(sums):
+            assert_same_columns(linear(sp, *terms), dict_linear(sp, *terms),
+                                sp, i)
+
+
 def test_klein_map_matches_oracle():
     # the closed-form bit map equals the Klein factor built from fermion
     # operators, on every basis state and both shifts of both chiralities
@@ -186,8 +262,9 @@ def test_klein_map_matches_oracle():
             for dagger in (False, True):
                 shift = -1 if dagger else +1
                 for mask in range(sp.dim):
-                    assert (_klein_apply(sp, r, dagger, mask)
-                            == klein_apply(sp, r, shift, mask)), (
+                    image = _klein_apply(sp, r, dagger, mask)
+                    col = None if image is None else dict([image])
+                    assert col == klein_apply(sp, r, shift, mask), (
                         K, r, dagger, mask)
 
 

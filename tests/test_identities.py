@@ -65,8 +65,9 @@ def test_fresh_operator_computes_columns(space_k2):
 def test_amplitudes_are_rationals(monkeypatch):
     # every column computed while the interior columns of each operator kind
     # and of one residual per identity are read holds int or Fraction
-    # amplitudes only; the spy also sees the terms of each residual, which
-    # cancel to empty columns where the identity holds
+    # amplitudes only; the spy also sees the dict-column terms of each
+    # residual (a monomial term adds its one entry to the residual's column
+    # directly), which cancel to empty columns where the identity holds
     computed = []
     compute = Columns.__missing__
 
@@ -116,8 +117,8 @@ def test_klein_without_sign_fails_rr_anti(monkeypatch):
     apply = operators._klein_apply
 
     def no_sign(*args):
-        col = apply(*args)
-        return None if col is None else {k: abs(v) for k, v in col.items()}
+        image = apply(*args)
+        return None if image is None else (image[0], abs(image[1]))
 
     monkeypatch.setattr(operators, "_klein_apply", no_sign)
     sp = build_space(2)
