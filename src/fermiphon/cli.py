@@ -8,9 +8,9 @@ share is formatted once: `scan` formats lambda and gamma1 once per lambda
 and g and gamma2 once per g, `spectrum` each tree node's modes, each
 sector's charges and zero-mode level and each distinct energy, and
 `correlate` its t.  A JSON table is `json.dump(rows, indent=2)` of the CSV
-rows as strings.  Exit codes: 0 success, 1 failed verification, 2 invalid
-input, instability, a grid past GRID_CAP or too large for memory, or an
-output that cannot be written.
+rows as strings.  Exit codes: 0 success, 1 failed verification, 2 a usage
+error, invalid input, instability, a grid past GRID_CAP or too large for
+memory, or an output that cannot be written.
 
 Importing this module loads neither numpy nor the Fock lab: `verify` loads
 the Fock lab (pure Python) and never numpy; `solve`, `spectrum`, `correlate`
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import sys
@@ -306,8 +307,23 @@ def cmd_scan(cfg: RunConfig):
 # --------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise BadArgument (one line,
+    exit 2 through `main`) instead of printing usage and exiting; the
+    subcommand parsers are of this class too."""
+
+    def error(self, message):
+        # a token may hold a line break; escaped, the message stays one line
+        raise BadArgument(message.translate({
+            ord(c): repr(c)[1:-1]
+            for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}))
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    """The parser, built on the first call and shared by every later one
+    (parse_args keeps nothing between calls)."""
+    ap = _Parser(
         prog="fermiphon",
         description="Exact solution engine for the 1D fermion-phonon model")
     ap.add_argument("--config", required=True, help="path to INI config")
@@ -328,8 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a FermiphonError, a grid too large for memory or
-    an I/O failure becomes exit 2 with one line on stderr."""
+    """Run one subcommand; a usage error, a FermiphonError, a grid too large
+    for memory or an I/O failure becomes exit 2 with one line on stderr
+    (-h prints help and exits 0)."""
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse reads a value such as -1e-3 or -inf after --e-max (or an
     # abbreviation it accepts for it, such as --e-m) as an option; joined as
@@ -339,9 +356,8 @@ def main(argv=None) -> int:
         if len(argv[i]) > 2 and "--e-max".startswith(argv[i]):
             argv[i:i + 2] = ["--e-max=" + argv[i + 1]]
         i += 1
-    args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        return _run(build_parser().parse_args(argv))
     except UnstableCouplings as exc:
         print(f"unstable couplings: {exc}", file=sys.stderr)
     except FermiphonError as exc:

@@ -401,6 +401,16 @@ def test_json_format_option(config_file, tmp_path):
     (None, ["--output", "{tmp}", "solve"]),
     (("L = 20.0", "L = 20.0\nomega0 = -1"), ["solve"]),
     (("K = 8", "K = 0"), ["verify"]),
+    # usage errors: argparse's message, on one line even where a token
+    # holds a line break; "no --config" leaves the option out
+    (None, ["spectrum"]),
+    (None, ["spectrum", "--e-max", "abc"]),
+    (None, ["--format", "xml", "solve"]),
+    (None, ["correlate", "--mode", "x"]),
+    (None, ["nosuch"]),
+    (None, []),
+    ("no --config", ["solve"]),
+    (None, ["solve", "a\nb\u2028c"]),
 ], ids=["finite-reg0", "continuum-reg0", "finite-reg-neg", "points0",
         "points-neg", "n_lambda0", "n_g-neg", "g0-degenerate",
         "finite-reg-nan", "continuum-reg-inf", "continuum-ell-nan",
@@ -410,16 +420,21 @@ def test_json_format_option(config_file, tmp_path):
         "velocity-underflow",
         "spectrum-velocity-underflow", "e_max-nan", "e_max-inf",
         "e_max-neg-inf", "e_max-neg-inf-separate", "output-missing-dir",
-        "output-is-dir", "omega0-neg", "verify-k0"])
+        "output-is-dir", "omega0-neg", "verify-k0", "usage-no-e-max",
+        "usage-e-max-abc", "usage-format-xml", "usage-mode-x",
+        "usage-unknown-command", "usage-no-command", "usage-no-config",
+        "usage-line-breaks"])
 def test_bad_input_exit_2_one_line(config_file, tmp_path, capsys, edit, args):
-    text = GENERIC_INI
-    for old, new in zip(edit[::2], edit[1::2]) if edit else ():
-        text = text.replace(old, new)
-    cfg = config_file(text)
+    cfg = []
+    if edit != "no --config":
+        text = GENERIC_INI
+        for old, new in zip(edit[::2], edit[1::2]) if edit else ():
+            text = text.replace(old, new)
+        cfg = ["--config", config_file(text)]
     args = [a.replace("{tmp}", str(tmp_path)) for a in args]
     if "--output" not in args:
         args = ["--output", str(tmp_path / "out")] + args
-    assert run_cli(["--config", cfg] + args) == 2
+    assert run_cli(cfg + args) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
@@ -891,6 +906,59 @@ def test_random_config_exits_0_or_2(args, data):
     assert "Traceback" not in err.getvalue()
 
 
+# Argument units for the argv fuzz test: every option, value and
+# subcommand the parser knows, good and bad values, and junk tokens.
+# `--output` always takes a path in the run's directory.
+_ARGV_UNITS = [
+    ("--config", "{cfg}"), ("--config", "missing.ini"), ("--config",),
+    ("--output", "{tmp}/out"), ("--format", "json"), ("--format", "csv"),
+    ("--format=xml",), ("--format",), ("solve",), ("verify",),
+    ("spectrum",), ("correlate",), ("scan",), ("--e-max", "0.5"),
+    ("--e-m", "-1e-3"), ("--e-max", "abc"), ("--e-max",),
+    ("--mode", "finite"), ("--mode", "continuum"), ("--mode", "x"),
+    ("-h",), ("--help",), ("--nope",), ("-x",), ("junk",), ("a\nb",),
+    ("",), ("--",), ("-1e-3",)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(command=st.sampled_from([(), ("solve",), ("verify",), ("scan",),
+                                 ("correlate",), ("spectrum", "--e-max",
+                                                  "0.1")]),
+       units=st.lists(st.sampled_from(_ARGV_UNITS), max_size=5),
+       data=st.data())
+def test_random_argv_exits_0_or_2_one_line(command, units, data):
+    """Any argv on a K = 1 config: exit 0, or exit 2 with one line on
+    stderr; only -h or --help leaves `main`, by SystemExit(0) after the
+    help on stdout.  A valid config and command lead, followed by the
+    drawn units, or all are shuffled, whole or token by token."""
+    units = [("--config", "{cfg}"), command, *units]
+    if data.draw(st.booleans(), label="split units"):
+        units = [(tok,) for unit in units for tok in unit]
+    if data.draw(st.booleans(), label="shuffle"):
+        units = data.draw(st.permutations(units), label="units")
+    tokens = [tok for unit in units for tok in unit]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        with open("run.ini", "w") as fh:
+            fh.write(GENERIC_INI.replace("K = 8", "K = 1"))
+        argv = [tok.replace("{cfg}", "run.ini").replace("{tmp}", tmp)
+                for tok in tokens]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                assert exc.code == 0 and {"-h", "--help"} & set(argv)
+                assert out.getvalue().startswith("usage: fermiphon")
+                code = None
+    assert code in (0, 2, None)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().endswith("\n")
+    else:
+        assert err.getvalue() == ""
+
+
 def _python(code, *args):
     """stdout of a fresh interpreter that runs code with the package on its
     path."""
@@ -925,3 +993,52 @@ def test_subcommand_loads_only_its_half(config_file, tmp_path):
         cfg = config_file(text)
         assert _python(code, "--config", cfg, "--output", out,
                        command) == loaded, command
+
+
+def test_parser_built_once_on_first_call(config_file, tmp_path):
+    """`import fermiphon.cli` builds no parser; the first `main` builds the
+    tree (the top parser and one per subcommand) and later calls reuse
+    it, usage errors included."""
+    code = ("import argparse, sys\n"
+            "count = 0\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *a, **k):\n"
+            "    global count\n"
+            "    count += 1\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "from fermiphon import cli\n"
+            "print(count)\n"
+            "for argv in (['solve'], ['spectrum'], ['correlate']):\n"
+            "    cli.main(sys.argv[1:] + argv)\n"
+            "print(count)\n")
+    cfg = config_file(GENERIC_INI)
+    out = str(tmp_path / "out")
+    # the top parser and its five subcommand parsers
+    assert _python(code, "--config", cfg, "--output", out).split() == [
+        "0", "6"]
+
+
+def test_repeated_main_matches_fresh_process(config_file, capsysbinary):
+    """Calls of `main` in one process, options given and then left to
+    their defaults with usage errors in between, write what a fresh
+    process writes for the same argv: nothing carries over between
+    calls."""
+    cfg = config_file(GENERIC_INI)
+    argvs = [["--format", "json", "correlate", "--mode", "finite"],
+             ["spectrum"],
+             ["correlate"],
+             ["--format", "json", "spectrum", "--e-max", "0.5"],
+             ["--format", "xml", "solve"],
+             ["spectrum", "--e-m", "-1e-3"]]
+    src = os.path.dirname(os.path.dirname(fermiphon.__file__))
+    for argv in argvs:
+        code = cli.main(["--config", cfg, *argv])
+        got = capsysbinary.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-c", "import sys; from fermiphon import cli; "
+             "sys.exit(cli.main(sys.argv[1:]))", "--config", cfg, *argv],
+            capture_output=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert (code, got.out, got.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
