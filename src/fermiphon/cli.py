@@ -15,6 +15,11 @@ memory, or an output that cannot be written.
 Importing this module loads neither numpy nor the Fock lab: `verify` loads
 the Fock lab (pure Python) and never numpy; `solve`, `spectrum`, `correlate`
 and `scan` load numpy in the kernels that use it and never the Fock lab.
+
+`verify` builds its report rows on up to one process per CPU this process
+may run on: itself and workers forked from it, which take the rows longest
+first from one pipe (`run_rows`).  Its output does not depend on the
+process count.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import configparser
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -157,10 +163,21 @@ def cmd_solve(cfg: RunConfig):
     return 0, doc
 
 
+# the rows of a `verify` report in report order, and the order in which
+# they are handed out, longest first: J_PSI, CAR, RECONSTRUCTION, H0_J and
+# SCHWINGER take about 95 % of the time at every K from 3 to 6
+VERIFY_ROWS = ("CAR", "SCHWINGER", "J_PSI", "H0_J", "J_R", "H0_R", "RR_ANTI",
+               "KRONIG", "DEGENERACY", "JACOBI", "RECONSTRUCTION")
+LONGEST_FIRST = ("J_PSI", "CAR", "RECONSTRUCTION", "H0_J", "SCHWINGER",
+                 "J_R", "H0_R", "RR_ANTI", "KRONIG", "DEGENERACY", "JACOBI")
+
+
 def cmd_verify(cfg: RunConfig):
     if cfg.K > 6:
         raise BadArgument("verify requires K <= 6")
     from . import focklab
+    # the JACOBI row's import, made once here rather than in every worker
+    import mpmath  # noqa: F401
     K = cfg.K
     space = focklab.build_space(K)
 
@@ -174,16 +191,107 @@ def cmd_verify(cfg: RunConfig):
         return row(rep.identity, rep.window, str(rep.max_residual),
                    rep.passed, rep.worst_pair)
 
-    reports = [report_row(rep) for rep in focklab.run_identity_suite(space)]
-    counts = focklab.degeneracy_counts(space, K - 1)
-    deg_ok = all(f == b for f, b in counts.values())
-    reports.append(row("DEGENERACY", K - 1, "0" if deg_ok else "mismatch",
-                       deg_ok))
-    resid, tail = focklab.jacobi_check(0.5, 60)
-    reports.append(row("JACOBI", "z=0.5,order=60", "%.17g" % resid,
-                       resid <= tail + 1e-12))
-    reports.append(report_row(focklab.reconstruction_report(space)))
+    def build(name):
+        if name == "DEGENERACY":
+            counts = focklab.degeneracy_counts(space, K - 1)
+            deg_ok = all(f == b for f, b in counts.values())
+            return row(name, K - 1, "0" if deg_ok else "mismatch", deg_ok)
+        if name == "JACOBI":
+            resid, tail = focklab.jacobi_check(0.5, 60)
+            return row(name, "z=0.5,order=60", "%.17g" % resid,
+                       resid <= tail + 1e-12)
+        if name == "RECONSTRUCTION":
+            return report_row(focklab.reconstruction_report(space))
+        return report_row(focklab.identities.identity_residual(space, name))
+
+    reports = run_rows(build, VERIFY_ROWS, LONGEST_FIRST)
     return (0 if all(r["pass"] for r in reports) else 1), reports
+
+
+def cpu_count() -> int:
+    """CPUs this process may run on; 1 where os.fork or
+    os.sched_getaffinity is missing."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _attempt(build, name):
+    """(True, build(name)), or (False, the exception it raised)."""
+    try:
+        return True, build(name)
+    except Exception as exc:
+        return False, exc
+
+
+def _pull(build, names, tasks: int) -> dict:
+    """Build the rows whose indices this process reads from the pipe
+    `tasks`, one byte at a time until it is empty: {index: attempt}."""
+    done = {}
+    while index := os.read(tasks, 1):
+        done[index[0]] = _attempt(build, names[index[0]])
+    return done
+
+
+def run_rows(build, names, schedule) -> list:
+    """[build(name) for name in names], built by this process and
+    min(cpu_count(), len(names)) - 1 forked workers.  The indices of the
+    names wait in one pipe, one byte each, in the order of `schedule`, and
+    each process takes one at a time until the pipe is empty.  A worker
+    sends back its rows, or the exception a row raised, pickled through its
+    own pipe and leaves with os._exit; the rows of a worker that does not
+    exit 0 are built here.  The exception of the first failing name is
+    raised, as a serial loop would.  Every worker is reaped before this
+    returns, and killed first if it is still running when this leaves by
+    an exception."""
+    import pickle
+    import signal
+    tasks, feed = os.pipe()
+    os.write(feed, bytes(names.index(name) for name in schedule))
+    os.close(feed)
+    workers = []                # (pid, result pipe) of each unreaped worker
+    try:
+        for _ in range(min(cpu_count(), len(names)) - 1):
+            back, send = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(back)
+                    data = pickle.dumps(_pull(build, names, tasks))
+                    with open(send, "wb") as out:
+                        out.write(data)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(send)
+            workers.append((pid, back))
+        done = _pull(build, names, tasks)
+        while workers:
+            pid, back = workers[-1]
+            with open(back, "rb", closefd=False) as fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            workers.pop()
+            os.close(back)
+            if status == 0:
+                done.update(pickle.loads(data))
+    except BaseException:
+        for pid, _ in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(tasks)
+        for pid, back in workers:
+            os.close(back)
+            os.waitpid(pid, 0)
+    rows = []
+    for i, name in enumerate(names):
+        ok, value = done[i] if i in done else _attempt(build, name)
+        if not ok:
+            raise value
+        rows.append(value)
+    return rows
 
 
 def cmd_spectrum(cfg: RunConfig, e_max: float):

@@ -201,9 +201,13 @@ def identity_residual(space: FockSpace, identity: str) -> IdentityReport:
 
 
 def _reconstruction_residuals(space):
+    # the fields share their density and Klein operators; the dict lives as
+    # long as this generator, so no operator outlives the report
+    ops = {}
     for r in CHIRALITIES:
         for nu in space.fermion_modes():
-            V = SparseOperator(space, partial(reconstructed_field, space, r, nu))
+            V = SparseOperator(space, partial(reconstructed_field, space, r,
+                                              nu, ops=ops))
             yield V - field_op(space, r, nu), None
 
 

@@ -33,16 +33,16 @@ from .operators import _accumulate, density_op, klein_factor
 from .space import FockSpace
 
 
-def _cached(space, build, *labels):
-    """build(space, *labels), built once per space."""
+def _cached(ops, space, build, *labels):
+    """build(space, *labels), built once per `ops` dict."""
     key = (build, *labels)
-    op = space.op_cache.get(key)
+    op = ops.get(key)
     if op is None:
-        op = space.op_cache[key] = build(space, *labels)
+        op = ops[key] = build(space, *labels)
     return op
 
 
-def _series(space, r, s, vec, top):
+def _series(space, ops, r, s, vec, top):
     """[T_0, ..., T_top] with T_n = n! U_n vec for the chirality-r series of
     sign s: T_0 = vec and T_n = s sum_{m=1..n} (n-1)!/(n-m)! J_r(s r m)
     T_{n-m}, integer for an integer vec."""
@@ -58,24 +58,28 @@ def _series(space, r, s, vec, top):
             if m > 2 * space.K - 1:
                 raise ModeOutOfWindow(
                     f"density mode {m} exceeds the truncated window")
-            J = _cached(space, density_op, r, s * r * m)
+            J = _cached(ops, space, density_op, r, s * r * m)
             _accumulate(out, J.apply_col(terms[n - m]), scale)
         terms.append(out)
     return terms
 
 
-def reconstructed_field(space: FockSpace, r: int, nu, state_index: int) -> dict:
+def reconstructed_field(space: FockSpace, r: int, nu, state_index: int,
+                        ops=None) -> dict:
     """Image vector of V_r(k) applied to one basis state, k = (2 pi / L) nu.
 
     Exact (int and Fraction amplitudes); valid while the input state and
     all intermediate density modes stay inside the truncation window.
+    `ops` is a dict that keeps the density and Klein operators between the
+    calls that share it; without one, the call builds its own.
     """
+    ops = {} if ops is None else ops
     nu = Fraction(nu)
     if not space.has_mode(r, nu):
         raise ModeOutOfWindow(f"target momentum nu={nu} outside window")
     q_r = space.charge(state_index, r)
 
-    klein = _cached(space, klein_factor, r, r == +1)  # R_r^{-r}
+    klein = _cached(ops, space, klein_factor, r, r == +1)  # R_r^{-r}
     image = klein.image(state_index)
     if image is None:
         raise ModeOutOfWindow("Klein shift leaves the window for this state")
@@ -85,10 +89,11 @@ def reconstructed_field(space: FockSpace, r: int, nu, state_index: int) -> dict:
     delta = int(q_r - Fraction(1, 2) - r * nu)
 
     result = {}
-    lowered = _series(space, r, +1, dict([image]), int(space.energy(image[0])))
+    lowered = _series(space, ops, r, +1, dict([image]),
+                      int(space.energy(image[0])))
     for n_minus, vec in enumerate(lowered):
         n_plus = n_minus + delta
         if n_plus >= 0:
-            _accumulate(result, _series(space, r, -1, vec, n_plus)[-1],
+            _accumulate(result, _series(space, ops, r, -1, vec, n_plus)[-1],
                         Fraction(1, factorial(n_minus) * factorial(n_plus)))
     return result

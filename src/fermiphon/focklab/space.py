@@ -61,8 +61,6 @@ class FockSpace:
         self._charge_bits = {+1: (low, low << K),
                              -1: (low << 3 * K, low << 2 * K)}
         self.vacuum = 0
-        # operators built once per space, keyed by their kind and labels
-        self.op_cache = {}
 
     def energy(self, mask: int):
         """Free energy: sum of |nu| over the occupied modes, an int when it

@@ -336,9 +336,11 @@ def partitions(n: int, max_part: int):
     return tuple(out)
 
 
-def apply_u(space: FockSpace, r: int, parts, s: int, vec: dict) -> dict:
+def apply_u(space: FockSpace, ops: dict, r: int, parts, s: int,
+            vec: dict) -> dict:
     """One partition's term of U_r: prod_m (s / m)^{c_m} / c_m! J_r(s r m)^{c_m}
-    applied to vec, largest part first; s = +1 for nu-, -1 for nu+."""
+    applied to vec, largest part first; s = +1 for nu-, -1 for nu+.  The
+    densities are kept in `ops` as `reconstructed_field` keeps them."""
     coef = Fraction(1)
     for m in set(parts):
         c = parts.count(m)
@@ -348,16 +350,18 @@ def apply_u(space: FockSpace, r: int, parts, s: int, vec: dict) -> dict:
         if m > 2 * space.K - 1:
             raise ModeOutOfWindow(
                 f"density mode {m} exceeds the truncated window")
-        out = _cached(space, density_op, r, s * r * m).apply_col(out)
+        out = _cached(ops, space, density_op, r, s * r * m).apply_col(out)
         if not out:
             return {}
     return _accumulate({}, out, coef)
 
 
 def partition_reconstructed_field(space: FockSpace, r: int, nu,
-                                  state_index: int) -> dict:
+                                  state_index: int, ops=None) -> dict:
     """V_r(k) applied to one basis state as the sum over every pair of a
-    nu- partition and a nu+ partition, one chain of densities per pair."""
+    nu- partition and a nu+ partition, one chain of densities per pair;
+    `ops` keeps the densities between calls, as in `reconstructed_field`."""
+    ops = {} if ops is None else ops
     nu = Fraction(nu)
     if not space.has_mode(r, nu):
         raise ModeOutOfWindow(f"target momentum nu={nu} outside window")
@@ -374,10 +378,10 @@ def partition_reconstructed_field(space: FockSpace, r: int, nu,
         if n_plus < 0:
             continue
         for parts_minus in partitions(n_minus, max(n_minus, 1)):
-            lowered = apply_u(space, r, parts_minus, +1, phi)
+            lowered = apply_u(space, ops, r, parts_minus, +1, phi)
             if not lowered:
                 continue
             for parts_plus in partitions(n_plus, max(n_plus, 1)):
-                _accumulate(result, apply_u(space, r, parts_plus, -1,
+                _accumulate(result, apply_u(space, ops, r, parts_plus, -1,
                                             lowered))
     return result

@@ -1,10 +1,12 @@
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
 import math
 import os
+import select
 import subprocess
 import sys
 import tempfile
@@ -588,6 +590,219 @@ def test_generic_documents_pinned(config_file, tmp_path, name):
         assert run_cli(["--config", cfg, "--output", str(out), "--format",
                         fmt, command]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# --------------------------------------------------------------------------
+# `verify` builds its rows on W processes, W = min(cli.cpu_count(), rows):
+# the parent and W - 1 forked workers
+
+
+FORK = os.fork
+
+
+def set_workers(monkeypatch, W):
+    """Run `verify` on W processes; at W = 1 a call of os.fork fails the
+    test."""
+    monkeypatch.setattr(cli, "cpu_count", lambda: W)
+    monkeypatch.setattr(os, "fork", FORK if W > 1 else
+                        lambda: pytest.fail("W = 1 forked"))
+
+
+def patch_rows(monkeypatch, wrap):
+    """Replace each Fock-lab function that builds a `verify` row, as
+    cmd_verify looks it up, by wrap(the function)."""
+    from fermiphon import focklab
+    for module, name in ((focklab.identities, "identity_residual"),
+                         (focklab, "reconstruction_report"),
+                         (focklab, "degeneracy_counts"),
+                         (focklab, "jacobi_check")):
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+
+
+def parent_waits(monkeypatch, ready: int):
+    """Every row of a `verify` in this process first waits (at most 30 s)
+    until the pipe `ready` can be read; rows in forked workers do not."""
+    parent = os.getpid()
+
+    def waiting(build):
+        def wait_then_build(*args):
+            if os.getpid() == parent:
+                select.select([ready], [], [], 30)
+            return build(*args)
+        return wait_then_build
+
+    patch_rows(monkeypatch, waiting)
+
+
+def assert_no_children():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_rows_cover_the_suite():
+    from fermiphon.focklab import SUPPORTED_IDENTITIES
+    assert cli.VERIFY_ROWS[:len(SUPPORTED_IDENTITIES)] == SUPPORTED_IDENTITIES
+    assert sorted(cli.LONGEST_FIRST) == sorted(cli.VERIFY_ROWS)
+    assert len(set(cli.VERIFY_ROWS)) == len(cli.VERIFY_ROWS)
+
+
+@pytest.mark.parametrize("W", [1, 2])
+@pytest.mark.parametrize("name", ["verify", "verify-k3", "verify-k4"])
+def test_verify_pinned_on_any_process_count(config_file, tmp_path,
+                                            monkeypatch, name, W):
+    set_workers(monkeypatch, W)
+    command, text, digest = DOCUMENT_COMMANDS[name]
+    cfg = config_file(text)
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"out.{fmt}"
+        assert run_cli(["--config", cfg, "--output", str(out), "--format",
+                        fmt, command]) == 0
+        assert_no_children()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_verify_failure_same_on_any_process_count(config_file, tmp_path,
+                                                  monkeypatch):
+    # the corrupted-sign control: forked workers inherit the patch
+    orig = FockSpace.move
+
+    def no_sign(self, mask, pos, create):
+        new, s = orig(self, mask, pos, create)
+        return new, abs(s)
+
+    monkeypatch.setattr(FockSpace, "move", no_sign)
+    cfg = config_file(FREE_INI)
+    docs = []
+    for W in (1, 2):
+        set_workers(monkeypatch, W)
+        out = tmp_path / f"verify-{W}.json"
+        assert run_cli(["--config", cfg, "--output", str(out), "verify"]) == 1
+        assert_no_children()
+        docs.append(out.read_bytes())
+    assert docs[0] == docs[1]
+    assert not next(r for r in json.loads(docs[0])
+                    if r["identity"] == "CAR")["pass"]
+
+
+def test_verify_row_error_in_worker_exit_2(config_file, monkeypatch, capsys):
+    """A FermiphonError that a row raises in a worker gives exit 2 and the
+    line it gives at W = 1.  At W = 2 the parent waits in each of its rows
+    until the JACOBI row has failed, so that row fails in the worker."""
+    from fermiphon import focklab
+    from fermiphon.errors import BadArgument
+    ran, told = os.pipe()
+
+    def failing_jacobi(z, order):
+        os.write(told, b"%d\n" % os.getpid())
+        raise BadArgument("the JACOBI row failed")
+
+    monkeypatch.setattr(focklab, "jacobi_check", failing_jacobi)
+    cfg = config_file(FREE_INI)
+    try:
+        for W in (1, 2):
+            set_workers(monkeypatch, W)
+            if W == 2:
+                parent_waits(monkeypatch, ran)
+            assert run_cli(["--config", cfg, "verify"]) == 2
+            assert_no_children()
+            assert capsys.readouterr() == (
+                "", "error: the JACOBI row failed\n")
+            assert (int(os.read(ran, 64)) == os.getpid()) == (W == 1)
+    finally:
+        os.close(ran)
+        os.close(told)
+
+
+@pytest.mark.parametrize("W", [1, 2])
+def test_verify_raises_first_failing_row_of_report(config_file, monkeypatch,
+                                                   capsys, W):
+    # J_PSI is handed out before CAR, but CAR comes first in the report,
+    # so a serial loop raises CAR's error
+    from fermiphon import focklab
+    from fermiphon.errors import BadArgument
+    residual = focklab.identities.identity_residual
+
+    def failing(space, name):
+        if name in ("CAR", "J_PSI"):
+            raise BadArgument(f"the {name} row failed")
+        return residual(space, name)
+
+    monkeypatch.setattr(focklab.identities, "identity_residual", failing)
+    set_workers(monkeypatch, W)
+    assert run_cli(["--config", config_file(FREE_INI), "verify"]) == 2
+    assert_no_children()
+    assert capsys.readouterr().err == "error: the CAR row failed\n"
+
+
+def test_verify_rows_of_a_lost_worker_built_here(config_file, tmp_path,
+                                                 monkeypatch):
+    """A worker that dies in a row sends nothing back, and the parent
+    builds the rows it lacks: the document is the pinned one."""
+    from fermiphon import focklab
+    ran, told = os.pipe()
+    jacobi = focklab.jacobi_check
+    parent = os.getpid()
+
+    def dying_jacobi(z, order):
+        if os.getpid() != parent:
+            os.write(told, b"x")
+            os._exit(3)
+        return jacobi(z, order)
+
+    monkeypatch.setattr(focklab, "jacobi_check", dying_jacobi)
+    set_workers(monkeypatch, 2)
+    parent_waits(monkeypatch, ran)
+    command, text, digest = DOCUMENT_COMMANDS["verify"]
+    out = tmp_path / "out.json"
+    try:
+        assert run_cli(["--config", config_file(text), "--output", str(out),
+                        command]) == 0
+        assert_no_children()
+        assert os.read(ran, 64) == b"x"
+    finally:
+        os.close(ran)
+        os.close(told)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_verify_interrupt_kills_workers(config_file, monkeypatch):
+    """A KeyboardInterrupt in the parent leaves `main` at once, and the
+    worker, stuck in a row, is killed and reaped."""
+    parent = os.getpid()
+
+    def row(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        os._exit(1)
+
+    patch_rows(monkeypatch, lambda build: row)
+    set_workers(monkeypatch, 2)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(["--config", config_file(FREE_INI), "verify"])
+    assert time.monotonic() - start < 30
+    assert_no_children()
+
+
+def test_verify_leaves_no_garbage(config_file, monkeypatch):
+    # the space and every operator the rows build are freed by reference
+    # counting when cmd_verify returns; W = 1 builds every row here
+    from fermiphon.focklab.operators import Columns, SparseOperator
+    set_workers(monkeypatch, 1)
+    cfg = cli.load_config(config_file(FREE_INI.replace("K = 2", "K = 3")))
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert cli.cmd_verify(cfg)[0] == 0
+        gc.collect()
+        kept = [type(o).__name__ for o in gc.garbage
+                if isinstance(o, (FockSpace, Columns, SparseOperator))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert kept == []
 
 
 @pytest.mark.parametrize("name", ["boundary", "g-max-inf", "g-underflow"])

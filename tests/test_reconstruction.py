@@ -78,23 +78,24 @@ def test_recursion_matches_partition_sum(K):
     sp = build_space(K)
     columns, expected_only_oracle = ORACLE_COLUMNS[K]
     only_oracle = 0
+    ops = {}                    # densities and Klein factors of sp
     for r in (+1, -1):
         for nu in sp.fermion_modes():
             psi = field_op(sp, r, nu)
             for col in columns(sp):
                 try:
-                    ref = partition_reconstructed_field(sp, r, nu, col)
+                    ref = partition_reconstructed_field(sp, r, nu, col, ops)
                 except ModeOutOfWindow:
                     ref = None
                 if ref is None:
                     try:
-                        vec = reconstructed_field(sp, r, nu, col)
+                        vec = reconstructed_field(sp, r, nu, col, ops)
                     except ModeOutOfWindow:
                         continue
                     only_oracle += 1
                     assert vec == psi.cols.get(col, {}), (r, nu, col)
                 else:
-                    vec = reconstructed_field(sp, r, nu, col)
+                    vec = reconstructed_field(sp, r, nu, col, ops)
                     assert list(vec.items()) == list(ref.items()), (r, nu, col)
     assert only_oracle == expected_only_oracle
 
