@@ -16,10 +16,15 @@ Importing this module loads neither numpy nor the Fock lab: `verify` loads
 the Fock lab (pure Python) and never numpy; `solve`, `spectrum`, `correlate`
 and `scan` load numpy in the kernels that use it and never the Fock lab.
 
-`verify` builds its report rows on up to one process per CPU this process
-may run on: itself and workers forked from it, which take the rows longest
-first from one pipe (`run_rows`).  Its output does not depend on the
-process count.
+`verify`, `scan` and `correlate` build their rows on up to one process per
+CPU this process may run on and per task: itself and workers forked from
+it, which take the tasks from one pipe and send each result back as soon
+as it is built (`run_tasks`).  A `verify` task is one report row, handed
+out longest first; a `scan` task is 2048 grid points and a `correlate`
+task 256 positions, each solved and formatted to its CSV lines by the
+process that takes it, in grid order.  The rows come back in order, so
+the output does not depend on the process count, and a sweep of one task
+never forks.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from itertools import islice
 from typing import TYPE_CHECKING, Iterable, List, NamedTuple
 
 from .bogoliubov import closed_form, solve_closed_form, spectrum
-from .correlators import (CorrelatorSpec, InsertionPoint, exponents,
-                          klein_sign, npoint_continuum)
+from .correlators import (SWEEP_BLOCK, CorrelatorSpec, InsertionPoint,
+                          exponents, klein_sign, npoint_continuum)
 from .errors import (BadArgument, BadGeometry, FermiphonError,
                      TruncationTooLarge, UnstableCouplings)
 from .params import ModelParams, _gammas, momentum_grid, validate_params
@@ -48,9 +53,14 @@ if TYPE_CHECKING:
 
 # most rows one `scan` writes and most points one `correlate` sweeps: 25 times
 # the 200 x 200 scan and 50 times the 2e4-point continuum sweep of the
-# benchmark.  In process on a 2-core Xeon that many take about 7 s as a scan
-# (135 MB of CSV) and 10 s and 240 MB as a continuum 4-point sweep.
+# benchmark.  As CSV in fresh processes on a shared 2-core Xeon, that many
+# take 1.8-3.0 s at 32.2-32.8 MB peak RSS (and 26.1 MB in the worker) as a
+# scan, and 5.3-7.1 s at 122 + 30 MB as a continuum 4-point sweep; in one
+# process they took 3.1-5.0 s at 31.1 MB and 9.9-14.4 s at 323 MB.
 GRID_CAP = 1_000_000
+
+# points of one `scan` task: one kernel call and one string of rows
+SCAN_BLOCK = 2048
 
 
 @dataclass
@@ -109,7 +119,8 @@ def _parse_insertions(text: str) -> List[InsertionPoint]:
 
 class Table(NamedTuple):
     """A header and rows as CSV lines ending in '\\r\\n', written as CSV or
-    JSON; rows may be an iterator that formats each row as it is written."""
+    JSON.  Each element of rows is one or more whole lines, and rows may be
+    an iterator that formats its elements as they are written."""
 
     header: List[str]
     rows: Iterable[str]
@@ -127,14 +138,18 @@ def _write(out, fmt: str, payload):
     else:
         obj = "{\n    %s\n  }" % ",\n    ".join(
             f'"{name}": "%s"' for name in payload.header)
-        rows = iter(payload.rows)
+        rows, take = iter(payload.rows), 1
         sep = "[\n  "
-        # a block of lines is split into fields at once and fills one
-        # template of as many objects
-        while block := list(islice(rows, 2048)):
+        # a block of about 2048 lines is split into fields at once and fills
+        # one template of as many objects; a row holds one line or a block
+        # of them, so the first block is one row and each next block as
+        # many rows as held 2048 lines in the last
+        while block := list(islice(rows, take)):
             fields = "".join(block)[:-2].replace("\r\n", ",").split(",")
-            out.write(sep + ",\n  ".join([obj] * len(block)) % tuple(fields))
+            lines = len(fields) // len(payload.header)
+            out.write(sep + ",\n  ".join([obj] * lines) % tuple(fields))
             sep = ",\n  "
+            take = max(1, take * 2048 // lines)
         out.write("[]\n" if sep == "[\n  " else "\n]\n")
 
 
@@ -191,7 +206,8 @@ def cmd_verify(cfg: RunConfig):
         return row(rep.identity, rep.window, str(rep.max_residual),
                    rep.passed, rep.worst_pair)
 
-    def build(name):
+    def build(index):
+        name = VERIFY_ROWS[index]
         if name == "DEGENERACY":
             counts = focklab.degeneracy_counts(space, K - 1)
             deg_ok = all(f == b for f, b in counts.values())
@@ -204,7 +220,8 @@ def cmd_verify(cfg: RunConfig):
             return report_row(focklab.reconstruction_report(space))
         return report_row(focklab.identities.identity_residual(space, name))
 
-    reports = run_rows(build, VERIFY_ROWS, LONGEST_FIRST)
+    reports = list(run_tasks(build, len(VERIFY_ROWS), [
+        VERIFY_ROWS.index(name) for name in LONGEST_FIRST]))
     return (0 if all(r["pass"] for r in reports) else 1), reports
 
 
@@ -216,82 +233,143 @@ def cpu_count() -> int:
     return 1
 
 
-def _attempt(build, name):
-    """(True, build(name)), or (False, the exception it raised)."""
+# most results that wait here for an earlier one while this process still
+# takes tasks of its own
+WAITING = 4
+
+
+def _attempt(build, index: int):
+    """(True, build(index)), or (False, the exception it raised)."""
     try:
-        return True, build(name)
+        return True, build(index)
     except Exception as exc:
         return False, exc
 
 
-def _pull(build, names, tasks: int) -> dict:
-    """Build the rows whose indices this process reads from the pipe
-    `tasks`, one byte at a time until it is empty: {index: attempt}."""
-    done = {}
-    while index := os.read(tasks, 1):
-        done[index[0]] = _attempt(build, names[index[0]])
-    return done
+def _take(tasks: int):
+    """The next task index in the pipe `tasks`, or None once it is empty."""
+    data = os.read(tasks, 4)
+    return int.from_bytes(data, "little") if data else None
 
 
-def run_rows(build, names, schedule) -> list:
-    """[build(name) for name in names], built by this process and
-    min(cpu_count(), len(names)) - 1 forked workers.  The indices of the
-    names wait in one pipe, one byte each, in the order of `schedule`, and
-    each process takes one at a time until the pipe is empty.  A worker
-    sends back its rows, or the exception a row raised, pickled through its
-    own pipe and leaves with os._exit; the rows of a worker that does not
-    exit 0 are built here.  The exception of the first failing name is
-    raised, as a serial loop would.  Every worker is reaped before this
-    returns, and killed first if it is still running when this leaves by
-    an exception."""
+def _read(fd: int, size: int) -> bytes:
+    """size bytes from the pipe fd, or fewer if it ends first."""
+    parts, left = [], size
+    while left and (part := os.read(fd, left)):
+        parts.append(part)
+        left -= len(part)
+    return b"".join(parts)
+
+
+def _receive(back: int, done: dict) -> bool:
+    """Read the next result a worker sends through the pipe `back` into
+    done ({index: attempt}); False if the worker has ended instead."""
     import pickle
+    head = _read(back, 8)
+    data = _read(back, int.from_bytes(head, "little"))
+    if len(head) < 8 or not data:
+        return False
+    index, attempt = pickle.loads(data)
+    done[index] = attempt
+    return True
+
+
+def run_tasks(build, count: int, order: Iterable[int] = ()):
+    """Yield build(i) for i in range(count), in index order, built by this
+    process and W - 1 forked workers, W = min(cpu_count(), count); at
+    W = 1 every task is built here in turn and nothing forks.
+
+    The task indices wait in one pipe, four bytes each, in `order`
+    (ascending by default), and every process takes one at a time until
+    the pipe is empty.  A worker sends each result, or the exception its
+    task raised, pickled through its own pipe as soon as it has it, and
+    leaves with os._exit once the pipe is empty.  This process reads what
+    the workers sent between its own tasks and yields each result that is
+    next in order; while more than WAITING results wait for an earlier
+    one, it takes no task and waits for the workers instead.  A task whose
+    worker ended without sending it back is built here.  The exception of
+    the first failing index is raised, as a serial loop would raise it.
+    Every worker is reaped before this returns, and killed first if it is
+    still running when this leaves by an exception or is closed."""
+    width = min(cpu_count(), count)
+    if width <= 1:
+        for i in range(count):
+            yield build(i)
+        return
+    import fcntl
+    import pickle
+    import select
     import signal
     tasks, feed = os.pipe()
-    os.write(feed, bytes(names.index(name) for name in schedule))
+    # at most GRID_CAP / SWEEP_BLOCK + 1 = 3907 tasks: 15.6 kB, which the
+    # pipe holds before any process reads it
+    os.write(feed, b"".join(i.to_bytes(4, "little")
+                            for i in order or range(count)))
     os.close(feed)
-    workers = []                # (pid, result pipe) of each unreaped worker
+    workers = {}                # result pipe -> pid of each unreaped worker
     try:
-        for _ in range(min(cpu_count(), len(names)) - 1):
+        for _ in range(width - 1):
             back, send = os.pipe()
+            # a pipe of 1 MiB (the default cap of an unprivileged one)
+            # takes a block of rows in one write and gives it in one read
+            try:
+                fcntl.fcntl(send, fcntl.F_SETPIPE_SZ, 1 << 20)
+            except OSError:
+                pass
             pid = os.fork()
             if pid == 0:
                 code = 1
                 try:
                     os.close(back)
-                    data = pickle.dumps(_pull(build, names, tasks))
                     with open(send, "wb") as out:
-                        out.write(data)
+                        while (index := _take(tasks)) is not None:
+                            data = pickle.dumps(
+                                (index, _attempt(build, index)))
+                            out.write(len(data).to_bytes(8, "little") + data)
+                            out.flush()
                     code = 0
                 finally:
                     os._exit(code)
             os.close(send)
-            workers.append((pid, back))
-        done = _pull(build, names, tasks)
-        while workers:
-            pid, back = workers[-1]
-            with open(back, "rb", closefd=False) as fh:
-                data = fh.read()
-            status = os.waitpid(pid, 0)[1]
-            workers.pop()
-            os.close(back)
-            if status == 0:
-                done.update(pickle.loads(data))
+            workers[back] = pid
+        done = {}               # index -> attempt, until it is yielded
+        more = True             # the pipe may still hold tasks
+        for i in range(count):
+            while i not in done:
+                free = more and (len(done) <= WAITING or not workers)
+                ready = []
+                if workers:
+                    ready = select.select(list(workers), [], [],
+                                          0 if free else None)[0]
+                for back in ready:
+                    if not _receive(back, done):    # the worker has ended
+                        os.close(back)
+                        os.waitpid(workers.pop(back), 0)
+                if ready:
+                    continue
+                if free:
+                    index = _take(tasks)
+                    if index is None:
+                        more = False
+                    else:
+                        done[index] = _attempt(build, index)
+                elif not workers:
+                    # every task is taken and every worker has ended: the
+                    # worker that took this one ended without it
+                    done[i] = _attempt(build, i)
+            # no name here holds a result once it is yielded
+            if not done[i][0]:
+                raise done[i][1]
+            yield done.pop(i)[1]
     except BaseException:
-        for pid, _ in workers:
+        for pid in workers.values():
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
         os.close(tasks)
-        for pid, back in workers:
+        for back, pid in workers.items():
             os.close(back)
             os.waitpid(pid, 0)
-    rows = []
-    for i, name in enumerate(names):
-        ok, value = done[i] if i in done else _attempt(build, name)
-        if not ok:
-            raise value
-        rows.append(value)
-    return rows
 
 
 def cmd_spectrum(cfg: RunConfig, e_max: float):
@@ -349,67 +427,84 @@ def cmd_correlate(cfg: RunConfig, mode: str):
     grid = momentum_grid(L=cfg.model.L, K=cfg.K, a=cfg.model.a) \
         if mode == "finite" else None
     word = [(p.r, p.q) for p in cfg.insertions]
-    xs = _grid(x_min, x_max, n).tolist()
+    xs = _grid(x_min, x_max, n)
     if klein_sign(word) == 0:
         print("warning: insertion word violates charge selection; "
               "emitting zero rows", file=sys.stderr)
-        values = [0.0j] * n
+
+        def values(xs_k):
+            return [0.0j] * len(xs_k)
     else:
         # the first insertion sweeps x and moves by t; the spec holds it at
         # the first point
         pts = list(cfg.insertions)
-        positions = xs
+        x0 = pts[0].x if pts else 0.0
         if pts:
-            positions = [pts[0].x + x for x in xs]
-            pts[0] = replace(pts[0], x=positions[0], t=pts[0].t + t)
+            pts[0] = replace(pts[0], x=x0 + xs[0].item(), t=pts[0].t + t)
         spec = CorrelatorSpec(insertions=tuple(pts), ell=cfg.ell,
                               regulator=cfg.regulator)
-        if mode == "finite":
-            values = [res["value"] for res in finite_correlator(
-                spec, cfg.model, sol, grid, xs=positions)]
-        else:
-            values = npoint_continuum(spec, sol, xs=positions)
+
+        def values(xs_k):
+            positions = [x0 + x for x in xs_k] if pts else xs_k
+            if mode == "finite":
+                return [res["value"] for res in finite_correlator(
+                    spec, cfg.model, sol, grid, xs=positions)]
+            return npoint_continuum(spec, sol, xs=positions)
     # t is one value for every row: formatted once
     row = "%%.17g,%.17g,%%.17g,%%.17g,%%.17g\r\n" % t
-    rows = [row % (x, v.real, v.imag, abs(v)) for x, v in zip(xs, values)]
+
+    def block(k):
+        """The rows of the k-th SWEEP_BLOCK positions as one string."""
+        xs_k = xs[k * SWEEP_BLOCK:(k + 1) * SWEEP_BLOCK].tolist()
+        return "".join([row % (x, v.real, v.imag, abs(v))
+                        for x, v in zip(xs_k, values(xs_k))])
+
+    # built in full before anything is written, so that a sweep that fails
+    # leaves an existing output file alone
+    rows = list(run_tasks(block, -(-n // SWEEP_BLOCK)))
     return 0, Table(["x", "t", "re", "im", "abs"], rows)
 
 
 def cmd_scan(cfg: RunConfig):
     import numpy as np
     lam_min, lam_max, n_lam, g_min, g_max, n_g = cfg.scan_grid
-    _check_cap("scan rows", n_lam * n_g)
+    n = n_lam * n_g
+    _check_cap("scan rows", n)
     lams = _grid(lam_min, lam_max, n_lam)
     gs = _grid(g_min, g_max, n_g)
+    # lambda and gamma1 depend on the lambda axis only, g and gamma2 on the
+    # g axis: each is formatted once per grid line; gamma1 and gamma2 are
+    # the float operations closed_form takes at each point
+    with np.errstate(all="ignore"):
+        g1s, g2s = _gammas(replace(cfg.model, lam=lams, g=gs))
+    lam_s, g_s, g1_s, g2_s = (["%.17g" % v for v in axis.tolist()]
+                              for axis in (lams, gs, g1s, g2s))
 
-    def rows():
-        # lambda and gamma1 depend on the lambda axis only, g and gamma2 on
-        # the g axis: each is formatted once per grid line; gamma1 and
-        # gamma2 are the float operations closed_form takes at each point
+    def block(k):
+        """The rows of the k-th SCAN_BLOCK points (lams[i // n_g],
+        gs[i % n_g]) as one string, solved by one kernel call."""
+        lam_at, g_at = np.divmod(
+            np.arange(k * SCAN_BLOCK, min((k + 1) * SCAN_BLOCK, n)), n_g)
+        # points without a solution may hold inf or nan: no warnings
         with np.errstate(all="ignore"):
-            g1s, g2s = _gammas(replace(cfg.model, lam=lams, g=gs))
-        lam_s, g_s, g1_s, g2_s = (["%.17g" % v for v in axis.tolist()]
-                                  for axis in (lams, gs, g1s, g2s))
-        # blocks of 2048 points k = (lams[k // n_g], gs[k % n_g]) keep the
-        # kernel's arrays small; each is written before the next is solved
-        for lo in range(0, n_lam * n_g, 2048):
-            lam_at, g_at = np.divmod(
-                np.arange(lo, min(lo + 2048, n_lam * n_g)), n_g)
-            # points without a solution may hold inf or nan: no warnings
-            with np.errstate(all="ignore"):
-                sol, status = closed_form(replace(cfg.model, lam=lams[lam_at],
-                                                  g=gs[g_at]))
-                tab = exponents(sol)
-                table = np.column_stack((
-                    sol.vtilde_f, sol.vtilde_p, tab.delta_cdw,
-                    tab.delta_sc)).tolist()
+            sol, status = closed_form(replace(cfg.model, lam=lams[lam_at],
+                                              g=gs[g_at]))
+            tab = exponents(sol)
+            table = np.column_stack((
+                sol.vtilde_f, sol.vtilde_p, tab.delta_cdw,
+                tab.delta_sc)).tolist()
+        return "".join([
+            "%s,%s,%s,%s,%.17g,%.17g,%.17g,%.17g,1\r\n" % (
+                lam_s[i], g_s[j], g1_s[i], g2_s[j], *vals) if stable
+            else "%s,%s,,,,,,,0\r\n" % (lam_s[i], g_s[j])
             for i, j, stable, vals in zip(lam_at.tolist(), g_at.tolist(),
-                                          (status == 0).tolist(), table):
-                yield ("%s,%s,%s,%s,%.17g,%.17g,%.17g,%.17g,1\r\n" % (
-                    lam_s[i], g_s[j], g1_s[i], g2_s[j], *vals) if stable
-                    else "%s,%s,,,,,,,0\r\n" % (lam_s[i], g_s[j]))
+                                          (status == 0).tolist(), table)])
+
+    # a lazy stream: each block is written once it and every block before
+    # it are built
     return 0, Table(["lambda", "g", "gamma1", "gamma2", "vtilde_f",
-                     "vtilde_p", "delta_cdw", "delta_sc", "stable"], rows())
+                     "vtilde_p", "delta_cdw", "delta_sc", "stable"],
+                    run_tasks(block, -(-n // SCAN_BLOCK)))
 
 
 # --------------------------------------------------------------------------

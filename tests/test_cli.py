@@ -593,16 +593,17 @@ def test_generic_documents_pinned(config_file, tmp_path, name):
 
 
 # --------------------------------------------------------------------------
-# `verify` builds its rows on W processes, W = min(cli.cpu_count(), rows):
-# the parent and W - 1 forked workers
+# `verify` builds its rows, and `scan` and `correlate` their blocks of rows,
+# on W processes, W = min(cli.cpu_count(), tasks): the parent and W - 1
+# forked workers
 
 
 FORK = os.fork
 
 
 def set_workers(monkeypatch, W):
-    """Run `verify` on W processes; at W = 1 a call of os.fork fails the
-    test."""
+    """Run the tasks of a command on at most W processes; at W = 1 a call
+    of os.fork fails the test."""
     monkeypatch.setattr(cli, "cpu_count", lambda: W)
     monkeypatch.setattr(os, "fork", FORK if W > 1 else
                         lambda: pytest.fail("W = 1 forked"))
@@ -903,6 +904,234 @@ def test_stdout_equals_output_file(config_file, tmp_path, capsysbinary, name,
     assert run_cli(["--config", cfg, "--format", fmt,
                     *TABLE_COMMANDS[name]]) == 0
     assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+SWEEP_COMMANDS = {
+    "scan": ["scan"],
+    "correlate-finite": ["correlate", "--mode", "finite"],
+    "correlate-continuum": ["correlate", "--mode", "continuum"],
+}
+
+# (config, block sizes patched in): one block (13 scan rows, 5 positions);
+# a few blocks (the 57 x 41 scan in 2 blocks of 2048 points, 700 positions
+# in 3 blocks of 256); more than 255 tasks (293 scan blocks of 8 points,
+# 350 blocks of 2 positions)
+SWEEP_700 = SCAN_2D_INI.replace("points = 5\n", "points = 700\n")
+SWEEP_GRIDS = {
+    "one-block": (GENERIC_INI, {}),
+    "few-blocks": (SWEEP_700, {}),
+    "many-tasks": (SWEEP_700, {"SCAN_BLOCK": 8, "SWEEP_BLOCK": 2}),
+}
+
+# sha256 of the SWEEP_700 tables, recorded while every sweep ran in one
+# process; its scan is PINNED_TABLES' scan-2d
+SWEEP_700_SHA256 = {
+    ("scan", "csv"): PINNED_TABLES["scan-2d"][2],
+    ("scan", "json"): PINNED_TABLES["scan-2d"][3],
+    ("correlate-finite", "csv"):
+        "9f9b3bce9cd541a196598f3dadda22b6eb5f70b3f13efb740d03715642ef38d7",
+    ("correlate-finite", "json"):
+        "49589e3fad2cdc4cb7970b0ac4f1f64724ba99c5478c9a3a6e96f0b3c7386422",
+    ("correlate-continuum", "csv"):
+        "1b60d7744d5e79aec3bd1f9891934a4579ec846a6987065050d471f6b964167d",
+    ("correlate-continuum", "json"):
+        "534a0a64918adcbe8f04dae8e48d960dc80f1c13f43cc6893ad9f15cfe41774d",
+}
+
+
+@pytest.mark.parametrize("W", [1, 2])
+@pytest.mark.parametrize("grid", list(SWEEP_GRIDS))
+@pytest.mark.parametrize("name", list(SWEEP_COMMANDS))
+def test_sweep_bytes_on_any_process_count(config_file, tmp_path,
+                                          capsysbinary, monkeypatch, name,
+                                          grid, W):
+    """A sweep on W processes, in blocks of any size, writes the pinned
+    bytes of one process with the blocks as they are, to --output and to
+    stdout."""
+    text, blocks = SWEEP_GRIDS[grid]
+    pins = GENERIC_SHA256 if grid == "one-block" else SWEEP_700_SHA256
+    cfg = config_file(text)
+    args = SWEEP_COMMANDS[name]
+    set_workers(monkeypatch, 1)
+    expect = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"expect.{fmt}"
+        assert run_cli(["--config", cfg, "--output", str(out), "--format",
+                        fmt, *args]) == 0
+        expect[fmt] = out.read_bytes()
+        assert hashlib.sha256(expect[fmt]).hexdigest() == pins[name, fmt]
+    set_workers(monkeypatch, W)
+    for attr, size in blocks.items():
+        monkeypatch.setattr(cli, attr, size)
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"out.{fmt}"
+        assert run_cli(["--config", cfg, "--output", str(out), "--format",
+                        fmt, *args]) == 0
+        assert_no_children()
+        assert out.read_bytes() == expect[fmt]
+        assert run_cli(["--config", cfg, "--format", fmt, *args]) == 0
+        assert_no_children()
+        assert capsysbinary.readouterr().out == expect[fmt]
+
+
+def test_sweep_to_buffered_stdout_on_two_processes(config_file, tmp_path):
+    """In a fresh process, whose stdout is a pipe and buffers the header
+    while the workers are forked, every sweep on two processes writes each
+    byte once: a worker leaves without flushing the parent's buffer."""
+    cfg = config_file(SWEEP_700)
+    argvs = [["--format", fmt, *args] for args in SWEEP_COMMANDS.values()
+             for fmt in ("csv", "json")]
+    expect = b""
+    for argv in argvs:
+        out = tmp_path / "out"
+        assert run_cli(["--config", cfg, "--output", str(out), *argv]) == 0
+        expect += out.read_bytes()
+    code = ("import json, sys; from fermiphon import cli; "
+            "cli.cpu_count = lambda: 2; "
+            "sys.exit(max(cli.main(['--config', sys.argv[1], *argv]) "
+            "for argv in json.loads(sys.argv[2])))")
+    src = os.path.dirname(os.path.dirname(fermiphon.__file__))
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    fresh = subprocess.run(
+        [sys.executable, "-c", code, cfg, json.dumps(argvs)],
+        capture_output=True, timeout=60, env=dict(env, PYTHONPATH=src))
+    assert (fresh.returncode, fresh.stderr) == (0, b"")
+    assert fresh.stdout == expect
+
+
+@pytest.mark.parametrize("W", [1, 2])
+def test_sweep_error_in_worker_exit_2(config_file, tmp_path, monkeypatch,
+                                      capsys, W):
+    """A continuum sweep of 700 positions whose first failing point (the
+    567th, where i ell / (r x - v t + i reg) underflows to 0) lies in its
+    last block exits 2 with the line it gives at W = 1 and leaves an
+    existing output file alone.  At W = 2 the parent's first block waits
+    until a block has failed, so the worker builds the failing one."""
+    ran, told = os.pipe()
+    sweep = cli.npoint_continuum
+    parent = os.getpid()
+
+    def told_failing(spec, sol, xs):
+        if W == 2 and os.getpid() == parent:
+            select.select([ran], [], [], 30)
+        try:
+            return sweep(spec, sol, xs=xs)
+        except cli.BadArgument:
+            os.write(told, b"%d\n" % os.getpid())
+            raise
+
+    monkeypatch.setattr(cli, "npoint_continuum", told_failing)
+    set_workers(monkeypatch, W)
+    cfg = config_file(GENERIC_INI.replace("ell = 1.0", "ell = 1e-150")
+                      .replace("x_min = 0.5", "x_min = 0.0")
+                      .replace("x_max = 5.0", "x_max = 5e173")
+                      .replace("points = 5", "points = 700"))
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"earlier result\n")
+    try:
+        assert run_cli(["--config", cfg, "--output", str(out),
+                        "correlate"]) == 2
+        assert_no_children()
+        assert (int(os.read(ran, 64).split()[0]) == os.getpid()) == (W == 1)
+    finally:
+        os.close(ran)
+        os.close(told)
+    assert capsys.readouterr() == ("", (
+        "error: i ell / (r x - v t + i reg) underflows to 0 at ell = "
+        "1e-150, pair separation x = 4.05e+173, t = 0\n"))
+    assert out.read_bytes() == b"earlier result\n"
+
+
+# the one-block sweeps of the vertex mode-sum benchmark: a finite 2-point
+# sweep of 24, 4 and 1 positions, a 4-point word at one position and a free
+# 2-point sweep of 4 positions (at n_a = 200 here)
+ONE_BLOCK_SWEEPS = {
+    "finite-2pt-24": ("points = 5\n", "points = 24\n"),
+    "finite-2pt-4": ("points = 5\n", "points = 4\n"),
+    "finite-2pt-1": ("points = 5\n", "points = 1\n"),
+    "finite-4pt-1": ("points = 5\n", "points = 1\n"),
+    "finite-free-4": ("points = 5\n", "points = 4\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_BLOCK_SWEEPS))
+def test_one_block_sweep_never_forks(config_file, tmp_path, monkeypatch,
+                                     name):
+    text = GENERIC_INI.replace(*ONE_BLOCK_SWEEPS[name])
+    if name.startswith("finite-4pt"):
+        text = text.replace("insertions = +:-:0:0 ; +:+:0:0",
+                            "insertions = +:-:0:0 ; +:+:0.4:0 ; "
+                            "-:+:1.1:0.2 ; -:-:1.9:0")
+    if name.startswith("finite-free"):
+        text = text.replace("lambda = 1.0", "lambda = 0.0").replace(
+            "g = 0.2", "g = 0.0")
+    cfg = config_file(text)
+    out = tmp_path / "out.csv"
+    set_workers(monkeypatch, 1)
+    assert run_cli(["--config", cfg, "--output", str(out), "correlate",
+                    "--mode", "finite"]) == 0
+    expect = out.read_bytes()
+    monkeypatch.setattr(cli, "cpu_count", lambda: 2)
+    assert run_cli(["--config", cfg, "--output", str(out), "correlate",
+                    "--mode", "finite"]) == 0
+    assert out.read_bytes() == expect
+    assert expect.count(b"\n") == 1 + int(
+        ONE_BLOCK_SWEEPS[name][1].split()[-1])
+
+
+def test_sweep_parent_waits_for_a_slow_worker(config_file, tmp_path,
+                                              monkeypatch):
+    """While more than cli.WAITING blocks wait for one that a worker still
+    builds, the parent builds no block of its own: what a sweep holds does
+    not grow with its grid.  The worker's first block takes 1 s longer;
+    the 57 x 41 scan has 37 blocks of 64 points."""
+    ran, told = os.pipe()
+    kernel = cli.closed_form
+    parent = os.getpid()
+    calls, first = [], [True]
+
+    def slow_first_block_in_worker(params):
+        if os.getpid() == parent:
+            calls.append(time.monotonic())
+        elif first:
+            first.clear()
+            time.sleep(1.0)
+            os.write(told, b"%r\n" % time.monotonic())
+        return kernel(params)
+
+    cfg = config_file(SCAN_2D_INI)
+    expect = tmp_path / "expect.csv"
+    set_workers(monkeypatch, 1)
+    assert run_cli(["--config", cfg, "--output", str(expect), "scan"]) == 0
+    set_workers(monkeypatch, 2)
+    monkeypatch.setattr(cli, "SCAN_BLOCK", 64)
+    monkeypatch.setattr(cli, "closed_form", slow_first_block_in_worker)
+    out = tmp_path / "out.csv"
+    try:
+        assert run_cli(["--config", cfg, "--output", str(out), "scan"]) == 0
+        assert_no_children()
+        assert select.select([ran], [], [], 30)[0]
+        slow_done = float(os.read(ran, 64))
+    finally:
+        os.close(ran)
+        os.close(told)
+    assert out.read_bytes() == expect.read_bytes()
+    assert 0 < sum(t < slow_done for t in calls) <= cli.WAITING + 2
+    assert len(calls) > cli.WAITING + 2
+
+
+def test_sweep_output_failure_leaves_no_worker(config_file, monkeypatch,
+                                               capsys):
+    """A scan whose output cannot be written exits 2 with one line, and the
+    worker still building its blocks is killed and reaped before `main`
+    returns."""
+    set_workers(monkeypatch, 2)
+    monkeypatch.setattr(cli, "SCAN_BLOCK", 64)
+    assert run_cli(["--config", config_file(SCAN_2D_INI), "--output",
+                    "/dev/full", "scan"]) == 2
+    assert_no_children()
+    assert capsys.readouterr().err.startswith("I/O failure: ")
 
 
 @pytest.mark.parametrize("exc, message", [

@@ -42,10 +42,12 @@ def _fmt(x):
 
 
 def fields(rows):
-    """The fields of each CSV line a command produced."""
+    """The fields of each CSV line a command produced, its rows being
+    blocks of whole lines."""
     rows = list(rows)
     assert all(line.endswith("\r\n") for line in rows)
-    return [line[:-2].split(",") for line in rows]
+    return [line.split(",") for block in rows
+            for line in block[:-2].split("\r\n")]
 
 
 # -- oracles --------------------------------------------------------------
