@@ -54,9 +54,10 @@ if TYPE_CHECKING:
 # most rows one `scan` writes and most points one `correlate` sweeps: 25 times
 # the 200 x 200 scan and 50 times the 2e4-point continuum sweep of the
 # benchmark.  As CSV in fresh processes on a shared 2-core Xeon, that many
-# take 1.8-3.0 s at 32.2-32.8 MB peak RSS (and 26.1 MB in the worker) as a
-# scan, and 5.3-7.1 s at 122 + 30 MB as a continuum 4-point sweep; in one
-# process they took 3.1-5.0 s at 31.1 MB and 9.9-14.4 s at 323 MB.
+# take 2.8-3.3 s at 32.2-32.3 MB peak RSS (and 26.1 MB in the worker) as a
+# scan, and 6.2-6.5 s at 122 + 30 MB as a continuum 4-point sweep; in one
+# process, run alternately with these, they took 3.9-5.0 s at 31.1 MB and
+# 10.5-11.8 s at 323 MB.
 GRID_CAP = 1_000_000
 
 # points of one `scan` task: one kernel call and one string of rows
@@ -261,61 +262,76 @@ def _read(fd: int, size: int) -> bytes:
     return b"".join(parts)
 
 
+def _send(out, index: int, attempt):
+    """Write (index, attempt) pickled, after its size in 8 bytes, to the
+    binary file out and flush it."""
+    import pickle
+    data = pickle.dumps((index, attempt))
+    out.write(len(data).to_bytes(8, "little") + data)
+    out.flush()
+
+
 def _receive(back: int, done: dict) -> bool:
-    """Read the next result a worker sends through the pipe `back` into
-    done ({index: attempt}); False if the worker has ended instead."""
+    """Read the next result a worker sent through the pipe `back` into done
+    ({index: attempt}); False if the pipe ends before a whole one, which
+    happens only once the worker has ended."""
     import pickle
     head = _read(back, 8)
-    data = _read(back, int.from_bytes(head, "little"))
-    if len(head) < 8 or not data:
+    size = int.from_bytes(head, "little")
+    data = _read(back, size)
+    if len(head) < 8 or len(data) < size:
         return False
     index, attempt = pickle.loads(data)
     done[index] = attempt
     return True
 
 
+def _reap(workers: dict, kill: bool):
+    """Close the result pipe of each worker in workers ({pipe: pid}) and
+    reap it, killed first if kill; workers is left empty."""
+    for back, pid in workers.items():
+        if kill:
+            import signal
+            os.kill(pid, signal.SIGKILL)
+        os.close(back)
+        os.waitpid(pid, 0)
+    workers.clear()
+
+
 def run_tasks(build, count: int, order: Iterable[int] = ()):
     """Yield build(i) for i in range(count), in index order, built by this
-    process and W - 1 forked workers, W = min(cpu_count(), count); at
-    W = 1 every task is built here in turn and nothing forks.
+    process and up to W - 1 forked workers, W = min(cpu_count(), count).
 
     The task indices wait in one pipe, four bytes each, in `order`
     (ascending by default), and every process takes one at a time until
-    the pipe is empty.  A worker sends each result, or the exception its
-    task raised, pickled through its own pipe as soon as it has it, and
-    leaves with os._exit once the pipe is empty.  This process reads what
-    the workers sent between its own tasks and yields each result that is
-    next in order; while more than WAITING results wait for an earlier
-    one, it takes no task and waits for the workers instead.  A task whose
-    worker ended without sending it back is built here.  The exception of
-    the first failing index is raised, as a serial loop would raise it.
-    Every worker is reaped before this returns, and killed first if it is
-    still running when this leaves by an exception or is closed."""
-    width = min(cpu_count(), count)
-    if width <= 1:
-        for i in range(count):
-            yield build(i)
-        return
-    import fcntl
-    import pickle
+    the pipe is empty; if the pipe cannot hold them all, or W = 1, nothing
+    forks.  A worker sends each result, or the exception its task raised,
+    pickled through its own pipe as soon as it has it, and leaves with
+    os._exit once the pipe is empty.  This process reads what the workers
+    sent between its own tasks and yields each result that is next in
+    order; while more than WAITING results wait for an earlier one, it
+    takes no task and waits for the workers instead.  A worker that ends
+    other than by exit 0 may take a task with it: the other workers are
+    then killed too.  Once no worker is left, this process builds each
+    task it still lacks in index order.  The exception of the first
+    failing index is raised, as a serial loop would raise it.  Every worker
+    is reaped before this returns, and killed first if it is still running
+    when this leaves by an exception or is closed."""
     import select
-    import signal
     tasks, feed = os.pipe()
-    # at most GRID_CAP / SWEEP_BLOCK + 1 = 3907 tasks: 15.6 kB, which the
-    # pipe holds before any process reads it
-    os.write(feed, b"".join(i.to_bytes(4, "little")
-                            for i in order or range(count)))
+    data = b"".join(i.to_bytes(4, "little") for i in order or range(count))
+    # a new pipe holds 4-64 KiB and nothing reads this one yet: written
+    # without blocking, a pipe too small for every index leaves this
+    # process to build them all
+    os.set_blocking(feed, False)
+    width = min(cpu_count(), count)
+    if os.write(feed, data) < len(data):
+        width = 1
     os.close(feed)
     workers = {}                # result pipe -> pid of each unreaped worker
     try:
         for _ in range(width - 1):
             back, send = os.pipe()
-            # a pipe of 1 MiB (the default cap of an unprivileged one)
-            # takes a block of rows in one write and gives it in one read
-            try:
-                fcntl.fcntl(send, fcntl.F_SETPIPE_SZ, 1 << 20)
-            except OSError:
-                pass
             pid = os.fork()
             if pid == 0:
                 code = 1
@@ -323,10 +339,7 @@ def run_tasks(build, count: int, order: Iterable[int] = ()):
                     os.close(back)
                     with open(send, "wb") as out:
                         while (index := _take(tasks)) is not None:
-                            data = pickle.dumps(
-                                (index, _attempt(build, index)))
-                            out.write(len(data).to_bytes(8, "little") + data)
-                            out.flush()
+                            _send(out, index, _attempt(build, index))
                     code = 0
                 finally:
                     os._exit(code)
@@ -336,40 +349,36 @@ def run_tasks(build, count: int, order: Iterable[int] = ()):
         more = True             # the pipe may still hold tasks
         for i in range(count):
             while i not in done:
-                free = more and (len(done) <= WAITING or not workers)
-                ready = []
-                if workers:
-                    ready = select.select(list(workers), [], [],
-                                          0 if free else None)[0]
-                for back in ready:
-                    if not _receive(back, done):    # the worker has ended
-                        os.close(back)
-                        os.waitpid(workers.pop(back), 0)
-                if ready:
+                if not workers:
+                    # none was forked or none is left: the pipe is not read
+                    # again, and each task still lacking is built here
+                    done[i] = _attempt(build, i)
                     continue
-                if free:
+                free = more and len(done) <= WAITING
+                ready = select.select(list(workers), [], [],
+                                      0 if free else None)[0]
+                for back in ready:
+                    if back in workers and not _receive(back, done):
+                        # the worker has ended
+                        os.close(back)
+                        if os.waitpid(workers.pop(back), 0)[1]:
+                            _reap(workers, kill=True)
+                if free and not ready:
                     index = _take(tasks)
                     if index is None:
                         more = False
                     else:
                         done[index] = _attempt(build, index)
-                elif not workers:
-                    # every task is taken and every worker has ended: the
-                    # worker that took this one ended without it
-                    done[i] = _attempt(build, i)
             # no name here holds a result once it is yielded
             if not done[i][0]:
                 raise done[i][1]
             yield done.pop(i)[1]
     except BaseException:
-        for pid in workers.values():
-            os.kill(pid, signal.SIGKILL)
+        _reap(workers, kill=True)
         raise
     finally:
         os.close(tasks)
-        for back, pid in workers.items():
-            os.close(back)
-            os.waitpid(pid, 0)
+        _reap(workers, kill=False)
 
 
 def cmd_spectrum(cfg: RunConfig, e_max: float):

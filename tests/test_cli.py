@@ -1084,7 +1084,9 @@ def test_sweep_parent_waits_for_a_slow_worker(config_file, tmp_path,
                                               monkeypatch):
     """While more than cli.WAITING blocks wait for one that a worker still
     builds, the parent builds no block of its own: what a sweep holds does
-    not grow with its grid.  The worker's first block takes 1 s longer;
+    not grow with its grid.  The worker's first block takes 1 s longer,
+    and the parent's blocks are counted while it sleeps (a worker that
+    starts late may take its first block after the parent built several);
     the 57 x 41 scan has 37 blocks of 64 points."""
     ran, told = os.pipe()
     kernel = cli.closed_form
@@ -1096,8 +1098,9 @@ def test_sweep_parent_waits_for_a_slow_worker(config_file, tmp_path,
             calls.append(time.monotonic())
         elif first:
             first.clear()
+            start = time.monotonic()
             time.sleep(1.0)
-            os.write(told, b"%r\n" % time.monotonic())
+            os.write(told, b"%r %r\n" % (start, time.monotonic()))
         return kernel(params)
 
     cfg = config_file(SCAN_2D_INI)
@@ -1112,12 +1115,13 @@ def test_sweep_parent_waits_for_a_slow_worker(config_file, tmp_path,
         assert run_cli(["--config", cfg, "--output", str(out), "scan"]) == 0
         assert_no_children()
         assert select.select([ran], [], [], 30)[0]
-        slow_done = float(os.read(ran, 64))
+        slow_start, slow_done = map(float, os.read(ran, 64).split())
     finally:
         os.close(ran)
         os.close(told)
     assert out.read_bytes() == expect.read_bytes()
-    assert 0 < sum(t < slow_done for t in calls) <= cli.WAITING + 2
+    meanwhile = sum(slow_start < t < slow_done for t in calls)
+    assert 0 < meanwhile <= cli.WAITING + 2
     assert len(calls) > cli.WAITING + 2
 
 
@@ -1132,6 +1136,96 @@ def test_sweep_output_failure_leaves_no_worker(config_file, monkeypatch,
                     "/dev/full", "scan"]) == 2
     assert_no_children()
     assert capsys.readouterr().err.startswith("I/O failure: ")
+
+
+@pytest.mark.parametrize("where", ["in-a-task", "mid-message"])
+def test_sweep_lost_worker_built_here_in_order(config_file, tmp_path,
+                                               monkeypatch, where):
+    """A worker that dies in its first block, or after writing half of that
+    block's message, takes the block with it.  The parent reads a broken
+    message as the worker's end, builds the lost block as soon as it is
+    next rather than every block left first, and writes the bytes of one
+    process.  The 57 x 41 scan has 37 blocks of 64 points."""
+    ran, told = os.pipe()
+    parent = os.getpid()
+    attempt, send = cli._attempt, cli._send
+    built = []                  # the blocks the parent builds, in turn
+
+    def dying_attempt(build, index):
+        if os.getpid() == parent:
+            built.append(index)
+        elif where == "in-a-task":
+            os.write(told, b"%d\n" % index)
+            os._exit(3)
+        return attempt(build, index)
+
+    def half_send(out, index, result):
+        whole = io.BytesIO()
+        send(whole, index, result)
+        os.write(told, b"%d\n" % index)
+        out.write(whole.getvalue()[:len(whole.getvalue()) // 2])
+        out.flush()
+        os._exit(3)
+
+    cfg = config_file(SCAN_2D_INI)
+    expect = tmp_path / "expect.csv"
+    set_workers(monkeypatch, 1)
+    assert run_cli(["--config", cfg, "--output", str(expect), "scan"]) == 0
+    set_workers(monkeypatch, 2)
+    monkeypatch.setattr(cli, "SCAN_BLOCK", 64)
+    monkeypatch.setattr(cli, "_attempt", dying_attempt)
+    if where == "mid-message":
+        monkeypatch.setattr(cli, "_send", half_send)
+    out = tmp_path / "out.csv"
+    try:
+        assert run_cli(["--config", cfg, "--output", str(out), "scan"]) == 0
+        assert_no_children()
+        lost = int(os.read(ran, 64))
+    finally:
+        os.close(ran)
+        os.close(told)
+    assert out.read_bytes() == expect.read_bytes()
+    assert sorted(built) == list(range(37))
+    assert sum(k > lost for k in built[:built.index(lost)]) <= cli.WAITING + 1
+
+
+def test_sweep_tasks_past_a_small_pipe_built_here(config_file, tmp_path,
+                                                  monkeypatch):
+    """A task pipe too small for every index (one page, as Linux gives a
+    user past its pipe-user-pages-soft) leaves the parent to build every
+    task without forking, rather than block on the full pipe: 1169 scan
+    blocks of 2 points take 4676 bytes."""
+    import fcntl
+    import signal
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipe sizes cannot be set here")
+    cfg = config_file(SCAN_2D_INI)
+    expect = tmp_path / "expect.csv"
+    set_workers(monkeypatch, 1)
+    assert run_cli(["--config", cfg, "--output", str(expect), "scan"]) == 0
+    pipe = os.pipe
+
+    def one_page_pipe():
+        read, write = pipe()
+        fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 1)
+        assert fcntl.fcntl(write, fcntl.F_GETPIPE_SZ) < 4676
+        return read, write
+
+    def blocked(signum, frame):
+        raise TimeoutError("blocked on the task pipe")
+
+    monkeypatch.setattr(os, "pipe", one_page_pipe)
+    monkeypatch.setattr(cli, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "SCAN_BLOCK", 2)
+    out = tmp_path / "out.csv"
+    alarm = signal.signal(signal.SIGALRM, blocked)
+    signal.alarm(60)
+    try:
+        assert run_cli(["--config", cfg, "--output", str(out), "scan"]) == 0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, alarm)
+    assert out.read_bytes() == expect.read_bytes()
 
 
 @pytest.mark.parametrize("exc, message", [
