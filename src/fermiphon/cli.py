@@ -15,6 +15,8 @@ memory, or an output that cannot be written.
 Importing this module loads neither numpy nor the Fock lab: `verify` loads
 the Fock lab (pure Python) and never numpy; `solve`, `spectrum`, `correlate`
 and `scan` load numpy in the kernels that use it and never the Fock lab.
+Every `verify` row is an exact identity: its residual is an exact rational,
+and the row passes exactly when it is 0.
 
 `verify`, `scan` and `correlate` build their rows on up to one process per
 CPU this process may run on and per task: itself and workers forked from
@@ -192,34 +194,28 @@ def cmd_verify(cfg: RunConfig):
     if cfg.K > 6:
         raise BadArgument("verify requires K <= 6")
     from . import focklab
-    # the JACOBI row's import, made once here rather than in every worker
-    import mpmath  # noqa: F401
     K = cfg.K
     space = focklab.build_space(K)
-
-    def row(name, window, residual, passed, worst=None):
-        # the lab works in units of the mode spacing, i.e. at L = 2 pi
-        return {"identity": name, "K": K, "L": 2.0 * math.pi,
-                "window": str(window), "residual": residual, "pass": passed,
-                "worst_pair": list(worst) if worst else None}
-
-    def report_row(rep):
-        return row(rep.identity, rep.window, str(rep.max_residual),
-                   rep.passed, rep.worst_pair)
 
     def build(index):
         name = VERIFY_ROWS[index]
         if name == "DEGENERACY":
             counts = focklab.degeneracy_counts(space, K - 1)
-            deg_ok = all(f == b for f, b in counts.values())
-            return row(name, K - 1, "0" if deg_ok else "mismatch", deg_ok)
-        if name == "JACOBI":
-            resid, tail = focklab.jacobi_check(0.5, 60)
-            return row(name, "z=0.5,order=60", "%.17g" % resid,
-                       resid <= tail + 1e-12)
-        if name == "RECONSTRUCTION":
-            return report_row(focklab.reconstruction_report(space))
-        return report_row(focklab.identities.identity_residual(space, name))
+            rep = focklab.IdentityReport(
+                name, K, window=K - 1, checks=len(counts),
+                max_residual=max(abs(f - b) for f, b in counts.values()))
+        elif name == "JACOBI":
+            # an identity of integer coefficients, the same at every K
+            rep = focklab.jacobi_check(60)
+        elif name == "RECONSTRUCTION":
+            rep = focklab.reconstruction_report(space)
+        else:
+            rep = focklab.identities.identity_residual(space, name)
+        # the lab works in units of the mode spacing, i.e. at L = 2 pi
+        return {"identity": name, "K": K, "L": 2.0 * math.pi,
+                "window": str(rep.window), "residual": str(rep.max_residual),
+                "pass": rep.passed,
+                "worst_pair": list(rep.worst_pair) if rep.worst_pair else None}
 
     reports = list(run_tasks(build, len(VERIFY_ROWS), [
         VERIFY_ROWS.index(name) for name in LONGEST_FIRST]))

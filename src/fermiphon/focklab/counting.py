@@ -1,5 +1,6 @@
 """Degeneracy matching between fermion and boson state counts, and the
-truncated triple-product identity backing it."""
+triple-product identity backing it as an exact identity of integer
+coefficients."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import math
 from fractions import Fraction
 
 from ..errors import BadArgument
+from .identities import IdentityReport
 from .space import FockSpace
 
 
@@ -52,43 +54,37 @@ def degeneracy_counts(space: FockSpace, e_max) -> dict:
     return {e: (fermi.get(e, 0), bose.get(e, 0)) for e in energies}
 
 
-def jacobi_check(z: float, order: int):
-    """Truncated two sides of the special triple-product identity.
+def _product_coefficients(degree: int) -> list:
+    """Coefficients of prod_{n>=1} (1 - q^{2n}) (1 + q^{2n-1})^2 up to
+    q^degree, in integers: factors of degree above `degree` change none."""
+    c = [1] + [0] * degree
+    for m in range(1, degree + 1):
+        # multiply by (1 - q^m) once if m is even, by (1 + q^m) twice if odd
+        sign, times = (-1, 1) if m % 2 == 0 else (1, 2)
+        for _ in range(times):
+            for e in range(degree, m - 1, -1):
+                c[e] += sign * c[e - m]
+    return c
 
-    Evaluates (prod_{n<=order} (1 + z^{2n-1}))^2 and
-    (sum_{|q|<=order} z^{q^2}) / prod_{n<=order} (1 - z^{2n}) in
-    high-precision arithmetic (working precision scaled with the order so
-    rounding sits far below the truncation tails) and returns
-    (residual, tail_bound): the absolute difference of the truncated sides
-    together with a rigorous bound on the truncation error of either side
-    (geometric tails, with constants taken from the computed partial
-    products).
-    """
-    if not (0.0 < z < 1.0):
-        raise BadArgument("z must lie in (0, 1)")
-    if order < 1:
-        raise BadArgument("order must be >= 1")
-    import mpmath as mp
-    with mp.workdps(int(40 - 2.5 * order * math.log10(z))):
-        zz = mp.mpf(z)
-        lhs = mp.mpf(1)
-        for n in range(1, order + 1):
-            lhs *= 1 + zz**(2 * n - 1)
-        lhs = lhs * lhs
-        theta = 1 + 2 * mp.fsum(zz**(q * q) for q in range(1, order + 1))
-        euler = mp.mpf(1)
-        for n in range(1, order + 1):
-            euler *= 1 - zz**(2 * n)
-        rhs = theta / euler
 
-        # tails: lhs misses factors (1+z^{2n-1})^2, n > order, bounded by
-        # exp(2 z^{2 order + 1} / (1 - z^2)); rhs misses theta terms
-        # (< 2 z^{(order+1)^2} / (1 - z)) and euler factors
-        # (< exp(z^{2 order + 2} / ((1 - z^2)(1 - z^{2 order + 2})))).
-        t = zz**(2 * order + 1)
-        lhs_tail = lhs * mp.expm1(2 * t / (1 - zz * zz))
-        theta_tail = 2 * zz**((order + 1) ** 2) / (1 - zz)
-        eu = zz**(2 * order + 2)
-        rhs_tail = rhs * mp.expm1(eu / ((1 - zz * zz) * (1 - eu))) \
-            + theta_tail / euler
-        return float(abs(lhs - rhs)), float(lhs_tail + rhs_tail)
+def _theta_coefficients(degree: int) -> list:
+    """Coefficients of sum_{k in Z} q^{k^2} up to q^degree: 1 at q^0 and 2
+    at each positive square."""
+    c = [0] * (degree + 1)
+    for k in range(-math.isqrt(degree), math.isqrt(degree) + 1):
+        c[k * k] += 1
+    return c
+
+
+def jacobi_check(degree: int) -> IdentityReport:
+    """JACOBI: the special triple-product identity behind the degeneracy
+    counts, prod_{n>=1} (1 - q^{2n}) (1 + q^{2n-1})^2 = sum_{k in Z} q^{k^2},
+    compared coefficient by coefficient up to q^degree.  The residual is the
+    exact largest difference of the degree + 1 coefficient pairs; the
+    identity involves no truncated space, so the report's K is None."""
+    if degree < 0:
+        raise BadArgument("degree must be >= 0")
+    diff = max(abs(a - b) for a, b in zip(_product_coefficients(degree),
+                                          _theta_coefficients(degree)))
+    return IdentityReport(identity="JACOBI", K=None, window=degree,
+                          max_residual=diff, checks=degree + 1)

@@ -26,9 +26,9 @@ from .space import CHIRALITIES, FockSpace
 @dataclass
 class IdentityReport:
     identity: str
-    K: int
+    K: int  # the truncation; None for an identity with no space (JACOBI)
     window: Fraction
-    max_residual: Fraction
+    max_residual: Fraction  # exact: an int or a Fraction
     checks: int
     worst_pair: tuple = None  # (bra index, ket index) of the max residual
 
@@ -215,8 +215,3 @@ def reconstruction_report(space: FockSpace) -> IdentityReport:
     """RECONSTRUCTION: V_r(k) = psi-hat_r(k) entrywise on the interior block,
     for both chiralities and every k in the window."""
     return _report(space, "RECONSTRUCTION", _reconstruction_residuals(space))
-
-
-def run_identity_suite(space: FockSpace):
-    """Run the full suite; returns a list of IdentityReport."""
-    return [identity_residual(space, name) for name in SUPPORTED_IDENTITIES]

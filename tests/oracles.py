@@ -14,8 +14,9 @@ from fermiphon.correlators import (FLAVORS, CorrelatorSpec, InsertionPoint,
                                    klein_sign, npoint_continuum)
 from fermiphon.errors import (BadArgument, FermiphonError, ModeOutOfWindow,
                              ZeroMode)
-from fermiphon.focklab import (FockSpace, SparseOperator, density_op,
-                               field_op, klein_factor)
+from fermiphon.focklab import (SUPPORTED_IDENTITIES, FockSpace,
+                               SparseOperator, density_op, field_op,
+                               identity_residual, klein_factor)
 from fermiphon.focklab.operators import _accumulate, linear
 from fermiphon.focklab.reconstruction import _cached
 from fermiphon.vertex import (CHANNELS, _DIRECT_SUM_MAX, _U, VertexFactor,
@@ -385,3 +386,55 @@ def partition_reconstructed_field(space: FockSpace, r: int, nu,
                 _accumulate(result, apply_u(space, ops, r, parts_plus, -1,
                                             lowered))
     return result
+
+
+# --------------------------------------------------------------------------
+# the Fock lab's identities: the whole suite, and the triple product in
+# floating point
+
+
+def run_identity_suite(space: FockSpace):
+    """Run the full suite; returns a list of IdentityReport."""
+    return [identity_residual(space, name) for name in SUPPORTED_IDENTITIES]
+
+
+def jacobi_check(z: float, order: int):
+    """Truncated two sides of the special triple-product identity.
+
+    Evaluates (prod_{n<=order} (1 + z^{2n-1}))^2 and
+    (sum_{|q|<=order} z^{q^2}) / prod_{n<=order} (1 - z^{2n}) in
+    high-precision arithmetic (working precision scaled with the order so
+    rounding sits far below the truncation tails) and returns
+    (residual, tail_bound): the absolute difference of the truncated sides
+    together with a rigorous bound on the truncation error of either side
+    (geometric tails, with constants taken from the computed partial
+    products).
+    """
+    if not (0.0 < z < 1.0):
+        raise BadArgument("z must lie in (0, 1)")
+    if order < 1:
+        raise BadArgument("order must be >= 1")
+    import mpmath as mp
+    with mp.workdps(int(40 - 2.5 * order * math.log10(z))):
+        zz = mp.mpf(z)
+        lhs = mp.mpf(1)
+        for n in range(1, order + 1):
+            lhs *= 1 + zz**(2 * n - 1)
+        lhs = lhs * lhs
+        theta = 1 + 2 * mp.fsum(zz**(q * q) for q in range(1, order + 1))
+        euler = mp.mpf(1)
+        for n in range(1, order + 1):
+            euler *= 1 - zz**(2 * n)
+        rhs = theta / euler
+
+        # tails: lhs misses factors (1+z^{2n-1})^2, n > order, bounded by
+        # exp(2 z^{2 order + 1} / (1 - z^2)); rhs misses theta terms
+        # (< 2 z^{(order+1)^2} / (1 - z)) and euler factors
+        # (< exp(z^{2 order + 2} / ((1 - z^2)(1 - z^{2 order + 2})))).
+        t = zz**(2 * order + 1)
+        lhs_tail = lhs * mp.expm1(2 * t / (1 - zz * zz))
+        theta_tail = 2 * zz**((order + 1) ** 2) / (1 - zz)
+        eu = zz**(2 * order + 2)
+        rhs_tail = rhs * mp.expm1(eu / ((1 - zz * zz) * (1 - eu))) \
+            + theta_tail / euler
+        return float(abs(lhs - rhs)), float(lhs_tail + rhs_tail)

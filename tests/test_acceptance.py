@@ -15,11 +15,10 @@ from fermiphon.bogoliubov import (diagonalize_numeric, solve_closed_form)
 from fermiphon.correlators import (CorrelatorSpec, InsertionPoint,
                                    free_finite_L, npoint_continuum)
 from fermiphon.focklab import (build_space, degeneracy_counts, density_op,
-                               field_op, jacobi_check, reconstructed_field,
-                               run_identity_suite)
+                               field_op, reconstructed_field)
 from fermiphon.vertex import finite_correlator, z_renorm
 from fermiphon import cli
-from oracles import two_point
+from oracles import jacobi_check, run_identity_suite, two_point
 
 TWO_PI = 2.0 * math.pi
 
@@ -308,7 +307,7 @@ def test_criterion_8_exponent_scan(tmp_path):
     out = tmp_path / "scan.csv"
     code = cli.main(["--config", str(config), "--output", str(out), "scan"])
     ok = code == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     ok = ok and len(rows) == 37
     worst_prod = worst_v = 0.0
     for row in rows:

@@ -12,6 +12,7 @@ import sys
 import tempfile
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,7 +98,7 @@ def test_solve_free_trivial_exponents(config_file, tmp_path, capsys):
     cfg = config_file(FREE_INI)
     out = str(tmp_path / "sol.json")
     assert run_cli(["--config", cfg, "--output", out, "solve"]) == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert doc["exponents"]["delta_cdw"] == 1.0
     assert doc["exponents"]["delta_sc"] == 1.0
     assert doc["solution"]["vtilde_f"] == 1.0
@@ -114,7 +115,7 @@ def test_solve_round_trip(config_file, tmp_path):
     cfg = config_file(GENERIC_INI)
     out = str(tmp_path / "sol.json")
     assert run_cli(["--config", cfg, "--output", out, "solve"]) == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     params = cli.load_config(cfg).model
     sol = solve_closed_form(params)
     tab = exponents(sol)
@@ -128,28 +129,27 @@ def test_solve_deterministic(config_file, tmp_path):
     o1, o2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     run_cli(["--config", cfg, "--output", o1, "solve"])
     run_cli(["--config", cfg, "--output", o2, "solve"])
-    assert open(o1, "rb").read() == open(o2, "rb").read()
+    assert Path(o1).read_bytes() == Path(o2).read_bytes()
 
 
 def test_verify_k2(config_file, tmp_path):
     cfg = config_file(FREE_INI)
     out = str(tmp_path / "verify.json")
     assert run_cli(["--config", cfg, "--output", out, "verify"]) == 0
-    reports = json.loads(open(out).read())
+    reports = json.loads(Path(out).read_text())
     names = {r["identity"] for r in reports}
     assert {"CAR", "SCHWINGER", "KRONIG", "DEGENERACY", "JACOBI",
             "RECONSTRUCTION"} <= names
     assert all(r["pass"] for r in reports)
     # fock-lab residuals are exact rationals, serialized as strings
-    assert all(r["residual"] == "0" for r in reports
-               if r["identity"] not in ("JACOBI",))
+    assert all(r["residual"] == "0" for r in reports)
 
 
 def test_verify_k1_smaller_window(config_file, tmp_path):
     cfg = config_file(FREE_INI.replace("K = 2", "K = 1"))
     out = str(tmp_path / "verify.json")
     assert run_cli(["--config", cfg, "--output", out, "verify"]) == 0
-    reports = json.loads(open(out).read())
+    reports = json.loads(Path(out).read_text())
     assert all(r["pass"] for r in reports)
     assert any(r["window"] == "0" for r in reports)
 
@@ -165,10 +165,29 @@ def test_verify_corrupted_sign_fails(config_file, tmp_path, monkeypatch):
     cfg = config_file(FREE_INI)
     out = str(tmp_path / "verify.json")
     assert run_cli(["--config", cfg, "--output", out, "verify"]) == 1
-    reports = json.loads(open(out).read())
+    reports = json.loads(Path(out).read_text())
     car = next(r for r in reports if r["identity"] == "CAR")
     assert not car["pass"]
     assert car["worst_pair"] is not None
+
+
+def test_verify_counting_rows_fail_with_their_exact_residuals(
+        config_file, tmp_path, monkeypatch):
+    # one level's boson count off by 3, and a theta side without squares
+    from fermiphon import focklab
+    counts = focklab.degeneracy_counts
+    monkeypatch.setattr(focklab, "degeneracy_counts", lambda space, e_max: {
+        **counts(space, e_max), 0.5: (4, 1)})
+    monkeypatch.setattr(focklab.counting, "_theta_coefficients",
+                        lambda degree: [1] + [0] * degree)
+    out = tmp_path / "verify.json"
+    assert run_cli(["--config", config_file(FREE_INI), "--output", str(out),
+                    "verify"]) == 1
+    rows = {r["identity"]: (r["window"], r["residual"], r["pass"])
+            for r in json.loads(out.read_text())}
+    assert rows.pop("DEGENERACY") == ("1", "3", False)
+    assert rows.pop("JACOBI") == ("60", "2", False)
+    assert {row[1:] for row in rows.values()} == {("0", True)}
 
 
 def test_verify_k_guard(config_file):
@@ -181,7 +200,7 @@ def test_spectrum_first_row_vacuum(config_file, tmp_path):
     out = str(tmp_path / "spec.csv")
     assert run_cli(["--config", cfg, "--output", out, "spectrum",
                     "--e-max", "0.6"]) == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = list(csv.DictReader(Path(out).read_text().splitlines()))
     assert rows[0]["q_plus"] == "0" and rows[0]["q_minus"] == "0"
     assert rows[0]["modes"] == ""
     energies = [float(r["energy"]) for r in rows]
@@ -202,7 +221,7 @@ def test_correlate_two_point_decay(config_file, tmp_path):
     out = str(tmp_path / "corr.csv")
     assert run_cli(["--config", cfg, "--output", out, "correlate",
                     "--mode", "continuum"]) == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = list(csv.DictReader(Path(out).read_text().splitlines()))
     assert len(rows) == 5
     # free 2-point: |G| = 1 / (2 pi |x|) within regulator smearing
     for row in rows:
@@ -218,7 +237,7 @@ def test_correlate_selection_violation_warns(config_file, tmp_path, capsys):
     assert run_cli(["--config", cfg, "--output", out, "correlate"]) == 0
     err = capsys.readouterr().err
     assert "selection" in err
-    rows = list(csv.DictReader(open(out)))
+    rows = list(csv.DictReader(Path(out).read_text().splitlines()))
     assert all(float(r["abs"]) == 0.0 for r in rows)
 
 
@@ -241,7 +260,7 @@ def test_continuum_needs_no_vertex_grid(config_file, tmp_path, capsys):
     out = str(tmp_path / "corr.csv")
     assert run_cli(["--config", cfg, "--output", out, "correlate",
                     "--mode", "continuum"]) == 0
-    assert len(open(out).read().splitlines()) == 6
+    assert len(Path(out).read_text().splitlines()) == 6
     assert run_cli(["--config", cfg, "--output", out, "correlate",
                     "--mode", "finite"]) == 2
     assert capsys.readouterr().err == "error: need 0 < a <= L/2\n"
@@ -260,8 +279,8 @@ def test_correlate_finite_vs_continuum_trend(config_file, tmp_path):
                     "--mode", "finite"]) == 0
     assert run_cli(["--config", cfg, "--output", out_c, "correlate",
                     "--mode", "continuum"]) == 0
-    rows_f = list(csv.DictReader(open(out_f)))
-    rows_c = list(csv.DictReader(open(out_c)))
+    rows_f = list(csv.DictReader(Path(out_f).read_text().splitlines()))
+    rows_c = list(csv.DictReader(Path(out_c).read_text().splitlines()))
     sol = solve_closed_form(run.model)
     ssum = sol.sigma_f**2 + sol.sigma_p**2
     z = z_renorm(run.model, sol, run.regulator)["Z"]
@@ -275,7 +294,7 @@ def test_scan_rows(config_file, tmp_path):
     cfg = config_file(GENERIC_INI)
     out = str(tmp_path / "scan.csv")
     assert run_cli(["--config", cfg, "--output", out, "scan"]) == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = list(csv.DictReader(Path(out).read_text().splitlines()))
     assert len(rows) == 13
     assert any(r["stable"] == "0" for r in rows)
     for row in rows:
@@ -304,7 +323,7 @@ def test_scan_deterministic(config_file, tmp_path):
     out2 = str(tmp_path / "s2.csv")
     assert run_cli(["--config", cfg, "--output", out1, "scan"]) == 0
     assert run_cli(["--config", cfg, "--output", out2, "scan"]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_closed_form_writes_no_warnings(config_file, tmp_path, capsys):
@@ -336,7 +355,8 @@ def test_closed_form_writes_no_warnings(config_file, tmp_path, capsys):
             assert run_cli(["--config", config_file(text), "--output", out,
                             "scan"]) == 0
         assert capsys.readouterr().err == ""
-        assert {r["stable"] for r in csv.DictReader(open(out))} == {"0"}
+        rows = csv.DictReader(Path(out).read_text().splitlines())
+        assert {r["stable"] for r in rows} == {"0"}
 
 
 def test_json_format_option(config_file, tmp_path):
@@ -344,7 +364,7 @@ def test_json_format_option(config_file, tmp_path):
     out = str(tmp_path / "scan.json")
     assert run_cli(["--config", cfg, "--output", out, "--format", "json",
                     "scan"]) == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert isinstance(doc, list) and doc[0]["stable"] in ("0", "1")
 
 
@@ -570,14 +590,14 @@ DOCUMENT_COMMANDS = {
     "solve": ("solve", GENERIC_INI, "2811479185453f6c53fb6bce051fbafe"
                                     "73b4299eba3c9efbd5cafd09be7f7b6c"),
     "verify": ("verify", GENERIC_INI.replace("K = 8", "K = 2"),
-               "66429c067b604066f669c033dafa8a3a"
-               "fd019e0215b7b6045e784f72e7316c36"),
+               "94e755041464d70dba0523a48fd457f6"
+               "d7d143b6cf955e20629dc918714a5910"),
     "verify-k3": ("verify", GENERIC_INI.replace("K = 8", "K = 3"),
-                  "92b9754015c4eb6f8cb07f2ff418e73e"
-                  "11a098454d1fe199ae97f8d4da42d899"),
+                  "3abc1d36425a8bb39f24b856f5ebcf6e"
+                  "fc3084a7585e7dd09e7f3ae3ac4809b7"),
     "verify-k4": ("verify", GENERIC_INI.replace("K = 8", "K = 4"),
-                  "d626c7e9315743c6488e8ff11073b805"
-                  "cd477a9b84a0397dda262fd11594d557"),
+                  "8b12ebd82077496f5ad6f012803a3e9d"
+                  "e9cd106775e36124e5551987de5348d1"),
 }
 
 
@@ -694,7 +714,7 @@ def test_verify_row_error_in_worker_exit_2(config_file, monkeypatch, capsys):
     from fermiphon.errors import BadArgument
     ran, told = os.pipe()
 
-    def failing_jacobi(z, order):
+    def failing_jacobi(degree):
         os.write(told, b"%d\n" % os.getpid())
         raise BadArgument("the JACOBI row failed")
 
@@ -745,11 +765,11 @@ def test_verify_rows_of_a_lost_worker_built_here(config_file, tmp_path,
     jacobi = focklab.jacobi_check
     parent = os.getpid()
 
-    def dying_jacobi(z, order):
+    def dying_jacobi(degree):
         if os.getpid() != parent:
             os.write(told, b"x")
             os._exit(3)
-        return jacobi(z, order)
+        return jacobi(degree)
 
     monkeypatch.setattr(focklab, "jacobi_check", dying_jacobi)
     set_workers(monkeypatch, 2)
@@ -1516,11 +1536,11 @@ def test_cli_import_loads_no_mpmath_or_thread_pool():
 
 
 def test_subcommand_loads_only_its_half(config_file, tmp_path):
-    """`verify` runs without numpy and `solve` without the Fock lab; a
-    config refused before any command runs loads neither."""
+    """`verify` runs without numpy or mpmath and `solve` without the Fock
+    lab; a config refused before any command runs loads none of them."""
     code = ("import sys; from fermiphon import cli; "
             "code = cli.main(sys.argv[1:]); print(code, [m for m in "
-            "('numpy', 'fermiphon.focklab') if m in sys.modules])")
+            "('numpy', 'mpmath', 'fermiphon.focklab') if m in sys.modules])")
     out = str(tmp_path / "out")
     cases = [
         (GENERIC_INI.replace("K = 8", "K = 2"), "verify",
