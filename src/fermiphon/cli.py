@@ -464,10 +464,9 @@ def cmd_correlate(cfg: RunConfig, mode: str):
         return "".join([row % (x, v.real, v.imag, abs(v))
                         for x, v in zip(xs_k, values(xs_k))])
 
-    # built in full before anything is written, so that a sweep that fails
-    # leaves an existing output file alone
-    rows = list(run_tasks(block, -(-n // SWEEP_BLOCK)))
-    return 0, Table(["x", "t", "re", "im", "abs"], rows)
+    # a lazy stream, as `scan` returns
+    return 0, Table(["x", "t", "re", "im", "abs"],
+                    run_tasks(block, -(-n // SWEEP_BLOCK)))
 
 
 def cmd_scan(cfg: RunConfig):
@@ -536,8 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact solution engine for the 1D fermion-phonon model")
     ap.add_argument("--config", required=True, help="path to INI config")
     ap.add_argument("--output", default=None,
-                    help="output path (default stdout); written only once "
-                         "the command has a result")
+                    help="output path (default stdout); a file is written "
+                         "only once the whole output is built")
     ap.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = ap.add_subparsers(dest="command", required=True)
     sub.add_parser("solve")
@@ -596,13 +595,117 @@ def _run(args) -> int:
         code, payload = cmd_correlate(cfg, args.mode)
     else:
         code, payload = cmd_scan(cfg)
-    # opened only now, so a command that fails leaves an existing file alone
     if args.output:
-        with open(args.output, "w", newline="") as out:
-            _write(out, args.format, payload)
+        _write_file(args.output, args.format, payload)
     else:
         _write(sys.stdout, args.format, payload)
     return code
+
+
+def _write_file(path: str, fmt: str, payload):
+    """Write payload to the file at path (through any symlinks, which
+    stay) so that a command that fails part way, by any exception, leaves
+    an existing file as it was: a regular file or a new path is written
+    only once the payload is whole, a short one from memory, a longer one
+    through a new file that replaces it (_Output).  Paths under /dev and
+    /proc (/dev/stdout may name a regular file) and other files, such as
+    FIFOs, are written directly, as the payload is produced."""
+    import stat
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    if (mode is not None and not stat.S_ISREG(mode)) or \
+            os.path.abspath(path).startswith(("/dev/", "/proc/")):
+        with open(path, "w", newline="") as out:
+            _write(out, fmt, payload)
+        return
+    out = _Output(target, None if mode is None else stat.S_IMODE(mode))
+    try:
+        _write(out, fmt, payload)
+        out.finish()
+    except BaseException:
+        out.discard()
+        raise
+
+
+# an output of at most this many characters is kept in memory and written by
+# one truncating open once whole; a longer one goes to a new file that
+# replaces the target once whole.  On ext4 (a shared 2-core Xeon) the new
+# file and its rename cost 11 % of a `vertex-modesum` cycle (six 30 s
+# pairs), whose outputs hold about 2500 characters each.
+KEEP_CHARS = 1 << 16
+
+
+class _Output:
+    """The text sink of _write_file: it keeps what is written until that
+    is more than KEEP_CHARS characters, then moves it, and all that follows,
+    to a new file beside target (mode bits `mode`, or those open(target,
+    "w") gives a new file), or to target itself where no file can be made
+    there."""
+
+    def __init__(self, target: str, mode):
+        self.target, self.mode = target, mode
+        self.kept, self.size = [], 0
+        self.out = self.temp = None
+
+    def write(self, text: str):
+        if self.out is not None:
+            self.out.write(text)
+            return
+        self.kept.append(text)
+        self.size += len(text)
+        if self.size > KEEP_CHARS:
+            self._spill()
+
+    def writelines(self, lines):
+        lines = iter(lines)
+        for line in lines:
+            self.write(line)
+            if self.out is not None:
+                self.out.writelines(lines)
+                return
+
+    def _spill(self):
+        head, name = os.path.split(self.target)
+        tries = 0
+        while self.out is None:
+            temp = os.path.join(head, f".{name}.{os.getpid()}.{tries}.tmp")
+            try:
+                fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                             0o666)
+            except FileExistsError:
+                tries += 1
+                continue
+            except OSError:
+                # no file can be made here: the target is written directly,
+                # and open raises what it raises where it cannot be
+                self.out = open(self.target, "w", newline="")
+                break
+            self.out, self.temp = open(fd, "w", newline=""), temp
+            if self.mode is not None:
+                os.fchmod(fd, self.mode)
+        self.out.write("".join(self.kept))
+        self.kept = []
+
+    def finish(self):
+        """Put what was written in place of the target."""
+        if self.out is None:
+            with open(self.target, "w", newline="") as out:
+                out.write("".join(self.kept))
+            return
+        self.out.close()
+        if self.temp is not None:
+            os.replace(self.temp, self.target)
+
+    def discard(self):
+        """Drop what was written: no new file is left, and the target is as
+        it was unless it was being written directly."""
+        if self.out is not None:
+            self.out.close()
+            if self.temp is not None:
+                os.unlink(self.temp)
 
 
 if __name__ == "__main__":

@@ -13,10 +13,12 @@ per channel; the piecewise structure splits each contraction into the head
 -log(1 - zeta).  Up to 400 modes the head is added directly; beyond, the
 tail comes from an Euler-Maclaurin closed form anchored on the exponential
 integral E1, so a contraction costs the same at any n_a; E1 comes from its
-asymptotic series where its argument has modulus at least 40, and from
-mpmath.e1 below.  Every mode sum
-carries a bound on its error (rounding, and the Euler-Maclaurin remainder),
-and finite_correlator reports their total.
+asymptotic series where its argument has modulus at least 40, and from its
+power series or its continued fraction below, all in floats, and the
+Bernoulli numbers of the closed form from integer tangent numbers.  Every
+mode sum carries a derived bound on its error (rounding, the
+Euler-Maclaurin remainder and the error of E1), and finite_correlator
+reports their total.
 """
 
 from __future__ import annotations
@@ -45,25 +47,22 @@ _U = 2.0 ** -53                  # unit roundoff of float64
 # per sum in process on a 2-core Xeon (numpy 2.4): the direct sum costs
 # 0.27 us per term at 400 terms (0.03 below 100, where numpy's power
 # multiplies repeatedly); the closed form costs 7-18 us where its E1
-# argument N |w| is at least _E1_SERIES_MIN and 110-290 us below, where
-# mpmath.e1 serves it.  For |w| from 0.16 to 1.6 the two cross near 200
-# terms; for |w| below 0.1 past 400.
+# argument N |w| is at least _E1_SERIES_MIN, 6-15 us below |N w| = 1 (E1's
+# power series) and 25-340 us between (its continued fraction, slowest
+# just above |N w| = 1 near the imaginary axis).  For |w| from 0.16 to 1.6
+# the two cross near 200 terms; for |w| below 0.1 past 400.
 _DIRECT_SUM_MAX = 400
 
 # Direct sums run over blocks of this many terms (128 KiB).
 _HEAD_BLOCK_TERMS = 1 << 13
 
-# E1 comes from its asymptotic series (_e1) at |z| >= _E1_SERIES_MIN.  The
-# series reaches float precision where its smallest term, min_k k! / |z|^k,
-# is at most u; at integer |z| = R that is R! / R^R (about
-# sqrt(2 pi R) e^{-R}), and it falls as |z| grows: R = 40.
+# E1 comes from its asymptotic series (_e1) at |z| >= _E1_SERIES_MIN, and
+# from its power series or continued fraction (_e1_small) below.  The
+# asymptotic series reaches float precision where its smallest term,
+# min_k k! / |z|^k, is at most u; at integer |z| = R that is R! / R^R
+# (about sqrt(2 pi R) e^{-R}), and it falls as |z| grows: R = 40.
 _E1_SERIES_MIN = float(next(r for r in range(1, 100)
                             if math.factorial(r) / r ** r <= _U))
-
-# Below _E1_SERIES_MIN, E1 comes from mpmath.e1, whose relative error at its
-# default 53-bit precision measured worst 0.95 u over 3000 arguments N w
-# against 150-bit evaluations.
-_E1_REL_ERR = 2.0 * _U
 
 _TINY = 5e-324                  # smallest subnormal float64, 2^-1074
 
@@ -205,12 +204,121 @@ def _e1(z: complex) -> Tuple[complex, float]:
     return value, (16.0 * _U + err / abs(total)) * abs(value) + _TINY
 
 
+def _e1_small(z: complex) -> Tuple[complex, float]:
+    """E1(z) for Re z >= 0 and 0 < |z| < _E1_SERIES_MIN, and a bound on its
+    absolute error.
+
+    Below |z| = 1, the power series (DLMF 6.6.2)
+    E1(z) = -gamma - log z - sum_{k>=1} b_k (-z)^k, b_k = 1 / (k k!),
+    cut after K terms, where the rest is at most
+    2 |z|^{K+1} / ((K + 1) (K + 1)!) (its terms fall by half or more); the
+    polynomial is evaluated by Horner's rule.
+
+    From |z| = 1 on, the continued fraction (DLMF 6.9.1)
+    e^z E1(z) = 1/(z + 1/(1 + 1/(z + 2/(1 + 2/(z + ...))))), a Stieltjes
+    fraction in w = 1/z with partial numerators a_1 w, a_k = floor(k / 2).
+    For |arg w| <= pi / 2 its approximants f_n obey
+    |e^z E1(z) - f_n| <= |f_n - f_{n-1}| (Henrici and Pfluger, Numer. Math.
+    9, 1966; Cuyt et al., Handbook of Continued Fractions for Special
+    Functions, 2008, ch. 14), and
+    |f_n - f_{n-1}| = prod_{k<=n} a_k |w| / |B_n B_{n-1}|.  A forward pass
+    carries that difference through h_n = B_n / B_{n-1} =
+    1 + a_n w / h_{n-1} up to the first even n = 2m where it is below
+    u / (16 (|z| + 2)), about u / 16 of the value; the bound charges twice
+    it, which covers its own rounding.  f_{2m} is the m-level even part
+    1/(z + 1 - 1/(z + 3 - 4/(z + 5 - ...))), evaluated backward:
+    T_{m-1} = z + 2m - 1, T_j = z + 2j + 1 - (j + 1)^2 / T_{j+1},
+    f_{2m} = 1 / T_0.
+
+    Rounding, by running error analysis (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3), to first order in u:
+    * a Horner step q <- b_k + (-z) q: the product within sqrt(5) u < 3u,
+      the sum and b_k within u each, and the error carried so far times
+      |z|;
+    * log z: its real part within 2u |log |z|| + 6u (hypot and log each
+      within one ulp; CPython takes log1p of (a - 1)(a + 1) + b^2 for
+      |z| in [0.71, 1.73], a within 3u (a^2 + b^2) <= 6u), its imaginary
+      part (atan2) within 2u |arg z|: together 3u |log z| + 6u; gamma within
+      u / 2, and each subtraction u of its result;
+    * a backward step: z + 2j + 1 within u of its real part, the real by
+      complex division (CPython's Smith algorithm) within 5u, the
+      subtraction u of T_j, and the error of T_{j+1} carried by
+      (j + 1)^2 / (|T_{j+1}| (|T_{j+1}| - its bound)) (rigorous while that
+      bound is below |T_{j+1}|); 1 / T_0 adds 5u, e^{-z} (exp, cos and sin
+      each within one ulp) 5u and the product sqrt(5) u < 3u of the value.
+    2u of the value covers every second-order term.  e^{-z} is normal on
+    this domain (|e^{-z}| >= e^{-40}).
+    """
+    az = abs(z)
+    if az < 1.0:
+        r = -z
+        terms, mag = 1, az          # mag = |z|^K / K!
+        while 2.0 * mag * az / (terms + 1) ** 2 > _U / 16:
+            terms += 1
+            mag *= az / terms
+        # b_k by int true division, correctly rounded
+        q = 1 / (terms * math.factorial(terms))
+        rounding = q                # in units of u
+        for k in range(terms - 1, 0, -1):
+            b = 1 / (k * math.factorial(k))
+            p = r * q
+            q = b + p
+            rounding = az * rounding + 3.0 * abs(p) + abs(q) + b
+        s = r * q
+        log = cmath.log(z)
+        head = -EULER_GAMMA - log
+        value = head - s
+        rounding = az * rounding + 3.0 * abs(s) + 3.0 * abs(log) + 6.5 \
+            + abs(head) + 3.0 * abs(value)
+        return value, 2.0 * mag * az / (terms + 1) ** 2 + _U * rounding
+    w = 1.0 / z
+    aw = abs(w)
+    target = _U / (16.0 * (az + 2.0))
+    h, ah = 1.0 + 0.0j, 1.0         # h_1 = B_1 / B_0
+    diff, n = aw, 1                 # diff = |f_n - f_{n-1}|
+    while n % 2 or diff > target:
+        n += 1
+        h_next = 1.0 + (n // 2) * w / h
+        ah_next = abs(h_next)
+        diff *= (n // 2) * aw / (ah_next * ah)
+        h, ah = h_next, ah_next
+    m = n // 2
+    c = z.real + (2 * m - 1)
+    t = complex(c, z.imag)
+    err = _U * abs(c)               # bounds |computed T_j - T_j|
+    for j in range(m - 2, -1, -1):
+        num = float((j + 1) ** 2)
+        c = z.real + (2 * j + 1)
+        q = num / t
+        at = abs(t)
+        carry = num / (at * (at - err))
+        t = complex(c, z.imag) - q
+        err = _U * (abs(c) + 5.0 * abs(q) + abs(t)) + carry * err
+    at = abs(t)
+    f = 1.0 / t
+    ex = cmath.exp(-z)
+    value = ex * f
+    f_err = 2.0 * diff + err / (at * (at - err)) + 13.0 * _U * abs(f)
+    return value, abs(ex) * f_err + 2.0 * _U * abs(value)
+
+
 @lru_cache(maxsize=1)
 def _bernoulli_ratios() -> Tuple[float, ...]:
-    """B_{2k} / (2k) for k = 1 .. _MAX_BERNOULLI."""
-    import mpmath
-    return tuple(float(mpmath.bernoulli(2 * k)) / (2 * k)
-                 for k in range(1, _MAX_BERNOULLI + 1))
+    """B_{2k} / (2k) for k = 1 .. _MAX_BERNOULLI.
+
+    B_{2k} = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent numbers
+    T_k, built in integers as Knuth and Buckholtz (Math. Comp. 21, 1967)
+    build them; int true division rounds B_{2k} correctly, and the float
+    division by 2k rounds once more."""
+    n = _MAX_BERNOULLI
+    tangent = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        tangent[k] = (k - 1) * tangent[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    return tuple((-1) ** (k - 1) * 2 * k * tangent[k]
+                 / (4 ** k * (4 ** k - 1)) / (2 * k) for k in range(1, n + 1))
 
 
 def _euler_maclaurin_log_sums(zeta: complex,
@@ -235,8 +343,7 @@ def _euler_maclaurin_log_sums(zeta: complex,
       + ((|w| + j / N)^j - |w|^j) / j) by DLMF 6.8.2 and
       (i - 1)! <= j^{i - 1};
     * the error of E1(N w): the bound that _e1 returns at
-      |N w| >= _E1_SERIES_MIN, and the relative error _E1_REL_ERR of
-      mpmath.e1 below;
+      |N w| >= _E1_SERIES_MIN, and the bound of _e1_small below;
     * float rounding: w = -log zeta carries a relative error of about 2u,
       which moves T by |zeta^N / (1 - zeta)| 2u |w| and f(N) and each c_j
       (all multiples of e^{-N w}) by (N |w| + 2) 2u relative; the log, the
@@ -253,12 +360,9 @@ def _euler_maclaurin_log_sums(zeta: complex,
     else:
         anchor = -cmath.log(1.0 - zeta)
         z = w * big_n
-        if abs(z) >= _E1_SERIES_MIN and z.real >= 0.0:
-            e1, e1_err = _e1(z)
-        else:
-            import mpmath
-            e1 = complex(mpmath.e1(z))
-            e1_err = _E1_REL_ERR * abs(e1)
+        # Re z < 0 only where rounding left |zeta| above 1, and there the
+        # remainder below is infinite
+        e1, e1_err = (_e1 if abs(z) >= _E1_SERIES_MIN else _e1_small)(z)
     scale = abs(anchor) + abs(e1)
     ratios = _bernoulli_ratios()
     corr = 0.5 * fn
@@ -463,8 +567,8 @@ def finite_correlator(spec: CorrelatorSpec, params: ModelParams,
       above, the Euler-Maclaurin remainder at the last kept Bernoulli term,
       2 zeta(2p) / (2 pi)^{2p} int |f^{(2p)}|, plus the error of
       E1(N w) (the bound of its asymptotic series at |N w| >= 40, 17u to
-      19u relative; below, the relative error 2u of mpmath.e1) and the
-      rounding of the closed form;
+      19u relative; below, the bound of its power series or continued
+      fraction, 7u to 61u relative) and the rounding of the closed form;
     * per pair, the rounding of the zero-mode phase and of exp;
     * per insertion, the relative error of Z (its own mode sum) and of each
       complex product.

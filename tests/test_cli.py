@@ -3,6 +3,7 @@ import csv
 import gc
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import select
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -994,6 +996,80 @@ def test_sweep_bytes_on_any_process_count(config_file, tmp_path,
         assert capsysbinary.readouterr().out == expect[fmt]
 
 
+@pytest.mark.parametrize("W", [1, 2])
+@pytest.mark.parametrize("name", ["scan", "correlate-finite"])
+def test_failed_sweep_leaves_output_file_alone(config_file, tmp_path,
+                                               monkeypatch, name, W):
+    """A sweep whose last block raises (the 57 x 41 scan's second block of
+    2048 points, the third of 256 positions of 700) exits 2 and leaves an
+    existing --output file as it was, mode included, with no other file
+    beside it, whether the output is kept in memory or goes to a new
+    file."""
+    cfg = config_file(SWEEP_700)
+    set_workers(monkeypatch, W)
+    for attr, size in (("closed_form", cli.SCAN_BLOCK),
+                       ("finite_correlator", cli.SWEEP_BLOCK)):
+        def last_fails(*args, attr=attr, real=getattr(cli, attr), size=size,
+                       **kw):
+            points = args[0].lam if attr == "closed_form" else kw["xs"]
+            if len(points) < size:
+                raise MemoryError("the last block")
+            return real(*args, **kw)
+        monkeypatch.setattr(cli, attr, last_fails)
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"earlier result\r\n")
+    out.chmod(0o640)
+    before = sorted(os.listdir(tmp_path))
+    for keep, fmt in itertools.product((0, 1 << 30), ("csv", "json")):
+        monkeypatch.setattr(cli, "KEEP_CHARS", keep, raising=False)
+        assert run_cli(["--config", cfg, "--output", str(out), "--format",
+                        fmt, *SWEEP_COMMANDS[name]]) == 2
+        assert_no_children()
+        assert out.read_bytes() == b"earlier result\r\n"
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_output_replaced_keeping_mode_and_link(config_file, tmp_path,
+                                               monkeypatch):
+    """--output, kept in memory or through a new file, replaces a regular
+    file with its mode kept, writes through a symlink to its target (the
+    link stays) and gives a new file the mode open(path, "w") gives it; a
+    FIFO is written directly."""
+    cfg = config_file(GENERIC_INI)
+    args = ["--config", cfg, "correlate", "--mode", "finite"]
+    umask = os.umask(0)
+    os.umask(umask)
+    kept = tmp_path / "kept"
+    kept.write_text("old")
+    kept.chmod(0o600)
+    link = tmp_path / "link"
+    link.symlink_to(kept)
+    for keep in (0, 1 << 30):
+        monkeypatch.setattr(cli, "KEEP_CHARS", keep, raising=False)
+        expect = tmp_path / f"expect{keep}"
+        assert run_cli(args[:2] + ["--output", str(expect)] + args[2:]) == 0
+        data = expect.read_bytes()
+        assert data.startswith(b"x,t,re,im,abs\r\n")
+        assert expect.stat().st_mode & 0o777 == 0o666 & ~umask
+        for path in (kept, link):
+            kept.write_text("old")
+            assert run_cli(args[:2] + ["--output", str(path)] + args[2:]) == 0
+            assert kept.read_bytes() == data and link.is_symlink()
+            assert kept.stat().st_mode & 0o777 == 0o600
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    assert run_cli(args[:2] + ["--output", str(fifo)] + args[2:]) == 0
+    reader.join(30)
+    assert got == [data]
+    assert sorted(os.listdir(tmp_path)) == [
+        "expect0", "expect1073741824", "fifo", "kept", "link", "run.ini"]
+
+
 def test_sweep_to_buffered_stdout_on_two_processes(config_file, tmp_path):
     """In a fresh process, whose stdout is a pipe and buffers the header
     while the workers are forked, every sweep on two processes writes each
@@ -1536,8 +1612,10 @@ def test_cli_import_loads_no_mpmath_or_thread_pool():
 
 
 def test_subcommand_loads_only_its_half(config_file, tmp_path):
-    """`verify` runs without numpy or mpmath and `solve` without the Fock
-    lab; a config refused before any command runs loads none of them."""
+    """`verify` runs without numpy or mpmath, `solve` without the Fock lab,
+    and a finite `correlate` whose Z takes E1 below |z| = 40 (n_a = 1e4,
+    N w = 3.1) without mpmath; a config refused before any command runs
+    loads none of them."""
     code = ("import sys; from fermiphon import cli; "
             "code = cli.main(sys.argv[1:]); print(code, [m for m in "
             "('numpy', 'mpmath', 'fermiphon.focklab') if m in sys.modules])")
@@ -1546,11 +1624,28 @@ def test_subcommand_loads_only_its_half(config_file, tmp_path):
         (GENERIC_INI.replace("K = 8", "K = 2"), "verify",
          "0 ['fermiphon.focklab']"),
         (GENERIC_INI, "solve", "0 ['numpy']"),
+        (GENERIC_INI.replace("a = 0.05", "a = 1e-3"),
+         "correlate --mode finite", "0 ['numpy']"),
         (GENERIC_INI.replace("v_p = 0.3", "v_p = 3.0"), "scan", "2 []")]
     for text, command, loaded in cases:
         cfg = config_file(text)
         assert _python(code, "--config", cfg, "--output", out,
-                       command) == loaded, command
+                       *command.split()) == loaded, command
+
+
+def test_finite_correlate_without_mpmath(config_file, tmp_path):
+    """With mpmath unimportable, a fresh finite `correlate` at n_a = 1e4
+    (Z's E1 argument N w = 3.1) exits 0 and writes what it writes in this
+    process."""
+    code = ("import sys; sys.modules['mpmath'] = None; "
+            "from fermiphon import cli; sys.exit(cli.main(sys.argv[1:]))")
+    cfg = config_file(GENERIC_INI.replace("a = 0.05", "a = 1e-3"))
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    args = ["--config", cfg, "--output", str(fresh), "correlate", "--mode",
+            "finite"]
+    assert _python(code, *args) == ""
+    assert run_cli(args[:3] + [str(here)] + args[4:]) == 0
+    assert fresh.read_bytes() == here.read_bytes()
 
 
 def test_parser_built_once_on_first_call(config_file, tmp_path):

@@ -13,8 +13,9 @@ from fermiphon import vertex
 from fermiphon.vertex import (EULER_GAMMA, NormalOrderedProduct,
                               field_vertex, finite_correlator,
                               normal_order_product, vacuum_expectation,
-                              z_renorm, _direct_rounding, _e1, _log_sums,
-                              _DIRECT_SUM_MAX, _E1_SERIES_MIN, _U)
+                              z_renorm, _bernoulli_ratios, _direct_rounding,
+                              _e1, _e1_small, _log_sums, _DIRECT_SUM_MAX,
+                              _E1_SERIES_MIN, _U)
 from oracles import _channel_contraction, pair_contraction, two_point
 
 L, A = 20.0, 0.05
@@ -420,15 +421,115 @@ def test_e1_series_within_its_bound():
     assert len(ratios) > 250 and max(ratios) > 0.01
 
 
+def test_e1_small_within_its_bound():
+    # the power series and the continued fraction below R against 120-bit
+    # mpmath.e1 at the same float z: |z| log-uniform from 1e-300 to R at
+    # phases uniform over the right half-plane, then within 1e-6 of +-pi / 2
+    # and on it, then pinned points: |z| = 1 and just below (where the
+    # series hands over to the fraction) and just below R.  The bound is
+    # at most 64u |E1| everywhere (|E1| >= e^{-40} / 42 on this domain)
+    import mpmath
+    rng = np.random.default_rng(27)
+    half = math.pi / 2
+    log_r = rng.uniform(math.log(1e-300), math.log(_E1_SERIES_MIN), 500)
+    phases = np.concatenate([
+        rng.uniform(-half, half, 250),
+        np.sign(rng.uniform(-1.0, 1.0, 250))
+        * (half - 10.0 ** rng.uniform(-12.0, -6.0, 250))])
+    zs = [cmath.rect(math.exp(lr), ph) for lr, ph in zip(log_r, phases)]
+    zs += [complex(0.0, math.exp(lr)) * sign
+           for lr, sign in zip(log_r[:50], (1, -1) * 25)]
+    for r in (1e-300, 1e-8, math.nextafter(1.0, 0.0), 1.0, 3.0,
+              math.nextafter(_E1_SERIES_MIN, 0.0)):
+        zs += [complex(0.0, r), complex(0.0, -r), complex(r, 0.0),
+               cmath.rect(r, half - 1e-6), cmath.rect(r, 1e-6 - half)]
+    ratios = []
+    with mpmath.workprec(120):
+        for z in zs:
+            value, bound = _e1_small(z)
+            exact = mpmath.e1(mpmath.mpc(z.real, z.imag))
+            error = abs(mpmath.mpc(value.real, value.imag) - exact)
+            assert error <= bound, z
+            assert bound <= 64.0 * _U * abs(exact), z
+            ratios.append(float(error / bound))
+    assert max(ratios) > 0.01
+
+
+def test_bernoulli_ratios_from_tangent_numbers():
+    # bit for bit the ratios rounded from mpmath's Bernoulli numbers
+    import mpmath
+    assert [x.hex() for x in _bernoulli_ratios()] == [
+        (float(mpmath.bernoulli(2 * k)) / (2 * k)).hex()
+        for k in range(1, 61)]
+
+
+def _oracle_log_sums(zeta: complex, n: int):
+    """(S, T) of -log(1 - zeta) = S + T split at m = n, to 50 digits:
+    T = zeta^{n+1} Phi(zeta, 1, n + 1), Lerch's transcendent."""
+    import mpmath
+    with mpmath.workdps(50):
+        z = mpmath.mpc(zeta.real, zeta.imag)
+        tail = z ** (n + 1) * mpmath.lerchphi(z, 1, n + 1)
+        return -mpmath.log(1 - z) - tail, tail
+
+
+def test_mode_sums_carry_the_e1_bound(monkeypatch):
+    # closed-form mode sums whose E1 argument N w lies below R (Z's sum at
+    # n_a = 1e4 and eps = 1e-3, N w = 3.14; |N w| = 0.3 on the series side;
+    # 15 on the fraction's; 1e-10, where E1 and the anchor nearly cancel)
+    # against the 50-digit oracle, and Z with them.  Then again with an E1
+    # that is off by 1e-9 of its value and adds that to its bound: the E1
+    # term is then the largest of the mode-sum bound, and each error is
+    # more than the bound holds without it.  With the E1 as it is, its
+    # term is below the rounding term wherever N w < R and n > 400
+    # (|log(1 - zeta)| >= log(N / |N w|) > |E1(N w)| there)
+    import mpmath
+    monkeypatch.setattr(vertex, "_renorm_log_sum",
+                        vertex._renorm_log_sum.__wrapped__)
+    cases = [(complex(math.exp(-1e-3 * TWO_PI / L)), 10 ** 4)] + [
+        (cmath.exp(-w), n) for w, n in ((complex(3e-6, -3e-5), 10 ** 4),
+                                       (complex(1e-4, 1.5e-3), 10 ** 4),
+                                       (complex(2e-13, 1e-13),
+                                        _DIRECT_SUM_MAX + 1))]
+    oracles = [_oracle_log_sums(zeta, n) for zeta, n in cases]
+    near = ModelParams(v_f=1.0, v_p=0.3, lam=1.0, g=0.2, a=1e-3, L=L)
+    sol = solve_closed_form(near)
+    ssum = sol.sigma_f ** 2 + sol.sigma_p ** 2
+    with mpmath.workdps(50):
+        z_exact = mpmath.exp(-ssum * oracles[0][0].real)
+    exact_e1 = _e1_small
+    e1_bounds = []
+
+    def cruder(z):
+        value, bound = exact_e1(z)
+        slip = 1e-9 * abs(value)
+        e1_bounds.append(bound + slip)
+        return value + slip, bound + slip
+
+    for e1 in (exact_e1, cruder):
+        monkeypatch.setattr(vertex, "_e1_small", e1)
+        for (zeta, n), (head, tail) in zip(cases, oracles):
+            (got_head, got_tail, err), = _log_sums([zeta], n)
+            errors = [abs(mpmath.mpc(got.real, got.imag) - exact)
+                      for got, exact in ((got_head, head), (got_tail, tail))]
+            assert max(errors) <= err, (zeta, n)
+            if e1 is cruder:
+                assert e1_bounds[-1] > err / 2
+                assert max(errors) > err - e1_bounds[-1], (zeta, n)
+        rep = z_renorm(near, sol, 1e-3)
+        error = abs(rep["Z"] - z_exact) / z_exact
+        assert error <= rep["rounding"]
+        if e1 is cruder:
+            assert error > rep["rounding"] - ssum * e1_bounds[-1]
+
+
 def test_mode_sums_take_the_series_near_the_continuum(monkeypatch):
     # at n_a = 1e6 (L = 20) every E1 argument N w of the Euler-Maclaurin
     # mode sums lies at |N w| >= R, where the series serves it; at
-    # n_a = 1e4, Z's sum at eps = 1e-3 has N w near 3 and calls mpmath.e1
-    import mpmath
-
+    # n_a = 1e4, Z's sum at eps = 1e-3 has N w near 3 and calls _e1_small
     def refuse(z):
-        raise AssertionError("mpmath.e1 called")
-    monkeypatch.setattr(mpmath, "e1", refuse)
+        raise AssertionError("_e1_small called")
+    monkeypatch.setattr(vertex, "_e1_small", refuse)
     monkeypatch.setattr(vertex, "_renorm_log_sum",
                         vertex._renorm_log_sum.__wrapped__)
     s = TWO_PI / L
@@ -443,7 +544,8 @@ def test_mode_sums_take_the_series_near_the_continuum(monkeypatch):
                             momentum_grid(L=L, K=8, a=1e-5))
     assert math.isfinite(out["tail_bound"]) and abs(out["value"]) > 0.0
     calls = []
-    monkeypatch.setattr(mpmath, "e1", lambda z: calls.append(z) or 1.0)
+    monkeypatch.setattr(vertex, "_e1_small",
+                        lambda z: calls.append(z) or (1.0, 0.0))
     near = ModelParams(v_f=1.0, v_p=0.3, lam=1.0, g=0.2, a=1e-3, L=L)
     z_renorm(near, solve_closed_form(near), 1e-3)
     assert len(calls) == 1 and abs(calls[0]) < _E1_SERIES_MIN
