@@ -603,109 +603,75 @@ def _run(args) -> int:
 
 
 def _write_file(path: str, fmt: str, payload):
-    """Write payload to the file at path (through any symlinks, which
-    stay) so that a command that fails part way, by any exception, leaves
-    an existing file as it was: a regular file or a new path is written
-    only once the payload is whole, a short one from memory, a longer one
-    through a new file that replaces it (_Output).  Paths under /dev and
-    /proc (/dev/stdout may name a regular file) and other files, such as
-    FIFOs, are written directly, as the payload is produced."""
+    """Write payload to the file at path so that a command that fails part
+    way, by any exception, leaves an existing file as it was.
+
+    A new path, or a regular file this process may write, owns and that
+    has no other hard link, is written through a new file in the same
+    directory, which replaces it (through any symlinks, which stay; group
+    and mode bits kept) only once the payload is whole, and is removed
+    otherwise.  Everything else is written directly, as the payload is
+    produced: a name for an open descriptor (/dev/stdout, /dev/fd/N,
+    /proc/self/fd/N), a FIFO or device, an existing file that replacing
+    would change more than its bytes (its links, owner or group), and a
+    path beside which no new file can be made (open then raises what it
+    raises there)."""
     import stat
     target = os.path.realpath(path) if os.path.islink(path) else path
     try:
-        mode = os.stat(target).st_mode
+        st = os.stat(target)
     except FileNotFoundError:
-        mode = None
-    if (mode is not None and not stat.S_ISREG(mode)) or \
-            os.path.abspath(path).startswith(("/dev/", "/proc/")):
+        st = None
+    whole = os.path.abspath(path)
+    head, name = os.path.split(whole)
+    descriptor = whole in ("/dev/stdout", "/dev/stderr") or (
+        name.isdigit() and head in ("/dev/fd", "/proc/self/fd"))
+    replaceable = st is None or (
+        stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+        and st.st_uid == os.geteuid() and os.access(target, os.W_OK))
+    temp = None
+    if replaceable and not descriptor:
+        temp = _new_file_beside(target, st)
+    if temp is None:
         with open(path, "w", newline="") as out:
             _write(out, fmt, payload)
         return
-    out = _Output(target, None if mode is None else stat.S_IMODE(mode))
+    fd, temp = temp
     try:
-        _write(out, fmt, payload)
-        out.finish()
+        with open(fd, "w", newline="") as out:
+            _write(out, fmt, payload)
+        os.replace(temp, target)
     except BaseException:
-        out.discard()
+        os.unlink(temp)
         raise
 
 
-# an output of at most this many characters is kept in memory and written by
-# one truncating open once whole; a longer one goes to a new file that
-# replaces the target once whole.  On ext4 (a shared 2-core Xeon) the new
-# file and its rename cost 11 % of a `vertex-modesum` cycle (six 30 s
-# pairs), whose outputs hold about 2500 characters each.
-KEEP_CHARS = 1 << 16
-
-
-class _Output:
-    """The text sink of _write_file: it keeps what is written until that
-    is more than KEEP_CHARS characters, then moves it, and all that follows,
-    to a new file beside target (mode bits `mode`, or those open(target,
-    "w") gives a new file), or to target itself where no file can be made
-    there."""
-
-    def __init__(self, target: str, mode):
-        self.target, self.mode = target, mode
-        self.kept, self.size = [], 0
-        self.out = self.temp = None
-
-    def write(self, text: str):
-        if self.out is not None:
-            self.out.write(text)
-            return
-        self.kept.append(text)
-        self.size += len(text)
-        if self.size > KEEP_CHARS:
-            self._spill()
-
-    def writelines(self, lines):
-        lines = iter(lines)
-        for line in lines:
-            self.write(line)
-            if self.out is not None:
-                self.out.writelines(lines)
-                return
-
-    def _spill(self):
-        head, name = os.path.split(self.target)
-        tries = 0
-        while self.out is None:
-            temp = os.path.join(head, f".{name}.{os.getpid()}.{tries}.tmp")
+def _new_file_beside(target: str, st):
+    """(descriptor, name) of a new file opened for writing in target's
+    directory, with the group and mode bits of st, the target's stat (or,
+    for None, those open(target, "w") gives a new file), or None where no
+    such file can be made there."""
+    head, name = os.path.split(target)
+    tries = 0
+    while True:
+        temp = os.path.join(head, f".{name}.{os.getpid()}.{tries}.tmp")
+        try:
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            tries += 1
+            continue
+        except OSError:
+            return None
+        if st is not None:
             try:
-                fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
-                             0o666)
-            except FileExistsError:
-                tries += 1
-                continue
+                if os.fstat(fd).st_gid != st.st_gid:
+                    os.fchown(fd, -1, st.st_gid)
+                os.fchmod(fd, st.st_mode & 0o7777)
             except OSError:
-                # no file can be made here: the target is written directly,
-                # and open raises what it raises where it cannot be
-                self.out = open(self.target, "w", newline="")
-                break
-            self.out, self.temp = open(fd, "w", newline=""), temp
-            if self.mode is not None:
-                os.fchmod(fd, self.mode)
-        self.out.write("".join(self.kept))
-        self.kept = []
-
-    def finish(self):
-        """Put what was written in place of the target."""
-        if self.out is None:
-            with open(self.target, "w", newline="") as out:
-                out.write("".join(self.kept))
-            return
-        self.out.close()
-        if self.temp is not None:
-            os.replace(self.temp, self.target)
-
-    def discard(self):
-        """Drop what was written: no new file is left, and the target is as
-        it was unless it was being written directly."""
-        if self.out is not None:
-            self.out.close()
-            if self.temp is not None:
-                os.unlink(self.temp)
+                os.close(fd)
+                os.unlink(temp)
+                return None
+        return fd, temp
 
 
 if __name__ == "__main__":

@@ -47,9 +47,10 @@ _U = 2.0 ** -53                  # unit roundoff of float64
 # per sum in process on a 2-core Xeon (numpy 2.4): the direct sum costs
 # 0.27 us per term at 400 terms (0.03 below 100, where numpy's power
 # multiplies repeatedly); the closed form costs 7-18 us where its E1
-# argument N |w| is at least _E1_SERIES_MIN, 6-15 us below |N w| = 1 (E1's
-# power series) and 25-340 us between (its continued fraction, slowest
-# just above |N w| = 1 near the imaginary axis).  For |w| from 0.16 to 1.6
+# argument N |w| is at least _E1_SERIES_MIN, 6-17 us where E1 comes from its
+# power series and 25-180 us from its continued fraction (slowest just
+# above |N w| = 1 near the real axis and near |N w| = 1.8 on the imaginary
+# one, where the series hands over).  For |w| from 0.16 to 1.6
 # the two cross near 200 terms; for |w| below 0.1 past 400.
 _DIRECT_SUM_MAX = 400
 
@@ -208,14 +209,70 @@ def _e1_small(z: complex) -> Tuple[complex, float]:
     """E1(z) for Re z >= 0 and 0 < |z| < _E1_SERIES_MIN, and a bound on its
     absolute error.
 
-    Below |z| = 1, the power series (DLMF 6.6.2)
-    E1(z) = -gamma - log z - sum_{k>=1} b_k (-z)^k, b_k = 1 / (k k!),
-    cut after K terms, where the rest is at most
-    2 |z|^{K+1} / ((K + 1) (K + 1)!) (its terms fall by half or more); the
-    polynomial is evaluated by Horner's rule.
+    The power series (_e1_power) is taken below |z| = 1, and up to |z| = 2
+    wherever its bound is at most 63u of its value: near the imaginary
+    axis, where it cancels least (its bound is 30-76u |E1| at |z| from 1 to
+    2 on that axis, against 61-485u on the real one).  The continued
+    fraction (_e1_fraction) is taken elsewhere; it needs the most levels
+    (about 230) just above |z| = 1 near the imaginary axis, which the
+    series takes from it."""
+    az = abs(z)
+    if az < 2.0:
+        value, bound = _e1_power(z)
+        if az < 1.0 or bound <= 63.0 * _U * abs(value):
+            return value, bound
+    return _e1_fraction(z)
 
-    From |z| = 1 on, the continued fraction (DLMF 6.9.1)
-    e^z E1(z) = 1/(z + 1/(1 + 1/(z + 2/(1 + 2/(z + ...))))), a Stieltjes
+
+def _e1_power(z: complex) -> Tuple[complex, float]:
+    """E1(z) for Re z >= 0 and 0 < |z| < 2 from its power series (DLMF
+    6.6.2), and a bound on its absolute error.
+
+    E1(z) = -gamma - log z - sum_{k>=1} b_k (-z)^k, b_k = 1 / (k k!), is
+    cut after K terms, where the rest is at most
+    2 |z|^{K+1} / ((K + 1) (K + 1)!) (its terms fall by half or more:
+    |z| k / (k + 1)^2 <= 1 / 2 for |z| <= 2); the polynomial is evaluated
+    by Horner's rule.
+
+    Rounding, by running error analysis (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3), to first order in u:
+    * a Horner step q <- b_k + (-z) q: the product within sqrt(5) u < 3u,
+      the sum and b_k within u each, and the error carried so far times
+      |z|;
+    * log z: its real part within 2u |log |z|| + 6u (hypot and log each
+      within one ulp; CPython takes log1p of (a - 1)(a + 1) + b^2 for
+      |z| in [0.71, 1.73], a within 3u (a^2 + b^2) <= 6u), its imaginary
+      part (atan2) within 2u |arg z|: together 3u |log z| + 6u; gamma within
+      u / 2, and each subtraction u of its result.
+    """
+    az = abs(z)
+    r = -z
+    terms, mag = 1, az          # mag = |z|^K / K!
+    while 2.0 * mag * az / (terms + 1) ** 2 > _U / 16:
+        terms += 1
+        mag *= az / terms
+    # b_k by int true division, correctly rounded
+    q = 1 / (terms * math.factorial(terms))
+    rounding = q                # in units of u
+    for k in range(terms - 1, 0, -1):
+        b = 1 / (k * math.factorial(k))
+        p = r * q
+        q = b + p
+        rounding = az * rounding + 3.0 * abs(p) + abs(q) + b
+    s = r * q
+    log = cmath.log(z)
+    head = -EULER_GAMMA - log
+    value = head - s
+    rounding = az * rounding + 3.0 * abs(s) + 3.0 * abs(log) + 6.5 \
+        + abs(head) + 3.0 * abs(value)
+    return value, 2.0 * mag * az / (terms + 1) ** 2 + _U * rounding
+
+
+def _e1_fraction(z: complex) -> Tuple[complex, float]:
+    """E1(z) for Re z >= 0 and 1 <= |z| < _E1_SERIES_MIN from its continued
+    fraction (DLMF 6.9.1), and a bound on its absolute error.
+
+    e^z E1(z) = 1/(z + 1/(1 + 1/(z + 2/(1 + 2/(z + ...))))) is a Stieltjes
     fraction in w = 1/z with partial numerators a_1 w, a_k = floor(k / 2).
     For |arg w| <= pi / 2 its approximants f_n obey
     |e^z E1(z) - f_n| <= |f_n - f_{n-1}| (Henrici and Pfluger, Numer. Math.
@@ -230,47 +287,17 @@ def _e1_small(z: complex) -> Tuple[complex, float]:
     T_{m-1} = z + 2m - 1, T_j = z + 2j + 1 - (j + 1)^2 / T_{j+1},
     f_{2m} = 1 / T_0.
 
-    Rounding, by running error analysis (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 3), to first order in u:
-    * a Horner step q <- b_k + (-z) q: the product within sqrt(5) u < 3u,
-      the sum and b_k within u each, and the error carried so far times
-      |z|;
-    * log z: its real part within 2u |log |z|| + 6u (hypot and log each
-      within one ulp; CPython takes log1p of (a - 1)(a + 1) + b^2 for
-      |z| in [0.71, 1.73], a within 3u (a^2 + b^2) <= 6u), its imaginary
-      part (atan2) within 2u |arg z|: together 3u |log z| + 6u; gamma within
-      u / 2, and each subtraction u of its result;
-    * a backward step: z + 2j + 1 within u of its real part, the real by
-      complex division (CPython's Smith algorithm) within 5u, the
-      subtraction u of T_j, and the error of T_{j+1} carried by
-      (j + 1)^2 / (|T_{j+1}| (|T_{j+1}| - its bound)) (rigorous while that
-      bound is below |T_{j+1}|); 1 / T_0 adds 5u, e^{-z} (exp, cos and sin
-      each within one ulp) 5u and the product sqrt(5) u < 3u of the value.
+    Rounding, by running error analysis (as in _e1_power), to first order
+    in u: a backward step costs z + 2j + 1 within u of its real part, the
+    real by complex division (CPython's Smith algorithm) within 5u, the
+    subtraction u of T_j, and the error of T_{j+1} carried by
+    (j + 1)^2 / (|T_{j+1}| (|T_{j+1}| - its bound)) (rigorous while that
+    bound is below |T_{j+1}|); 1 / T_0 adds 5u, e^{-z} (exp, cos and sin
+    each within one ulp) 5u and the product sqrt(5) u < 3u of the value.
     2u of the value covers every second-order term.  e^{-z} is normal on
     this domain (|e^{-z}| >= e^{-40}).
     """
     az = abs(z)
-    if az < 1.0:
-        r = -z
-        terms, mag = 1, az          # mag = |z|^K / K!
-        while 2.0 * mag * az / (terms + 1) ** 2 > _U / 16:
-            terms += 1
-            mag *= az / terms
-        # b_k by int true division, correctly rounded
-        q = 1 / (terms * math.factorial(terms))
-        rounding = q                # in units of u
-        for k in range(terms - 1, 0, -1):
-            b = 1 / (k * math.factorial(k))
-            p = r * q
-            q = b + p
-            rounding = az * rounding + 3.0 * abs(p) + abs(q) + b
-        s = r * q
-        log = cmath.log(z)
-        head = -EULER_GAMMA - log
-        value = head - s
-        rounding = az * rounding + 3.0 * abs(s) + 3.0 * abs(log) + 6.5 \
-            + abs(head) + 3.0 * abs(value)
-        return value, 2.0 * mag * az / (terms + 1) ** 2 + _U * rounding
     w = 1.0 / z
     aw = abs(w)
     target = _U / (16.0 * (az + 2.0))
@@ -568,7 +595,7 @@ def finite_correlator(spec: CorrelatorSpec, params: ModelParams,
       2 zeta(2p) / (2 pi)^{2p} int |f^{(2p)}|, plus the error of
       E1(N w) (the bound of its asymptotic series at |N w| >= 40, 17u to
       19u relative; below, the bound of its power series or continued
-      fraction, 7u to 61u relative) and the rounding of the closed form;
+      fraction, 7u to 63u relative) and the rounding of the closed form;
     * per pair, the rounding of the zero-mode phase and of exp;
     * per insertion, the relative error of Z (its own mode sum) and of each
       complex product.

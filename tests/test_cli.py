@@ -1003,8 +1003,7 @@ def test_failed_sweep_leaves_output_file_alone(config_file, tmp_path,
     """A sweep whose last block raises (the 57 x 41 scan's second block of
     2048 points, the third of 256 positions of 700) exits 2 and leaves an
     existing --output file as it was, mode included, with no other file
-    beside it, whether the output is kept in memory or goes to a new
-    file."""
+    beside it."""
     cfg = config_file(SWEEP_700)
     set_workers(monkeypatch, W)
     for attr, size in (("closed_form", cli.SCAN_BLOCK),
@@ -1020,8 +1019,7 @@ def test_failed_sweep_leaves_output_file_alone(config_file, tmp_path,
     out.write_bytes(b"earlier result\r\n")
     out.chmod(0o640)
     before = sorted(os.listdir(tmp_path))
-    for keep, fmt in itertools.product((0, 1 << 30), ("csv", "json")):
-        monkeypatch.setattr(cli, "KEEP_CHARS", keep, raising=False)
+    for fmt in ("csv", "json"):
         assert run_cli(["--config", cfg, "--output", str(out), "--format",
                         fmt, *SWEEP_COMMANDS[name]]) == 2
         assert_no_children()
@@ -1030,33 +1028,59 @@ def test_failed_sweep_leaves_output_file_alone(config_file, tmp_path,
         assert sorted(os.listdir(tmp_path)) == before
 
 
-def test_output_replaced_keeping_mode_and_link(config_file, tmp_path,
-                                               monkeypatch):
-    """--output, kept in memory or through a new file, replaces a regular
-    file with its mode kept, writes through a symlink to its target (the
-    link stays) and gives a new file the mode open(path, "w") gives it; a
-    FIFO is written directly."""
+def test_output_replaced_keeping_mode_and_link(config_file, tmp_path):
+    """--output replaces a regular file with its mode and group kept (a
+    group other than the writer's where it may set one), writes through
+    a symlink to its target (the link stays) and gives a new file the mode
+    open(path, "w") gives it.  A file with a second hard link, a read-only
+    file and a FIFO are written directly: the hard link keeps seeing the
+    output, and a read-only file is written or refused as open(path, "w")
+    writes or refuses it."""
     cfg = config_file(GENERIC_INI)
     args = ["--config", cfg, "correlate", "--mode", "finite"]
     umask = os.umask(0)
     os.umask(umask)
+    expect = tmp_path / "expect"
+    assert run_cli(args[:2] + ["--output", str(expect)] + args[2:]) == 0
+    data = expect.read_bytes()
+    assert data.startswith(b"x,t,re,im,abs\r\n")
+    assert expect.stat().st_mode & 0o777 == 0o666 & ~umask
     kept = tmp_path / "kept"
     kept.write_text("old")
     kept.chmod(0o600)
     link = tmp_path / "link"
     link.symlink_to(kept)
-    for keep in (0, 1 << 30):
-        monkeypatch.setattr(cli, "KEEP_CHARS", keep, raising=False)
-        expect = tmp_path / f"expect{keep}"
-        assert run_cli(args[:2] + ["--output", str(expect)] + args[2:]) == 0
-        data = expect.read_bytes()
-        assert data.startswith(b"x,t,re,im,abs\r\n")
-        assert expect.stat().st_mode & 0o777 == 0o666 & ~umask
-        for path in (kept, link):
-            kept.write_text("old")
-            assert run_cli(args[:2] + ["--output", str(path)] + args[2:]) == 0
-            assert kept.read_bytes() == data and link.is_symlink()
-            assert kept.stat().st_mode & 0o777 == 0o600
+    group = kept.stat().st_gid
+    for gid in {*os.getgroups(), 65534} - {group}:
+        try:
+            os.chown(kept, -1, gid)
+            group = gid
+            break
+        except PermissionError:
+            pass
+    for path in (kept, link):
+        kept.write_text("old")
+        assert run_cli(args[:2] + ["--output", str(path)] + args[2:]) == 0
+        assert kept.read_bytes() == data and link.is_symlink()
+        assert kept.stat().st_mode & 0o777 == 0o600
+        assert kept.stat().st_gid == group
+    hard = tmp_path / "hard"
+    os.link(kept, hard)
+    kept.write_text("old")
+    assert run_cli(args[:2] + ["--output", str(kept)] + args[2:]) == 0
+    assert hard.read_bytes() == data and os.path.samefile(kept, hard)
+    os.unlink(hard)
+    ro = tmp_path / "ro"
+    ro.write_text("old")
+    ro.chmod(0o444)
+    try:
+        open(ro, "a").close()       # as open(ro, "w") would, but keeps "old"
+        refused = False
+    except PermissionError:
+        refused = True
+    code = run_cli(args[:2] + ["--output", str(ro)] + args[2:])
+    assert (code, ro.read_bytes()) == ((2, b"old") if refused else (0, data))
+    assert ro.stat().st_mode & 0o777 == 0o444
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
     got = []
@@ -1067,7 +1091,26 @@ def test_output_replaced_keeping_mode_and_link(config_file, tmp_path,
     reader.join(30)
     assert got == [data]
     assert sorted(os.listdir(tmp_path)) == [
-        "expect0", "expect1073741824", "fifo", "kept", "link", "run.ini"]
+        "expect", "fifo", "kept", "link", "ro", "run.ini"]
+
+
+def test_output_to_an_open_descriptor_written_directly(config_file,
+                                                        tmp_path):
+    """--output /dev/stdout or /proc/self/fd/1, with stdout a regular file,
+    writes the file that descriptor holds open, not a new file put in its
+    place."""
+    cfg = config_file(GENERIC_INI)
+    src = os.path.dirname(os.path.dirname(fermiphon.__file__))
+    out = tmp_path / "out.csv"
+    for name in ("/dev/stdout", "/proc/self/fd/1"):
+        with open(out, "w+b") as stdout:
+            subprocess.run([sys.executable, "-m", "fermiphon.cli",
+                            "--config", cfg, "--output", name, "correlate",
+                            "--mode", "finite"], stdout=stdout, check=True,
+                           timeout=60, env=dict(os.environ, PYTHONPATH=src))
+            assert stdout.read().startswith(b"x,t,re,im,abs\r\n")
+            assert os.path.samefile(out, f"/proc/self/fd/{stdout.fileno()}")
+    assert sorted(os.listdir(tmp_path)) == ["out.csv", "run.ini"]
 
 
 def test_sweep_to_buffered_stdout_on_two_processes(config_file, tmp_path):

@@ -425,8 +425,9 @@ def test_e1_small_within_its_bound():
     # the power series and the continued fraction below R against 120-bit
     # mpmath.e1 at the same float z: |z| log-uniform from 1e-300 to R at
     # phases uniform over the right half-plane, then within 1e-6 of +-pi / 2
-    # and on it, then pinned points: |z| = 1 and just below (where the
-    # series hands over to the fraction) and just below R.  The bound is
+    # and on it, then pinned points: |z| = 1 and just below, and 1.5 and
+    # 2 and just below (where the series hands over to the fraction, by
+    # modulus and by its bound), and just below R.  The bound is
     # at most 64u |E1| everywhere (|E1| >= e^{-40} / 42 on this domain)
     import mpmath
     rng = np.random.default_rng(27)
@@ -439,7 +440,8 @@ def test_e1_small_within_its_bound():
     zs = [cmath.rect(math.exp(lr), ph) for lr, ph in zip(log_r, phases)]
     zs += [complex(0.0, math.exp(lr)) * sign
            for lr, sign in zip(log_r[:50], (1, -1) * 25)]
-    for r in (1e-300, 1e-8, math.nextafter(1.0, 0.0), 1.0, 3.0,
+    for r in (1e-300, 1e-8, math.nextafter(1.0, 0.0), 1.0, 1.5,
+              math.nextafter(2.0, 0.0), 2.0, 3.0,
               math.nextafter(_E1_SERIES_MIN, 0.0)):
         zs += [complex(0.0, r), complex(0.0, -r), complex(r, 0.0),
                cmath.rect(r, half - 1e-6), cmath.rect(r, 1e-6 - half)]
