@@ -191,8 +191,8 @@ LONGEST_FIRST = ("J_PSI", "CAR", "RECONSTRUCTION", "H0_J", "SCHWINGER",
 
 
 def cmd_verify(cfg: RunConfig):
-    if cfg.K > 6:
-        raise BadArgument("verify requires K <= 6")
+    if cfg.K > 7:
+        raise BadArgument("verify requires K <= 7")
     from . import focklab
     K = cfg.K
     space = focklab.build_space(K)

@@ -1,7 +1,9 @@
 """Exact sparse operators on the truncated Fock space.
 
-Every operator is a matrix of rationals (int and Fraction amplitudes),
-given as a column function: the image of one basis state.  Partial
+Every operator is a matrix of Python ints, given as a column function: the
+image of one basis state.  (The one exception is `free_hamiltonian`, whose
+amplitudes are the energies in units of 2 pi / L, half-integers among them;
+the identities use `twice_hamiltonian`, H0 in units of pi / L.)  Partial
 operators (Klein factors) return None for the columns outside their
 validity window; partiality is data, not an error.  Two kinds build the
 rest.  A monomial sends a basis state to at most one basis state times an
@@ -19,11 +21,10 @@ computes each column when read.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import partial
 
 from ..errors import ModeOutOfWindow
-from .space import FockSpace
+from .space import FockSpace, twice
 
 
 class Columns(dict):
@@ -45,6 +46,12 @@ class Columns(dict):
     def get(self, c, default=None):
         col = self[c]
         return default if col is None else col
+
+    def reader(self):
+        """The function c -> self[c]: the dict's own lookup for kept
+        columns, else the column function itself (a column that is not
+        kept is computed at every read anyway)."""
+        return self.__getitem__ if self._keep else self._column
 
 
 def _add(out: dict, r, amp):
@@ -106,63 +113,26 @@ class SparseOperator:
         """self @ other; a result column is None unless every basis state
         reached by the corresponding column of `other` is a column of `self`
         inside its validity window.  A product of two monomials composes
-        their images and builds no dict; with a monomial on the right, a
-        column is one column of self times an amplitude, and with one on
-        the left, each entry of other's column goes through its image;
+        their images and builds no dict; a product with one monomial factor
+        is a one-term `Linear`, which adds through the monomial's image;
         otherwise self's columns are added, scaled by other's entries."""
-        left, right = self.cols, other.cols
-        if isinstance(other, Monomial):
-            image = other.image
-            if isinstance(self, Monomial):
-                outer = self.image
+        if isinstance(self, Monomial) and isinstance(other, Monomial):
+            return Composite(self.space, self.image, other.image)
+        if isinstance(self, Monomial) or isinstance(other, Monomial):
+            return Linear(self.space, [(1, self, other)])
+        left, right = self.cols, other.cols.reader()
 
-                def compose(c):
-                    im = image(c)
-                    if im is None or im[0] is None:
-                        return im
-                    im2 = outer(im[0])
-                    if im2 is None or im2[0] is None:
-                        return im2
-                    return im2[0], im[1] * im2[1]
-                return Monomial(self.space, compose)
-
-            def column(c):
-                im = image(c)
-                if im is None:
+        def column(c):
+            col = right(c)
+            if col is None:
+                return None
+            out = {}
+            for r, amp in col.items():
+                lcol = left[r]
+                if lcol is None:
                     return None
-                mid, scale = im
-                if mid is None:
-                    return {}
-                col = left[mid]
-                return None if col is None else {
-                    r: amp * scale for r, amp in col.items()}
-        elif isinstance(self, Monomial):
-            image = self.image
-
-            def column(c):
-                col = right[c]
-                if col is None:
-                    return None
-                out = {}
-                for r, amp in col.items():
-                    im = image(r)
-                    if im is None:
-                        return None
-                    if im[0] is not None:
-                        _add(out, im[0], im[1] * amp)
-                return out
-        else:
-            def column(c):
-                col = right[c]
-                if col is None:
-                    return None
-                out = {}
-                for r, amp in col.items():
-                    lcol = left[r]
-                    if lcol is None:
-                        return None
-                    _accumulate(out, lcol, amp)
-                return out
+                _accumulate(out, lcol, amp)
+            return out
         return SparseOperator(self.space, column)
 
     def commutator(self, other):
@@ -179,8 +149,9 @@ class SparseOperator:
         every block entry is zero."""
         best = 0
         worst = None
+        read = self.cols.reader()
         for c in cols:
-            col = self.cols[c]
+            col = read(c)
             if not col:
                 continue
             for r, amp in col.items():
@@ -192,9 +163,10 @@ class SparseOperator:
 
 
 class Monomial(SparseOperator):
-    """An operator that sends each basis state to at most one basis state:
-    image(c) is (row, amplitude), (None, 0) for a zero column, or None
-    outside the validity window.  The amplitude is a sign for ladder
+    """An operator that sends each basis state to at most one basis state,
+    and distinct states to distinct ones: image(c) is (row, amplitude) with
+    a nonzero amplitude, (None, 0) for a zero column, or None outside the
+    validity window.  The amplitude is a sign for ladder
     operators, fields and Klein factors, the energy or charge for H0 and
     Q_r, and the scalar for a multiple of the identity."""
 
@@ -208,31 +180,115 @@ class Monomial(SparseOperator):
         super().__init__(space, column, keep)
 
 
+class Composite(Monomial):
+    """outer @ inner of two monomials, given by their images: image(c) is
+    outer's image of inner's image of c."""
+
+    def __init__(self, space: FockSpace, outer, inner):
+        self.factors = inner, outer
+
+        def image(c):
+            im = inner(c)
+            if im is None or im[0] is None:
+                return im
+            im2 = outer(im[0])
+            if im2 is None or im2[0] is None:
+                return im2
+            return im2[0], im[1] * im2[1]
+        super().__init__(space, image)
+
+
+# the kinds of a `Linear` term: an operator with dict columns, a monomial, a
+# product of two monomials, and a product whose one monomial factor is on
+# the right or on the left
+_DICT, _MONOMIAL, _RIGHT, _LEFT, _COMPOSITE = range(5)
+
+
+class Linear(SparseOperator):
+    """A flat linear combination: `terms` is its list of (scale, op) and
+    (scale, left, right) terms, the latter the product left @ right of a
+    monomial and an operator with dict columns.  A product term adds the
+    dict factor's column through the monomial's image, as a column of the
+    product would be built, without a dict of its own: on the right, the
+    monomial picks one column of `left`; on the left, it moves each entry
+    of right's column, and since a monomial sends distinct basis states to
+    distinct ones, no two of those entries meet."""
+
+    def __init__(self, space: FockSpace, terms):
+        self.terms = terms
+        parts = []
+        for scale, *ops in terms:
+            if len(ops) == 2:
+                left, right = ops
+                if isinstance(right, Monomial):
+                    kind, mono, other = _RIGHT, right, left
+                else:
+                    kind, mono, other = _LEFT, left, right
+                parts.append((kind, scale, mono.image, other.cols.reader()))
+            elif isinstance(ops[0], Composite):
+                parts.append((_COMPOSITE, scale, *ops[0].factors))
+            elif isinstance(ops[0], Monomial):
+                parts.append((_MONOMIAL, scale, ops[0].image, None))
+            else:
+                parts.append((_DICT, scale, None, ops[0].cols.reader()))
+
+        def column(c):
+            out = {}
+            for kind, scale, image, cols in parts:
+                if kind == _DICT:
+                    col = cols(c)
+                    if col is None:
+                        return None
+                    _accumulate(out, col, scale)
+                elif kind == _LEFT:
+                    col = cols(c)
+                    if col is None:
+                        return None
+                    for r, amp in col.items():
+                        im = image(r)
+                        if im is None:
+                            return None
+                        if im[0] is not None:
+                            _add(out, im[0], im[1] * amp * scale)
+                else:
+                    im = image(c)
+                    if im is None:
+                        return None
+                    if im[0] is None:
+                        continue
+                    if kind == _MONOMIAL:
+                        _add(out, im[0], im[1] * scale)
+                    elif kind == _COMPOSITE:   # cols is the outer image
+                        im2 = cols(im[0])
+                        if im2 is None:
+                            return None
+                        if im2[0] is not None:
+                            _add(out, im2[0], im[1] * im2[1] * scale)
+                    else:
+                        col = cols(im[0])
+                        if col is None:
+                            return None
+                        _accumulate(out, col, im[1] * scale)
+            return out
+        super().__init__(space, column)
+
+
 def linear(space: FockSpace, *terms) -> SparseOperator:
     """The sum of scale * op over the (scale, op) terms.  A column adds the
     terms' columns left to right into one dict, in the entry order a chain
     of pairwise sums gives (a cancelled entry is dropped and comes back at
     the end); it is None where any term's column is None.  A monomial term
-    adds its one entry."""
-    parts = [(scale, op.image if isinstance(op, Monomial) else None, op.cols)
-             for scale, op in terms]
-
-    def column(c):
-        out = {}
-        for scale, image, cols in parts:
-            if image is None:
-                col = cols[c]
-                if col is None:
-                    return None
-                _accumulate(out, col, scale)
-                continue
-            im = image(c)
-            if im is None:
-                return None
-            if im[0] is not None:
-                _add(out, im[0], im[1] * scale)
-        return out
-    return SparseOperator(space, column)
+    adds its one entry.  A combination in first place, or of one term,
+    splices in its own terms, scaled: adding them one by one to the empty
+    dict, or to the sum so far, leaves the entries where adding its column
+    would."""
+    flat = []
+    for scale, op in terms:
+        if isinstance(op, Linear) and (not flat or len(op.terms) == 1):
+            flat += [(scale * s, *ops) for s, *ops in op.terms]
+        else:
+            flat.append((scale, op))
+    return Linear(space, flat)
 
 
 # --------------------------------------------------------------------------
@@ -245,18 +301,17 @@ def ladder_op(space: FockSpace, r: int, nu, dagger=False) -> SparseOperator:
     The fermionic sign convention follows the ordered basis products
     (chirality + before -, momenta descending).
     """
-    nu = Fraction(nu)
-    if not space.has_mode(r, nu):
+    pos = space.positions.get((r, twice(nu)))
+    if pos is None:
         raise ModeOutOfWindow(f"mode (r={r:+d}, nu={nu}) outside window")
-    pos = space.mode_position(r, nu)
-    return Monomial(space, lambda mask: space.move(mask, pos, dagger),
-                    keep=True)
+    move = space.move
+    return Monomial(space, lambda mask: move(mask, pos, dagger), keep=True)
 
 
 def field_op(space: FockSpace, r: int, nu, dagger=False) -> SparseOperator:
     """psi-hat_r(k) in lab units, where sqrt(L / 2 pi) is 1: c_r(k) for
     r k > 0 and c^dagger_r(k) for r k < 0."""
-    return ladder_op(space, r, nu, dagger=(dagger == (r * Fraction(nu) > 0)))
+    return ladder_op(space, r, nu, dagger=(dagger == (r * nu > 0)))
 
 
 def density_op(space: FockSpace, r: int, m: int) -> SparseOperator:
@@ -268,16 +323,16 @@ def density_op(space: FockSpace, r: int, m: int) -> SparseOperator:
     vacuum part, one for each of the K momenta with r k < 0; it is
     diagonal, so the subtraction can come last.
     """
-    terms = [(space.mode_position(r, nu + m), r * (nu + m) < 0,
-              space.mode_position(r, nu), r * nu > 0)
-             for nu in space.fermion_modes() if space.has_mode(r, nu + m)]
+    pos, move = space.positions, space.move
+    terms = [(pos[(r, t + 2 * m)], r * (t + 2 * m) < 0, pos[(r, t)], r * t > 0)
+             for t in space.labels if (r, t + 2 * m) in pos]
 
     def column(mask):
         out = {}
         for pos_in, create_in, pos_out, create_out in terms:
-            mid, sign_in = space.move(mask, pos_in, create_in)
+            mid, sign_in = move(mask, pos_in, create_in)
             if mid is not None:
-                new, sign_out = space.move(mid, pos_out, create_out)
+                new, sign_out = move(mid, pos_out, create_out)
                 if new is not None:
                     _add(out, new, sign_in * sign_out)
         if m == 0:
@@ -286,21 +341,28 @@ def density_op(space: FockSpace, r: int, m: int) -> SparseOperator:
     return SparseOperator(space, column, keep=True)
 
 
+def _diagonal(space: FockSpace, value) -> SparseOperator:
+    """The diagonal monomial with amplitude value(mask)."""
+    def image(mask):
+        v = value(mask)
+        return (mask, v) if v else (None, 0)
+    return Monomial(space, image, keep=True)
+
+
 def free_hamiltonian(space: FockSpace) -> SparseOperator:
     """H0 = sum_{r, k} |k| c^dag c over the window, diagonal, in units
-    2 pi / L."""
-    def image(mask):
-        e = space.energy(mask)
-        return (mask, e) if e else (None, 0)
-    return Monomial(space, image, keep=True)
+    2 pi / L (an int or a Fraction per state)."""
+    return _diagonal(space, space.energy)
+
+
+def twice_hamiltonian(space: FockSpace) -> SparseOperator:
+    """2 H0: H0 in units of pi / L, diagonal with integer amplitudes."""
+    return _diagonal(space, space.twice_energy)
 
 
 def charge_op(space: FockSpace, r: int) -> SparseOperator:
     """Q_r = J-hat_r(0), diagonal with the exact integer charges."""
-    def image(mask):
-        q = space.charge(mask, r)
-        return (mask, q) if q else (None, 0)
-    return Monomial(space, image, keep=True)
+    return _diagonal(space, partial(space.charge, r=r))
 
 
 # --------------------------------------------------------------------------

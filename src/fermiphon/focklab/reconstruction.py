@@ -13,10 +13,14 @@ U_r(nu-) and U_r(nu+) are the z^n coefficients U_n of the vertex-operator
 series exp(s sum_{m >= 1} J_r(s r m) z^m / m), with s = +1 for nu- and
 s = -1 for nu+.  Within one series the densities J_r(s r m) commute, so
 U_0 = 1 and n U_n = s sum_{m=1..n} J_r(s r m) U_{n-m} (the power-series
-exponential); the recursion runs on n! U_n, a matrix over the integers, and
-each result term is divided by n-! n+! once.  The q_r-dependence of the
-constraint was fixed against the Klein-shift covariance
-R_r V_r(k) = V_r(k + 2 pi / L) R_r and direct evaluation on charged states.
+exponential); the recursion runs on n! U_n, a matrix over the integers.
+The series depend on the state and r but not on k, so one `FieldSeries`
+holds them for every k: the lowered (nu-) series of R_r^{-r} eta, and one
+raised (nu+) series per lowered term, each extended as far as some k needs
+it.  A k's image is summed in integers over a common denominator, and
+divided by it once.  The q_r-dependence of the constraint was fixed
+against the Klein-shift covariance R_r V_r(k) = V_r(k + 2 pi / L) R_r and
+direct evaluation on charged states.
 
 ModeOutOfWindow is raised when k is outside the window, when R_r^{-r}
 shifts a mode of eta out of it, and when a density mode m > 2K - 1 (outside
@@ -30,7 +34,7 @@ from math import factorial
 
 from ..errors import ModeOutOfWindow
 from .operators import _accumulate, density_op, klein_factor
-from .space import FockSpace
+from .space import FockSpace, twice
 
 
 def _cached(ops, space, build, *labels):
@@ -42,12 +46,11 @@ def _cached(ops, space, build, *labels):
     return op
 
 
-def _series(space, ops, r, s, vec, top):
-    """[T_0, ..., T_top] with T_n = n! U_n vec for the chirality-r series of
-    sign s: T_0 = vec and T_n = s sum_{m=1..n} (n-1)!/(n-m)! J_r(s r m)
-    T_{n-m}, integer for an integer vec."""
-    terms = [vec]
-    for n in range(1, top + 1):
+def _extend(space, ops, r, s, terms, top):
+    """Extend terms = [T_0, ...] in place to [T_0, ..., T_top], T_n = n! U_n
+    T_0 for the chirality-r series of sign s: T_n = s sum_{m=1..n}
+    (n-1)!/(n-m)! J_r(s r m) T_{n-m}, integer for an integer T_0."""
+    for n in range(len(terms), top + 1):
         out = {}
         scale = s
         for m in range(1, n + 1):
@@ -64,36 +67,61 @@ def _series(space, ops, r, s, vec, top):
     return terms
 
 
+class FieldSeries:
+    """The series of V_r on one basis state, shared by every momentum.
+
+    `ops` keeps the density and Klein operators between the series that
+    share it."""
+
+    def __init__(self, space: FockSpace, ops: dict, r: int, state: int):
+        klein = _cached(ops, space, klein_factor, r, r == +1)  # R_r^{-r}
+        image = klein.image(state)
+        if image is None:
+            raise ModeOutOfWindow(
+                "Klein shift leaves the window for this state")
+        self._space, self._ops, self._r = space, ops, r
+        # 2 (q_r - 1/2), so that 2 delta = this - r t
+        self._twice_offset = 2 * space.charge(state, r) - 1
+        lowered = _extend(space, ops, r, +1, [dict([image])],
+                          space.twice_energy(image[0]) >> 1)
+        self._raised = [[vec] for vec in lowered]
+
+    def vector(self, t: int):
+        """(v, d) with V_r(k) state = v / d at k = (2 pi / L) t / 2: v an
+        integer vector and d = n-_max! n+_max! over its nonzero terms."""
+        # r k = (q_r - 1/2) - (n+ - n-) in lab units; t is odd, so
+        # delta = n+ - n- is an integer
+        delta = (self._twice_offset - self._r * t) // 2
+        terms = []
+        for n_minus, raised in enumerate(self._raised):
+            n_plus = n_minus + delta
+            if n_plus >= 0 and raised[0]:
+                _extend(self._space, self._ops, self._r, -1, raised, n_plus)
+                if raised[n_plus]:
+                    terms.append((n_minus, n_plus, raised[n_plus]))
+        if not terms:
+            return {}, 1
+        d = (factorial(max(n for n, _, _ in terms))
+             * factorial(max(n for _, n, _ in terms)))
+        v = {}
+        for n_minus, n_plus, term in terms:
+            _accumulate(v, term, d // (factorial(n_minus) * factorial(n_plus)))
+        return v, d
+
+
 def reconstructed_field(space: FockSpace, r: int, nu, state_index: int,
                         ops=None) -> dict:
     """Image vector of V_r(k) applied to one basis state, k = (2 pi / L) nu.
 
-    Exact (int and Fraction amplitudes); valid while the input state and
-    all intermediate density modes stay inside the truncation window.
-    `ops` is a dict that keeps the density and Klein operators between the
-    calls that share it; without one, the call builds its own.
+    Exact (Fraction amplitudes); valid while the input state and all
+    intermediate density modes stay inside the truncation window.  `ops` is
+    a dict that keeps the density and Klein operators between the calls
+    that share it; without one, the call builds its own.
     """
     ops = {} if ops is None else ops
-    nu = Fraction(nu)
-    if not space.has_mode(r, nu):
-        raise ModeOutOfWindow(f"target momentum nu={nu} outside window")
-    q_r = space.charge(state_index, r)
-
-    klein = _cached(ops, space, klein_factor, r, r == +1)  # R_r^{-r}
-    image = klein.image(state_index)
-    if image is None:
-        raise ModeOutOfWindow("Klein shift leaves the window for this state")
-
-    # r k = (q_r - 1/2) - (n+ - n-) in lab units; nu is half-odd, so
-    # delta = n+ - n- is an integer
-    delta = int(q_r - Fraction(1, 2) - r * nu)
-
-    result = {}
-    lowered = _series(space, ops, r, +1, dict([image]),
-                      int(space.energy(image[0])))
-    for n_minus, vec in enumerate(lowered):
-        n_plus = n_minus + delta
-        if n_plus >= 0:
-            _accumulate(result, _series(space, ops, r, -1, vec, n_plus)[-1],
-                        Fraction(1, factorial(n_minus) * factorial(n_plus)))
-    return result
+    t = twice(nu)
+    if (r, t) not in space.positions:
+        raise ModeOutOfWindow(
+            f"target momentum nu={Fraction(nu)} outside window")
+    v, d = FieldSeries(space, ops, r, state_index).vector(t)
+    return {row: Fraction(amp, d) for row, amp in v.items()}

@@ -2,10 +2,12 @@
 
 The lab works in dimensionless units where the mode spacing 2 pi / L is 1,
 so it needs only the truncation K.  Fermion momenta are the half-odd-integers
-nu = n + 1/2 with -K <= n < K; every momentum/energy computed here is exact
-(int or Fraction, in units of 2 pi / L).  All operator identities verified on
-this space are homogeneous in L, so residual-zero statements carry over to
-any L.
+nu = n + 1/2 with -K <= n < K.  Inside the lab a mode is labelled by the odd
+integer t = 2 nu and an energy is counted as 2E, in units of pi / L, so every
+label, energy and amplitude the lab computes with is a Python int; the
+public methods take and return nu and E (an int or a Fraction, in units of
+2 pi / L).  All operator identities verified on this space are homogeneous
+in L, so residual-zero statements carry over to any L.
 
 Basis states are the integers 0 <= mask < dim; their quantum numbers are
 computed from the mask when asked for, and only the states below an energy
@@ -19,9 +21,15 @@ from fractions import Fraction
 
 from ..errors import BadGeometry, TruncationTooLarge
 
-MAX_DIM = 2**24
+MAX_DIM = 2**28
 
 CHIRALITIES = (+1, -1)
+
+
+def twice(nu):
+    """The integer 2 nu, or None when 2 nu is not an integer."""
+    t = 2 * Fraction(nu)
+    return t.numerator if t.denominator == 1 else None
 
 
 class FockSpace:
@@ -38,20 +46,20 @@ class FockSpace:
             raise BadGeometry("K must be >= 1")
         nmodes = 4 * K
         if 2**nmodes > MAX_DIM:
-            raise TruncationTooLarge(f"2^{nmodes} exceeds the 2^24 guard")
+            raise TruncationTooLarge(f"2^{nmodes} exceeds the 2^28 guard")
         self.K = K
         self.nmodes = nmodes
         self.dim = 2**nmodes
-        # nu values (times 2, odd integers) per chirality, descending
-        self._nus = [Fraction(2 * n + 1, 2) for n in range(K - 1, -K - 1, -1)]
-        # position of mode (r, nu): + block first, descending nu
-        self._pos = {}
-        for i, nu in enumerate(self._nus):
-            self._pos[(+1, nu)] = i
-            self._pos[(-1, nu)] = 2 * K + i
+        # the labels t = 2 nu of one chirality block, descending odd integers
+        self.labels = tuple(range(2 * K - 1, -2 * K, -2))
+        # position of mode (r, t): + block first, descending t
+        self.positions = {}
+        for i, t in enumerate(self.labels):
+            self.positions[(+1, t)] = i
+            self.positions[(-1, t)] = 2 * K + i
         # 2 |nu| per position, and the positions whose mode adds +1 to Q_r
         # (r nu > 0) or -1 (r nu < 0)
-        self._twice_abs_nu = [int(2 * abs(self._nus[pos % (2 * K)]))
+        self._twice_abs_nu = [abs(self.labels[pos % (2 * K)])
                               for pos in range(nmodes)]
         # 2 |nu| summed over the occupied modes of one chirality block
         self._block_energy = [0]
@@ -62,28 +70,33 @@ class FockSpace:
                              -1: (low << 3 * K, low << 2 * K)}
         self.vacuum = 0
 
+    def twice_energy(self, mask: int) -> int:
+        """2E: the free energy in units of pi / L, sum of 2 |nu| over the
+        occupied modes."""
+        K2 = 2 * self.K
+        return (self._block_energy[mask & ((1 << K2) - 1)]
+                + self._block_energy[mask >> K2])
+
     def energy(self, mask: int):
         """Free energy: sum of |nu| over the occupied modes, an int when it
         is integral and a Fraction otherwise."""
-        K2 = 2 * self.K
-        twice = (self._block_energy[mask & ((1 << K2) - 1)]
-                 + self._block_energy[mask >> K2])
-        return Fraction(twice, 2) if twice & 1 else twice >> 1
+        twice_e = self.twice_energy(mask)
+        return Fraction(twice_e, 2) if twice_e & 1 else twice_e >> 1
 
     def charge(self, mask: int, r: int) -> int:
         """Q_r: occupied modes with r nu > 0 minus those with r nu < 0."""
         up, down = self._charge_bits[r]
         return (mask & up).bit_count() - (mask & down).bit_count()
 
-    def mode_position(self, r: int, nu: Fraction) -> int:
-        return self._pos[(r, nu)]
+    def mode_position(self, r: int, nu) -> int:
+        return self.positions[(r, twice(nu))]
 
     def has_mode(self, r: int, nu) -> bool:
-        return (r, Fraction(nu)) in self._pos
+        return (r, twice(nu)) in self.positions
 
     def fermion_modes(self):
         """All nu values in the window, descending (units 2 pi / L)."""
-        return list(self._nus)
+        return [Fraction(t, 2) for t in self.labels]
 
     def edge(self) -> Fraction:
         """Largest |nu| in the window."""
@@ -94,16 +107,19 @@ class FockSpace:
         return Fraction(self.K - 1)
 
     def interior_indices(self, window=None):
-        """Basis states with energy <= window, ascending.
+        """Basis states with energy <= window, ascending."""
+        w = self.interior_window() if window is None else Fraction(window)
+        return self.states_below(math.floor(2 * w))
+
+    def states_below(self, budget: int):
+        """Basis states with 2E <= budget, ascending.
 
         Modes are added in ascending |nu| to every state built so far that
         can still afford them, so only states inside the window are visited.
         """
-        w = self.interior_window() if window is None else Fraction(window)
-        budget = math.floor(2 * w)
         if budget < 0:
             return []
-        states = [(0, 0)]  # (mask, 2 * energy)
+        states = [(0, 0)]  # (mask, 2E)
         for pos in sorted(range(self.nmodes),
                           key=self._twice_abs_nu.__getitem__):
             e = self._twice_abs_nu[pos]

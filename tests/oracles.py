@@ -292,7 +292,7 @@ def klein_apply(space: FockSpace, r: int, shift: int, mask: int):
         if not (mask >> pos) & 1:
             continue
         rr = +1 if pos < 2 * space.K else -1
-        nu = space._nus[pos % (2 * space.K)]
+        nu = space.fermion_modes()[pos % (2 * space.K)]
         if rr != r:
             ops.append((True, rr, nu))
         elif nu == special_src:

@@ -156,14 +156,51 @@ def test_verify_k1_smaller_window(config_file, tmp_path):
     assert any(r["window"] == "0" for r in reports)
 
 
-def test_verify_corrupted_sign_fails(config_file, tmp_path, monkeypatch):
-    orig = FockSpace.move
+# corruptions of the Fock lab that `verify` must catch
+
+
+def no_sign_move(monkeypatch):
+    """Every fermion move without its sign."""
+    move = FockSpace.move
 
     def no_sign(self, mask, pos, create):
-        new, s = orig(self, mask, pos, create)
+        new, s = move(self, mask, pos, create)
         return new, abs(s)
-
     monkeypatch.setattr(FockSpace, "move", no_sign)
+
+
+def no_sign_klein(monkeypatch):
+    """Every Klein map without its sign."""
+    from fermiphon.focklab import operators
+    apply = operators._klein_apply
+
+    def no_sign(*args):
+        image = apply(*args)
+        return None if image is None else (image[0], abs(image[1]))
+    monkeypatch.setattr(operators, "_klein_apply", no_sign)
+
+
+def charge_off_at_half(monkeypatch):
+    """Q_+ one too high wherever the + mode at nu = 1/2 is occupied: H0_R
+    and KRONIG fail with half-integer residuals."""
+    charge = FockSpace.charge
+
+    def off(self, mask, r):
+        return charge(self, mask, r) + (r > 0 and (mask >> (self.K - 1)) & 1)
+    monkeypatch.setattr(FockSpace, "charge", off)
+
+
+def double_j2_in_series(monkeypatch):
+    """J_r(+-2) doubled in the vertex-operator series only: at K = 3
+    RECONSTRUCTION fails with the residual 1/2."""
+    from fermiphon.focklab import reconstruction
+    density = reconstruction.density_op
+    monkeypatch.setattr(reconstruction, "density_op", lambda space, r, m: (
+        density(space, r, m) * 2 if abs(m) == 2 else density(space, r, m)))
+
+
+def test_verify_corrupted_sign_fails(config_file, tmp_path, monkeypatch):
+    no_sign_move(monkeypatch)
     cfg = config_file(FREE_INI)
     out = str(tmp_path / "verify.json")
     assert run_cli(["--config", cfg, "--output", out, "verify"]) == 1
@@ -193,7 +230,7 @@ def test_verify_counting_rows_fail_with_their_exact_residuals(
 
 
 def test_verify_k_guard(config_file):
-    cfg = config_file(FREE_INI.replace("K = 2", "K = 7"))
+    cfg = config_file(FREE_INI.replace("K = 2", "K = 8"))
     assert run_cli(["--config", cfg, "verify"]) == 2
 
 
@@ -583,7 +620,7 @@ def test_generic_tables_pinned_and_unquoted(config_file, tmp_path, name):
 
 
 # sha256 of the JSON documents of `solve` on GENERIC_INI and of `verify` on
-# it at K = 2, 3 and 4 (verify refuses K > 6), recorded while numpy and the
+# it at K = 2, 3 and 4 (verify refuses K > 7), recorded while numpy and the
 # Fock lab were still imported with fermiphon.cli; the K = 3 pin was recorded
 # while the field was still reconstructed partition by partition, and its
 # reconstruction applied a partition with two distinct parts, such as (2, 1),
@@ -688,13 +725,7 @@ def test_verify_pinned_on_any_process_count(config_file, tmp_path,
 def test_verify_failure_same_on_any_process_count(config_file, tmp_path,
                                                   monkeypatch):
     # the corrupted-sign control: forked workers inherit the patch
-    orig = FockSpace.move
-
-    def no_sign(self, mask, pos, create):
-        new, s = orig(self, mask, pos, create)
-        return new, abs(s)
-
-    monkeypatch.setattr(FockSpace, "move", no_sign)
+    no_sign_move(monkeypatch)
     cfg = config_file(FREE_INI)
     docs = []
     for W in (1, 2):
@@ -706,6 +737,38 @@ def test_verify_failure_same_on_any_process_count(config_file, tmp_path,
     assert docs[0] == docs[1]
     assert not next(r for r in json.loads(docs[0])
                     if r["identity"] == "CAR")["pass"]
+
+
+# sha256 of whole failing `verify` documents on FREE_INI at K: (K, the
+# corruption, digest), recorded while every residual was still computed in
+# Fraction arithmetic, one vertex series per momentum; they pin each failing
+# residual and its worst_pair, where the controls above assert only `pass`
+FAILING_DOCUMENTS = {
+    "move-k2": (2, no_sign_move, "5abc90c3c1dd9e2b05bf80e855f53b52"
+                                 "00876354d882a3dcdb43272e609be099"),
+    "klein-k2": (2, no_sign_klein, "50980461c31b18a1371fe6105f9e19bb"
+                                   "c1374ab023a8fca1fe41e389f2eeb404"),
+    "move-k3": (3, no_sign_move, "97a6cd46f17abbda5eb688e3466ba32a"
+                                 "51d01c7de1abd5f01c0104cc6386c8c2"),
+    "charge-k2": (2, charge_off_at_half, "cbfacffb5cdd1166e74093cc4c57cb52"
+                                         "70bd8fa0e945b1addfa1339cf52ad9ee"),
+    "j2-k3": (3, double_j2_in_series, "9562b29962fae3c3f683c4c9ba183152"
+                                      "aa8ea4615a061062ce30d22dccd5709a"),
+}
+
+
+@pytest.mark.parametrize("W", [1, 2])
+@pytest.mark.parametrize("name", list(FAILING_DOCUMENTS))
+def test_verify_failing_documents_pinned(config_file, tmp_path, monkeypatch,
+                                         name, W):
+    K, corrupt, digest = FAILING_DOCUMENTS[name]
+    corrupt(monkeypatch)
+    set_workers(monkeypatch, W)
+    cfg = config_file(FREE_INI.replace("K = 2", f"K = {K}"))
+    out = tmp_path / "verify.json"
+    assert run_cli(["--config", cfg, "--output", str(out), "verify"]) == 1
+    assert_no_children()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_verify_row_error_in_worker_exit_2(config_file, monkeypatch, capsys):
@@ -1445,8 +1508,9 @@ def test_invalid_config_exit_2(tmp_path):
 
 @pytest.mark.parametrize("edit, args", [
     (("K = 8", "K = 1"), ["spectrum", "--e-max", "0.6"]),
-    (("K = 8", "K = 7"), ["verify"]),
-], ids=["spectrum-grid-too-small", "verify-k7"])
+    # GENERIC_INI's own K = 8 is past verify's cap
+    (("K = 8", "K = 8"), ["verify"]),
+], ids=["spectrum-grid-too-small", "verify-k8"])
 def test_failed_command_keeps_existing_output(config_file, tmp_path, edit,
                                               args):
     cfg = config_file(GENERIC_INI.replace(*edit))
@@ -1567,7 +1631,7 @@ def _configs(draw, k_max=6):
 @given(data=st.data())
 def test_random_config_exits_0_or_2(args, data):
     """Any config: exit 0 or 2, never a traceback.  `spectrum` refuses more
-    than LEVEL_CAP levels and `verify` any K > 6; valid K for `verify` stay
+    than LEVEL_CAP levels and `verify` any K > 7; valid K for `verify` stay
     at most 2 (K = 3 costs 0.5 s a run)."""
     text = data.draw(_configs(k_max=2 if args == ["verify"] else 6),
                      label="config")

@@ -41,7 +41,7 @@ def test_space_dimensions():
 
 def test_space_guard():
     with pytest.raises(TruncationTooLarge):
-        build_space(7)
+        build_space(8)
 
 
 def test_vacuum_quantum_numbers(space_k2):
@@ -290,6 +290,22 @@ def test_linear_is_the_left_fold(space_k2):
     assert any(flat.cols[c] is None for c in range(sp.dim))
 
 
+def test_linear_keeps_a_later_sum_whole(space_k2):
+    # a combination of several terms in a later place is added as its own
+    # column: adding its terms one by one would cancel A against the inner
+    # A first and bring C's entries back in C's order, which differs in 32
+    # columns
+    sp = space_k2
+    J, Jm = density_op(sp, +1, 1), density_op(sp, +1, -1)
+    A, C = J @ Jm, Jm @ J
+    ops = [linear(sp, (1, A), (-1, linear(sp, (1, A), (1, C)))),
+           dict_linear(sp, (1, A), (-1, dict_linear(sp, (1, A), (1, C)))),
+           dict_linear(sp, (1, A), (-1, A), (-1, C))]
+    cols = [[list(op.cols[c].items()) for c in range(sp.dim)] for op in ops]
+    assert cols[0] == cols[1]
+    assert sum(a != b for a, b in zip(cols[1], cols[2])) == 32
+
+
 def test_partial_columns_propagate(space_k2):
     # a product column is None when the right factor reaches a state outside
     # the left factor's validity window; sums and multiples inherit it
@@ -411,7 +427,7 @@ def test_cutoff_independence(space_k2, space_k3):
         for pos in range(sp2.nmodes):
             if (mask >> pos) & 1:
                 r = +1 if pos < 2 * sp2.K else -1
-                nu = sp2._nus[pos % (2 * sp2.K)]
+                nu = sp2.fermion_modes()[pos % (2 * sp2.K)]
                 big |= 1 << sp3.mode_position(r, nu)
         return big
 

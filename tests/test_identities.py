@@ -1,17 +1,17 @@
+import weakref
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
-from fermiphon.errors import UnknownIdentity
-from fermiphon.focklab import (SUPPORTED_IDENTITIES, SparseOperator,
-                               build_space, charge_op, density_op, field_op,
-                               free_hamiltonian, identity_residual,
-                               klein_factor, ladder_op, reconstructed_field,
-                               reconstruction_report)
-from fermiphon.focklab import operators
+from fermiphon.errors import ModeOutOfWindow, UnknownIdentity
+from fermiphon.focklab import (SUPPORTED_IDENTITIES, build_space, charge_op,
+                               density_op, field_op, free_hamiltonian,
+                               identity_residual, klein_factor, ladder_op,
+                               reconstructed_field, reconstruction_report)
+from fermiphon.focklab import identities, operators
 from fermiphon.focklab.identities import _BUILDERS, _reconstruction_residuals
-from fermiphon.focklab.operators import Columns
+from fermiphon.focklab.operators import Columns, Monomial, twice_hamiltonian
+from fermiphon.focklab.reconstruction import FieldSeries
 from fermiphon.focklab.space import FockSpace
 from oracles import run_identity_suite
 
@@ -64,37 +64,81 @@ def test_fresh_operator_computes_columns(space_k2):
 
 
 def test_amplitudes_are_rationals(monkeypatch):
-    # every column computed while the interior columns of each operator kind
-    # and of one residual per identity are read holds int or Fraction
-    # amplitudes only; the spy also sees the dict-column terms of each
-    # residual (a monomial term adds its one entry to the residual's column
-    # directly), which cancel to empty columns where the identity holds
-    computed = []
-    compute = Columns.__missing__
-
-    def spy(self, c):
-        col = compute(self, c)
-        if col:
-            computed.append(col)
-        return col
-
-    monkeypatch.setattr(Columns, "__missing__", spy)
+    # the lab computes in ints: each operator kind's images and columns on
+    # the interior, and every column and field series vector computed
+    # through `Columns` or `FieldSeries.vector` while every column of every
+    # check of every identity is read, hold int amplitudes only (each
+    # residual's own column too: off the interior the truncation leaves
+    # entries in SCHWINGER, J_R and KRONIG).  Only the public H0, in units
+    # of 2 pi / L, and the public reconstructed field hold Fractions, and
+    # those are exact rationals.
     sp = build_space(2)
     half = Fraction(1, 2)
+    h0 = free_hamiltonian(sp)
+    assert {type(h0.cols[c][c]) for c in sp.interior_indices()
+            if h0.cols[c]} == {int, Fraction}
+    field = reconstructed_field(sp, +1, -half, sp.vacuum)
+    assert field and {type(amp) for amp in field.values()} == {Fraction}
+
+    seen = []
+    compute, vector = Columns.__missing__, FieldSeries.vector
+
+    def spy_column(self, c):
+        col = compute(self, c)
+        seen.extend(col.values() if col else ())
+        return col
+
+    def spy_vector(self, t):
+        v, d = vector(self, t)
+        seen.extend([*v.values(), d])
+        return v, d
+
+    monkeypatch.setattr(Columns, "__missing__", spy_column)
+    monkeypatch.setattr(FieldSeries, "vector", spy_vector)
     ops = [ladder_op(sp, +1, half), ladder_op(sp, -1, -half, dagger=True),
            field_op(sp, +1, half), field_op(sp, -1, half, dagger=True),
-           density_op(sp, +1, 1), density_op(sp, -1, 2), free_hamiltonian(sp),
-           charge_op(sp, +1), klein_factor(sp, +1),
-           klein_factor(sp, -1, dagger=True),
-           SparseOperator(sp, partial(reconstructed_field, sp, +1, -half))]
-    ops += [next(_BUILDERS[name](sp))[0] for name in SUPPORTED_IDENTITIES]
-    ops.append(next(_reconstruction_residuals(sp))[0])
+           density_op(sp, +1, 1), density_op(sp, -1, 2),
+           twice_hamiltonian(sp), charge_op(sp, +1), klein_factor(sp, +1),
+           klein_factor(sp, -1, dagger=True)]
     for op in ops:
         for c in sp.interior_indices():
             op.cols[c]
-    assert len(computed) > len(ops)
-    types = {type(amp) for col in computed for amp in col.values()}
-    assert types <= {int, Fraction}, types
+            if isinstance(op, Monomial) and op.image(c)[0] is not None:
+                seen.append(op.image(c)[1])
+    builders = dict(_BUILDERS, RECONSTRUCTION=_reconstruction_residuals)
+    for build in builders.values():
+        for op, _ in build(sp):
+            for c in range(sp.dim):
+                try:
+                    op.cols[c]
+                except ModeOutOfWindow:
+                    pass
+    assert len(seen) > 5_000
+    assert {type(amp) for amp in seen} == {int}
+
+
+def test_schwinger_frees_densities_after_their_last_block(monkeypatch):
+    # the checks run in blocks (r, r') = (+,+), (+,-), (-,+), (-,-) of
+    # 4 (K - 1)^2 each; no + density is read after (-,+), so all of them
+    # are freed before (-,-) fills the - densities' columns
+    made = []
+    build = identities.density_op
+
+    def spy(space, r, m):
+        op = build(space, r, m)
+        made.append((r, weakref.ref(op)))
+        return op
+
+    monkeypatch.setattr(identities, "density_op", spy)
+    sp = build_space(3)
+    checks = identities._schwinger_residuals(sp)
+    for _ in range(3 * 4 * (sp.K - 1) ** 2):
+        next(checks)
+    last_block = [next(checks)]
+    assert {r for r, _ in made} == {+1, -1}
+    assert all((ref() is None) == (r == +1) for r, ref in made)
+    last_block += list(checks)
+    assert len(last_block) == 4 * (sp.K - 1) ** 2
 
 
 def test_corrupted_sign_fails_car(monkeypatch):

@@ -4,7 +4,8 @@ import pytest
 
 from fermiphon.errors import ModeOutOfWindow
 from fermiphon.focklab import (build_space, field_op, klein_factor,
-                               reconstructed_field)
+                               reconstructed_field, reconstruction_report)
+from fermiphon.focklab import reconstruction
 from oracles import partition_reconstructed_field
 
 HALF = Fraction(1, 2)
@@ -107,3 +108,29 @@ def test_klein_shift_out_of_window(space_k2):
     assert klein_factor(sp, +1, dagger=True).cols[state] is None
     with pytest.raises(ModeOutOfWindow):
         reconstructed_field(sp, +1, HALF, state)
+
+
+@pytest.mark.parametrize("K, pairs", [(2, 22), (3, 72)])
+def test_report_builds_each_series_once(monkeypatch, K, pairs):
+    # RECONSTRUCTION builds one lowered series per (r, interior state),
+    # shared by the 2K momenta: 22 at K = 2 and 72 at K = 3, where building
+    # one per momentum took 88 and 432
+    built, lowered = [], []
+    init, extend = reconstruction.FieldSeries.__init__, reconstruction._extend
+
+    def spy_init(self, space, ops, r, state):
+        built.append((r, state))
+        init(self, space, ops, r, state)
+
+    def spy_extend(space, ops, r, s, terms, top):
+        if s == +1:
+            lowered.append(r)
+        return extend(space, ops, r, s, terms, top)
+
+    monkeypatch.setattr(reconstruction.FieldSeries, "__init__", spy_init)
+    monkeypatch.setattr(reconstruction, "_extend", spy_extend)
+    sp = build_space(K)
+    assert reconstruction_report(sp).passed
+    assert len(built) == len(lowered) == pairs
+    assert sorted(built) == sorted((r, c) for r in (+1, -1)
+                                   for c in sp.interior_indices())
