@@ -12,12 +12,11 @@ diagonalize_numeric) are the check the tests hold the closed form to.
 Every eigenstate is a charge pair, a phonon zero-mode level and a set of
 boson occupations, with a closed-form energy.  spectrum enumerates the
 occupations once, as one tree shared by every charge and zero-mode sector,
-and walks the tree for a block of sectors at once as a numpy array, one
-tree depth at a time, with the float additions of a per-sector walk.  It
-returns the levels as columns (a Spectrum, read as a sequence of
-SpectrumEntry), and refuses more than LEVEL_CAP stored occupation entries
-or levels; a block holds at most LEVEL_CAP floats, and the level count is
-checked after each block.
+and walks it one depth at a time over the kept (sector, node) cells only,
+with the float additions of a per-sector walk, so it holds memory in
+proportion to the levels it keeps.  It returns the levels as columns (a
+Spectrum, read as a sequence of SpectrumEntry), and refuses more than
+LEVEL_CAP stored occupation entries or levels before storing them.
 """
 
 from __future__ import annotations
@@ -42,8 +41,7 @@ DEGENERACY_FLOOR = 1e-8
 
 # most occupation-tuple entries the tree stores, and most levels, one
 # spectrum call enumerates: about five times the 62k levels of the reference
-# model at K = 40, e_max = 1.2 (whose tree stores 28k entries), and reached in
-# about a second
+# model at K = 40, e_max = 1.2 (whose tree stores 28k entries)
 LEVEL_CAP = 300_000
 
 
@@ -329,9 +327,9 @@ def _grow(tree, modes, idx, node, spent, e_max, stored):
 
 def _sectors(params: ModelParams, solution: BogoliubovSolution,
              e_max: float):
-    """((q_plus, q_minus, m_p0), base energy) of every charge and zero-mode
-    sector with a base energy up to e_max: q_plus, then q_minus, then m_p0
-    ascending."""
+    """(q_plus, q_minus, m_p0, base energy) of every charge and zero-mode
+    sector with a base energy up to e_max, in the order of their levels at
+    one energy: q_plus and then q_minus descending, then m_p0 ascending."""
     g1 = solution.couplings.gamma1
     charge_scale = math.pi * params.v_f / params.L
     qmax = int(math.floor(math.sqrt(e_max / (charge_scale * (1.0 - abs(g1))))
@@ -341,16 +339,16 @@ def _sectors(params: ModelParams, solution: BogoliubovSolution,
     # charge energy (under 28 ulp of qmax^2) and of this bound, so each row
     # is scanned over a superset of its sectors, not over all of [-qmax, qmax]
     slack = 1.0 + 1e-14 * qmax * qmax
-    for qp in range(-qmax, qmax + 1):
+    for qp in range(qmax, -qmax - 1, -1):
         center = -g1 * qp
         half = math.sqrt(max(0.0, e_max / charge_scale
                              - qp * qp * (1.0 - g1 * g1)) + slack)
-        for qm in range(max(-qmax, math.floor(center - half) - 1),
-                        min(qmax, math.ceil(center + half) + 1) + 1):
+        for qm in range(min(qmax, math.ceil(center + half) + 1),
+                        max(-qmax, math.floor(center - half) - 1) - 1, -1):
             e_q = charge_scale * (qp * qp + qm * qm + 2.0 * g1 * qp * qm)
             mp0 = 0
             while e_q + mp0 * params.omega0 <= e_max:
-                yield (qp, qm, mp0), e_q + mp0 * params.omega0
+                yield qp, qm, mp0, e_q + mp0 * params.omega0
                 mp0 += 1
 
 
@@ -388,19 +386,18 @@ def spectrum(params: ModelParams, solution: BogoliubovSolution, e_max: float,
     boson occupations over grid modes; a mode m moves at vtilde_X if it
     couples (m <= n_a) and at the bare v_X otherwise.  The occupations form
     one tree, built once at budget e_max from energy 0 and shared by every
-    (q_plus, q_minus, m_p0) sector.  A block of sectors walks it as one
-    array, a row per sector and a column per node, one tree depth at a
-    time: a node's energy is its parent's plus its increment, the float
-    additions of a per-sector enumeration.  The increments are positive, so
-    the entries up to e_max are exactly the nodes such an enumeration keeps
-    (it skips a subtree once its energy passes e_max).  A block holds at
-    most LEVEL_CAP floats, and the sectors are generated block by block.
-    One lexsort orders the kept levels, `degeneracies` counts their groups,
-    and the levels come back as the columns of a Spectrum.  Raises
-    GridTooSmall when the grid disagrees with params, or when a mode outside
-    the grid could still contribute below e_max, and TruncationTooLarge once
-    the entries of the tree's occupation tuples, or the levels after a
-    block, pass LEVEL_CAP; BadArgument when e_max is not finite.
+    (q_plus, q_minus, m_p0) sector.  The walk extends the kept (sector,
+    node, energy) cells of one depth by their kept children only: a child's
+    energy is its parent's plus its increment, the float addition of a
+    per-sector enumeration, and fl(spent + inc) <= e_max is monotone in inc,
+    so a cell keeps a prefix of its children in ascending increment, cut by
+    bisection.  One lexsort on (energy, sector, node) orders the levels,
+    `degeneracies` counts their groups, and the levels come back as the
+    columns of a Spectrum.  Raises GridTooSmall when the grid disagrees
+    with params, or when a mode outside the grid could still contribute
+    below e_max; TruncationTooLarge once the entries of the tree's
+    occupation tuples, or the levels, pass LEVEL_CAP (checked before a
+    depth is stored); BadArgument when e_max is not finite.
     """
     if not math.isfinite(e_max):
         raise BadArgument(f"e_max must be finite, got {e_max}")
@@ -436,45 +433,48 @@ def spectrum(params: ModelParams, solution: BogoliubovSolution, e_max: float,
     # preorder lists: parent, energy increment, occupations
     tree = parent, inc, occs = [0], [0.0], [()]
     _grow(tree, modes, 0, 0, 0.0, e_max, 0)
-    size = len(parent)
-    parent, inc = np.array(parent), np.array(inc)
-    # the nodes of each depth (the length of their occupation tuples)
-    depth = np.array([len(occ) for occ in occs])
-    by_depth = np.argsort(depth, kind="stable")
-    cuts = np.searchsorted(depth[by_depth], np.arange(1, depth.max() + 2))
-    layers = [by_depth[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
-
-    sectors = _sectors(params, solution, e_max)
-    labels = []     # (q_plus, q_minus, m_p0) of each sector
-    rows, nodes, spent = [np.empty(0, np.intp)], [np.empty(0, np.intp)], \
-        [np.empty(0)]
-    count = 0
-    while True:
-        block = list(itertools.islice(sectors, max(1, LEVEL_CAP // size)))
-        if not block:
-            break
-        walk = np.empty((len(block), size))
-        walk[:, 0] = [base for _, base in block]
-        for ks in layers:
-            walk[:, ks] = walk[:, parent[ks]] + inc[ks]
-        kept = walk <= e_max
-        row, node = np.nonzero(kept)
-        count += len(row)
+    # node k's children in ascending increment: child[first[k]:][:fanout[k]]
+    parent, inc = np.array(parent[1:], dtype=np.intp), np.array(inc[1:])
+    child = np.lexsort((inc, parent))
+    child_inc, child = inc[child], (child + 1).astype(np.int32)
+    fanout = np.bincount(parent, minlength=len(occs))
+    first = np.cumsum(fanout) - fanout
+    # every sector keeps its root level; a sector's index in _sectors' order
+    # is its levels' sort key among equal energies
+    found = np.array(list(itertools.islice(_sectors(params, solution, e_max),
+                                           LEVEL_CAP + 1))).reshape(-1, 4)
+    count = len(found)
+    if count > LEVEL_CAP:
+        raise _too_many("levels", e_max)
+    labels = found[:, :3].astype(np.int64)
+    cells = [(np.arange(count, dtype=np.int32), np.zeros(count, np.int32),
+              found[:, 3])]
+    while len(cells[-1][0]):
+        sector, node, spent = cells[-1]
+        lo = first[node]
+        cut, hi = lo.copy(), lo + fanout[node]
+        live = np.flatnonzero(cut < hi)
+        while len(live):
+            mid = (cut[live] + hi[live]) >> 1
+            fits = spent[live] + child_inc[mid] <= e_max
+            cut[live] = np.where(fits, mid + 1, cut[live])
+            hi[live] = np.where(fits, hi[live], mid)
+            live = live[cut[live] < hi[live]]
+        kept = cut - lo
+        count += int(kept.sum())
         if count > LEVEL_CAP:
             raise _too_many("levels", e_max)
-        rows.append(row + len(labels))
-        nodes.append(node)
-        spent.append(walk[kept])
-        labels += [label for label, _ in block]
-
-    sector = np.concatenate(rows)
-    q_plus, q_minus, m_p0 = np.array(labels, dtype=np.int64).reshape(
-        -1, 3)[sector].T
-    node = np.concatenate(nodes)
-    energy = solution.e0 + np.concatenate(spent)
-    # the key of a level tuple (energy, -q_plus, -q_minus, m_p0, node)
-    order = np.lexsort((node, m_p0, -q_minus, -q_plus, energy))
-    energy = energy[order]
-    return Spectrum(q_plus=q_plus[order], q_minus=q_minus[order],
-                    m_p0=m_p0[order], node=node[order], energy=energy,
-                    degeneracy=degeneracies(energy), occupations=occs)
+        # cell `of` of this depth and the child position `at` of each new one
+        of = np.repeat(np.arange(len(node)), kept)
+        at = np.arange(len(of)) + np.repeat(lo + kept - np.cumsum(kept), kept)
+        cells.append((sector[of], child[at], spent[of] + child_inc[at]))
+    sector, node, energy = (np.concatenate(column) for column in zip(*cells))
+    del cells
+    energy += solution.e0
+    order = np.lexsort((node, sector, energy))
+    energy, sector, node = energy[order], sector[order], node[order]
+    del order
+    q_plus, q_minus, m_p0 = labels[sector].T
+    return Spectrum(q_plus=q_plus, q_minus=q_minus, m_p0=m_p0, node=node,
+                    energy=energy, degeneracy=degeneracies(energy),
+                    occupations=occs)

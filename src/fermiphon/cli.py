@@ -5,12 +5,13 @@ complex values split into re/im columns.  A table row is one CSV line ending
 in '\\r\\n' as csv.writer's did, and no field is ever quoted (none holds a
 comma, quote, backslash or control character).  A value that many rows
 share is formatted once: `scan` formats lambda and gamma1 once per lambda
-and g and gamma2 once per g, `spectrum` each tree node's modes, each
-sector's charges and zero-mode level and each distinct energy, and
-`correlate` its t.  A JSON table is `json.dump(rows, indent=2)` of the CSV
-rows as strings.  Exit codes: 0 success, 1 failed verification, 2 a usage
-error, invalid input, instability, a grid past GRID_CAP or too large for
-memory, or an output that cannot be written.
+and g and gamma2 once per g, `spectrum` each tree node's modes once, each
+sector's charges and zero-mode level once per process and each distinct
+energy once per block, and `correlate` its t.  A JSON table is
+`json.dump(rows, indent=2)` of the CSV rows as strings.  Exit codes: 0
+success, 1 failed verification, 2 a usage error, invalid input,
+instability, a grid past GRID_CAP or too large for memory, or an output
+that cannot be written.
 
 Importing this module loads neither numpy nor the Fock lab: `verify` loads
 the Fock lab (pure Python) and never numpy; `solve`, `spectrum`, `correlate`
@@ -18,15 +19,15 @@ and `scan` load numpy in the kernels that use it and never the Fock lab.
 Every `verify` row is an exact identity: its residual is an exact rational,
 and the row passes exactly when it is 0.
 
-`verify`, `scan` and `correlate` build their rows on up to one process per
-CPU this process may run on and per task: itself and workers forked from
-it, which take the tasks from one pipe and send each result back as soon
-as it is built (`run_tasks`).  A `verify` task is one report row, handed
-out longest first; a `scan` task is 2048 grid points and a `correlate`
-task 256 positions, each solved and formatted to its CSV lines by the
-process that takes it, in grid order.  The rows come back in order, so
-the output does not depend on the process count, and a sweep of one task
-never forks.
+Every command but `solve` builds its rows on up to one process per CPU
+this process may run on and per task: itself and workers forked from it,
+which take the tasks from one pipe and send each result back as soon as it
+is built (`run_tasks`).  A `verify` task is one report row, handed out
+longest first; a `scan` task is 2048 grid points, a `spectrum` task 2048
+levels (enumerated before any worker forks) and a `correlate` task 256
+positions, each solved or formatted to its CSV lines by the process that
+takes it, in table order.  The rows come back in order, so the output
+does not depend on the process count, and a command of one task never forks.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ if TYPE_CHECKING:
 # 10.5-11.8 s at 323 MB.
 GRID_CAP = 1_000_000
 
-# points of one `scan` task: one kernel call and one string of rows
+# points of one `scan` task and levels of one `spectrum` task
 SCAN_BLOCK = 2048
 
 
@@ -182,12 +183,12 @@ def cmd_solve(cfg: RunConfig):
 
 
 # the rows of a `verify` report in report order, and the order in which
-# they are handed out, longest first: J_PSI, CAR, RECONSTRUCTION, H0_J and
-# SCHWINGER take about 95 % of the time at every K from 3 to 6
+# they are handed out, longest first at every K from 4 to 7 (serial, one
+# process): the first five take 90-97 % of the time at every K from 3 to 7
 VERIFY_ROWS = ("CAR", "SCHWINGER", "J_PSI", "H0_J", "J_R", "H0_R", "RR_ANTI",
                "KRONIG", "DEGENERACY", "JACOBI", "RECONSTRUCTION")
-LONGEST_FIRST = ("J_PSI", "CAR", "RECONSTRUCTION", "H0_J", "SCHWINGER",
-                 "J_R", "H0_R", "RR_ANTI", "KRONIG", "DEGENERACY", "JACOBI")
+LONGEST_FIRST = ("J_PSI", "CAR", "RECONSTRUCTION", "SCHWINGER", "H0_J",
+                 "J_R", "KRONIG", "H0_R", "DEGENERACY", "RR_ANTI", "JACOBI")
 
 
 def cmd_verify(cfg: RunConfig):
@@ -382,30 +383,29 @@ def cmd_spectrum(cfg: RunConfig, e_max: float):
     sol = solve_closed_form(cfg.model)
     grid = momentum_grid(L=cfg.model.L, K=cfg.K, a=cfg.model.a)
     levels = spectrum(cfg.model, sol, e_max, grid)
+    # each node's modes are formatted once, each sector's prefix once per
+    # process and each energy (with its group's degeneracy) once per block
+    modes = [";".join(f"{fl}:{m}:{n}" for fl, m, n in occ)
+             for occ in levels.occupations]
+    prefix = functools.cache("%d,%d,%d,".__mod__)
 
-    def rows():
-        # levels share tree nodes, sectors and energies: each node's modes,
-        # each sector's prefix and each energy (with the degeneracy of its
-        # group) is formatted once
-        modes = [";".join(f"{fl}:{m}:{n}" for fl, m, n in occ)
-                 for occ in levels.occupations]
-        bits = levels.energy.view(np.int64)
-        new = np.ones(len(bits), dtype=bool)
-        new[1:] = bits[1:] != bits[:-1]
+    def block(k):
+        """The rows of the k-th SCAN_BLOCK levels as one string."""
+        part = slice(k * SCAN_BLOCK, (k + 1) * SCAN_BLOCK)
+        bits = levels.energy[part].view(np.int64)
+        new = np.insert(bits[1:] != bits[:-1], 0, True)
         tails = ["%d,%.17g\r\n" % pair for pair in zip(
-            levels.degeneracy[new].tolist(), levels.energy[new].tolist())]
-        prefixes = {}
-        sectors = zip(levels.q_plus.tolist(), levels.q_minus.tolist(),
-                      levels.m_p0.tolist())
-        for sector, k, run in zip(sectors, levels.node.tolist(),
-                                  (np.cumsum(new) - 1).tolist()):
-            prefix = prefixes.get(sector)
-            if prefix is None:
-                prefix = prefixes[sector] = "%d,%d,%d," % sector
-            yield prefix + modes[k] + "," + tails[run]
-    return 0, Table(
-        ["q_plus", "q_minus", "m_p0", "modes", "degeneracy", "energy"],
-        rows())
+            levels.degeneracy[part][new].tolist(),
+            levels.energy[part][new].tolist())]
+        columns = (levels.q_plus, levels.q_minus, levels.m_p0)
+        sectors = zip(*(column[part].tolist() for column in columns))
+        return "".join([prefix(sector) + modes[node] + "," + tails[run]
+                        for sector, node, run in zip(
+                            sectors, levels.node[part].tolist(),
+                            (np.cumsum(new) - 1).tolist())])
+
+    header = ["q_plus", "q_minus", "m_p0", "modes", "degeneracy", "energy"]
+    return 0, Table(header, run_tasks(block, -(-len(levels) // SCAN_BLOCK)))
 
 
 def _grid(lo: float, hi: float, n: int) -> np.ndarray:

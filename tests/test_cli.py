@@ -1091,6 +1091,68 @@ def test_failed_sweep_leaves_output_file_alone(config_file, tmp_path,
         assert sorted(os.listdir(tmp_path)) == before
 
 
+# GENERIC_INI at K = 40 with e_max = 1.2: the benchmark's shape, 62,129
+# levels in 31 blocks of 2048; sha256 of its table, csv then json, recorded
+# while each level was still formatted on its own (CI checks the same)
+K40_INI = GENERIC_INI.replace("K = 8", "K = 40")
+K40_SPECTRUM = ["spectrum", "--e-max", "1.2"]
+K40_SPECTRUM_SHA256 = (
+    "6512fec9bd6c0cbbeee02dc717af36934740d8bd2fd77d19e6ef4c6a0021f014",
+    "122c19b95ec44cfc7946b8c9def8fde7b3cfbaae83e6af7b369fc956552dd947")
+
+
+@pytest.mark.parametrize("W", [1, 2])
+def test_spectrum_bytes_on_any_process_count(config_file, tmp_path,
+                                             capsysbinary, monkeypatch, W):
+    """The K = 40 spectrum, its level blocks formatted on W processes,
+    writes the pinned bytes to --output and to stdout."""
+    cfg = config_file(K40_INI)
+    set_workers(monkeypatch, W)
+    for fmt, digest in zip(("csv", "json"), K40_SPECTRUM_SHA256):
+        out = tmp_path / f"out.{fmt}"
+        assert run_cli(["--config", cfg, "--output", str(out), "--format",
+                        fmt, *K40_SPECTRUM]) == 0
+        assert_no_children()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert run_cli(["--config", cfg, "--format", fmt, *K40_SPECTRUM]) == 0
+        assert_no_children()
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+@pytest.mark.parametrize("W", [1, 2])
+def test_failed_spectrum_leaves_output_file_alone(config_file, tmp_path,
+                                                  monkeypatch, W):
+    """A spectrum whose last block of levels raises (the sixth of 64 of
+    the 324 levels of GENERIC_INI at e_max = 0.5) exits 2 and leaves an
+    existing --output file as it was, mode included, with no other file
+    beside it."""
+    cfg = config_file(GENERIC_INI)
+    set_workers(monkeypatch, W)
+    monkeypatch.setattr(cli, "SCAN_BLOCK", 64)
+    pool = cli.run_tasks
+
+    def last_fails(build, count, order=()):
+        def build_or_fail(k):
+            if k == count - 1:
+                raise MemoryError("the last block")
+            return build(k)
+        assert count == 6
+        return pool(build_or_fail, count, order)
+
+    monkeypatch.setattr(cli, "run_tasks", last_fails)
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"earlier result\r\n")
+    out.chmod(0o640)
+    before = sorted(os.listdir(tmp_path))
+    for fmt in ("csv", "json"):
+        assert run_cli(["--config", cfg, "--output", str(out), "--format",
+                        fmt, "spectrum", "--e-max", "0.5"]) == 2
+        assert_no_children()
+        assert out.read_bytes() == b"earlier result\r\n"
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_output_replaced_keeping_mode_and_link(config_file, tmp_path):
     """--output replaces a regular file with its mode and group kept (a
     group other than the writer's where it may set one), writes through
@@ -1528,7 +1590,9 @@ def test_failed_command_keeps_existing_output(config_file, tmp_path, edit,
     (("K = 8", "K = 400000"), "1000"),
     # a tiny omega0 puts 5e8 zero-mode levels m_p0 below e_max
     (("L = 20.0", "L = 20.0\nomega0 = 1e-9"), "0.5"),
-], ids=["tree", "deep-tree", "zero-mode-levels"])
+    # a tree inside the occupation cap whose levels pass the cap
+    (("K = 8", "K = 40"), "1.5"),
+], ids=["tree", "deep-tree", "zero-mode-levels", "levels"])
 def test_oversized_spectrum_refused(config_file, tmp_path, capsys, edit,
                                     e_max):
     cfg = config_file(GENERIC_INI.replace(*edit))
@@ -1542,6 +1606,37 @@ def test_oversized_spectrum_refused(config_file, tmp_path, capsys, edit,
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert f"more than {LEVEL_CAP}" in err
+
+
+def test_spectrum_memory_follows_kept_levels(config_file, tmp_path,
+                                             monkeypatch):
+    """At the benchmark's shape (62k levels of 171 sectors over an 8k-node
+    occupation tree), spectrum() peaks at most 7 MB traced, and the whole
+    command at most 8 MB with every block formatted in this process: a
+    walk of every sector over every node, or whole-spectrum lists, take
+    more."""
+    import tracemalloc
+    from fermiphon.bogoliubov import spectrum
+    from fermiphon.params import momentum_grid
+    cfg = config_file(K40_INI)
+    set_workers(monkeypatch, 1)
+    params = cli.load_config(cfg).model
+    sol = solve_closed_form(params)
+    grid = momentum_grid(L=params.L, K=40, a=params.a)
+    out = str(tmp_path / "out.csv")
+    peaks = []
+    for run in (lambda: spectrum(params, sol, 1.2, grid),
+                lambda: run_cli(["--config", cfg, "--output", out,
+                                 *K40_SPECTRUM])):
+        run()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 7.0 and peaks[1] <= 8.0, peaks
 
 
 def test_spectrum_work_does_not_grow_with_k(config_file, tmp_path):
