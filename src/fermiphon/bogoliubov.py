@@ -14,18 +14,17 @@ boson occupations, with a closed-form energy.  spectrum enumerates the
 occupations once, as one tree shared by every charge and zero-mode sector,
 and walks it one depth at a time over the kept (sector, node) cells only,
 with the float additions of a per-sector walk, so it holds memory in
-proportion to the levels it keeps.  It returns the levels as columns (a
-Spectrum, read as a sequence of SpectrumEntry), and refuses more than
-LEVEL_CAP stored occupation entries or levels before storing them.
+proportion to the levels it keeps.  It returns the levels as columns beside
+the tree (a Spectrum), and refuses more than LEVEL_CAP boson occupations on
+the tree's paths, or levels, before storing them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .errors import (BadArgument, DegenerateBranches, GridTooSmall,
                      TruncationTooLarge, UnstableCouplings, ZeroMode)
@@ -39,9 +38,10 @@ if TYPE_CHECKING:
 # relative eigenvalue-gap floor below which branch labels would be guesses
 DEGENERACY_FLOOR = 1e-8
 
-# most occupation-tuple entries the tree stores, and most levels, one
-# spectrum call enumerates: about five times the 62k levels of the reference
-# model at K = 40, e_max = 1.2 (whose tree stores 28k entries)
+# most boson occupations on the tree's root paths (a node at depth d adds
+# d), and most levels, one spectrum call enumerates: about five times the 62k
+# levels of the reference model at K = 40, e_max = 1.2 (whose paths hold 28k
+# occupations)
 LEVEL_CAP = 300_000
 
 
@@ -83,23 +83,13 @@ class BogoliubovSolution:
         return self.params.v_f if flavor == "F" else self.params.v_p
 
 
-class SpectrumEntry(NamedTuple):
-    """One eigenstate label set with its exact eigenvalue."""
-
-    q_plus: int
-    q_minus: int
-    m_p0: int
-    occupations: Tuple[Tuple[str, int, int], ...]  # (flavor, m, occupation)
-    energy: float
-    degeneracy: int
-
-
 @dataclass(frozen=True, eq=False)
-class Spectrum(Sequence):
+class Spectrum:
     """spectrum's levels as columns, one entry per level in spectrum order,
-    and the occupation tuple of each node of the shared occupation tree:
-    level i has occupations[node[i]].  As a Sequence, indexed by position,
-    its items are SpectrumEntry."""
+    and the shared occupation tree in preorder: node k adds the occupation
+    label[k] = (flavor, m, n) to those of its parent parent[k], and the root
+    0 holds none (label None).  Level i has the occupations on node[i]'s
+    path from the root."""
 
     q_plus: np.ndarray
     q_minus: np.ndarray
@@ -107,16 +97,11 @@ class Spectrum(Sequence):
     node: np.ndarray
     energy: np.ndarray
     degeneracy: np.ndarray
-    occupations: List[Tuple[Tuple[str, int, int], ...]]
+    parent: List[int]
+    label: List[Optional[Tuple[str, int, int]]]
 
     def __len__(self) -> int:
         return len(self.energy)
-
-    def __getitem__(self, i: int) -> SpectrumEntry:
-        return SpectrumEntry(
-            int(self.q_plus[i]), int(self.q_minus[i]), int(self.m_p0[i]),
-            self.occupations[self.node[i]], float(self.energy[i]),
-            int(self.degeneracy[i]))
 
 
 def block_matrices(params: ModelParams, p: float) -> BlockMatrices:
@@ -298,13 +283,14 @@ def _too_many(what: str, e_max: float) -> TruncationTooLarge:
                               f"e_max = {e_max:.6g}; lower e_max")
 
 
-def _grow(tree, modes, idx, node, spent, e_max, stored):
-    """Append to `tree` every extension of `node` (energy `spent`) by boson
-    occupations of modes[idx:] up to e_max, in preorder: each state before
-    its extensions, modes ascending, occupations ascending.  `stored`
-    counts the (flavor, m, n) entries of the tree's occupation tuples, each
-    state holding its whole tuple; returns the new count."""
-    parent, inc, occs = tree
+def _grow(tree, modes, idx, node, depth, spent, e_max, stored):
+    """Append to `tree` every extension of `node` (at `depth`, energy
+    `spent`) by boson occupations of modes[idx:] up to e_max, in preorder:
+    each state before its extensions, modes ascending, occupations
+    ascending.  `stored` counts the occupations on the tree's root paths, a
+    node at depth d holding d of them; returns the new count."""
+    parent, inc, label = tree
+    depth += 1
     for i in range(idx, len(modes)):
         fl, m, e = modes[i]
         if spent + e > e_max:
@@ -312,15 +298,14 @@ def _grow(tree, modes, idx, node, spent, e_max, stored):
         n = 1
         while spent + n * e <= e_max:
             k = len(parent)
-            occ = occs[node] + ((fl, m, n),)
-            stored += len(occ)
+            stored += depth
             if stored > LEVEL_CAP:
                 raise _too_many("boson occupations", e_max)
             parent.append(node)
             inc.append(n * e)
-            occs.append(occ)
-            stored = _grow(tree, modes, i + 1, k, spent + n * e, e_max,
-                           stored)
+            label.append((fl, m, n))
+            stored = _grow(tree, modes, i + 1, k, depth, spent + n * e,
+                           e_max, stored)
             n += 1
     return stored
 
@@ -395,9 +380,9 @@ def spectrum(params: ModelParams, solution: BogoliubovSolution, e_max: float,
     `degeneracies` counts their groups, and the levels come back as the
     columns of a Spectrum.  Raises GridTooSmall when the grid disagrees
     with params, or when a mode outside the grid could still contribute
-    below e_max; TruncationTooLarge once the entries of the tree's
-    occupation tuples, or the levels, pass LEVEL_CAP (checked before a
-    depth is stored); BadArgument when e_max is not finite.
+    below e_max; TruncationTooLarge once the occupations on the tree's root
+    paths, or the levels, pass LEVEL_CAP (checked before a depth is
+    stored); BadArgument when e_max is not finite.
     """
     if not math.isfinite(e_max):
         raise BadArgument(f"e_max must be finite, got {e_max}")
@@ -430,14 +415,14 @@ def spectrum(params: ModelParams, solution: BogoliubovSolution, e_max: float,
     # both signs of p carry independent occupations
     modes = [(fl, sgn * m, e) for (fl, m, e) in modes for sgn in (1, -1)]
     modes.sort(key=lambda t: t[2])
-    # preorder lists: parent, energy increment, occupations
-    tree = parent, inc, occs = [0], [0.0], [()]
-    _grow(tree, modes, 0, 0, 0.0, e_max, 0)
+    # preorder lists: parent, energy increment, occupation label
+    tree = up, inc, label = [0], [0.0], [None]
+    _grow(tree, modes, 0, 0, 0, 0.0, e_max, 0)
     # node k's children in ascending increment: child[first[k]:][:fanout[k]]
-    parent, inc = np.array(parent[1:], dtype=np.intp), np.array(inc[1:])
+    parent, inc = np.array(up[1:], dtype=np.intp), np.array(inc[1:])
     child = np.lexsort((inc, parent))
     child_inc, child = inc[child], (child + 1).astype(np.int32)
-    fanout = np.bincount(parent, minlength=len(occs))
+    fanout = np.bincount(parent, minlength=len(up))
     first = np.cumsum(fanout) - fanout
     # every sector keeps its root level; a sector's index in _sectors' order
     # is its levels' sort key among equal energies
@@ -477,4 +462,4 @@ def spectrum(params: ModelParams, solution: BogoliubovSolution, e_max: float,
     q_plus, q_minus, m_p0 = labels[sector].T
     return Spectrum(q_plus=q_plus, q_minus=q_minus, m_p0=m_p0, node=node,
                     energy=energy, degeneracy=degeneracies(energy),
-                    occupations=occs)
+                    parent=up, label=label)

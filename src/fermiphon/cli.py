@@ -56,11 +56,11 @@ if TYPE_CHECKING:
 
 # most rows one `scan` writes and most points one `correlate` sweeps: 25 times
 # the 200 x 200 scan and 50 times the 2e4-point continuum sweep of the
-# benchmark.  As CSV in fresh processes on a shared 2-core Xeon, that many
-# take 2.8-3.3 s at 32.2-32.3 MB peak RSS (and 26.1 MB in the worker) as a
-# scan, and 6.2-6.5 s at 122 + 30 MB as a continuum 4-point sweep; in one
-# process, run alternately with these, they took 3.9-5.0 s at 31.1 MB and
-# 10.5-11.8 s at 323 MB.
+# benchmark.  As CSV to a file in fresh processes on a shared 2-core Xeon,
+# that many take 1.6-2.1 s at 32.3 MB peak RSS (25.7 MB in the worker) as a
+# scan and 3.8-5.3 s at 44.2 MB (30.1 MB in the worker) as a continuum
+# 4-point sweep; on one CPU (one process) 2.3 s at 31.3 MB and 6.7-7.7 s at
+# 44.3 MB.
 GRID_CAP = 1_000_000
 
 # points of one `scan` task and levels of one `spectrum` task
@@ -192,8 +192,6 @@ LONGEST_FIRST = ("J_PSI", "CAR", "RECONSTRUCTION", "SCHWINGER", "H0_J",
 
 
 def cmd_verify(cfg: RunConfig):
-    if cfg.K > 7:
-        raise BadArgument("verify requires K <= 7")
     from . import focklab
     K = cfg.K
     space = focklab.build_space(K)
@@ -383,10 +381,12 @@ def cmd_spectrum(cfg: RunConfig, e_max: float):
     sol = solve_closed_form(cfg.model)
     grid = momentum_grid(L=cfg.model.L, K=cfg.K, a=cfg.model.a)
     levels = spectrum(cfg.model, sol, e_max, grid)
-    # each node's modes are formatted once, each sector's prefix once per
-    # process and each energy (with its group's degeneracy) once per block
-    modes = [";".join(f"{fl}:{m}:{n}" for fl, m, n in occ)
-             for occ in levels.occupations]
+    # each node's modes are formatted once, in preorder as its parent's plus
+    # its own label, each sector's prefix once per process and each energy
+    # (with its group's degeneracy) once per block
+    modes = [""]
+    for up, (fl, m, n) in zip(levels.parent[1:], levels.label[1:]):
+        modes.append(f"{modes[up]};{fl}:{m}:{n}" if up else f"{fl}:{m}:{n}")
     prefix = functools.cache("%d,%d,%d,".__mod__)
 
     def block(k):

@@ -1,22 +1,21 @@
 """Exact sparse operators on the truncated Fock space.
 
 Every operator is a matrix of Python ints, given as a column function: the
-image of one basis state.  (The one exception is `free_hamiltonian`, whose
-amplitudes are the energies in units of 2 pi / L, half-integers among them;
-the identities use `twice_hamiltonian`, H0 in units of pi / L.)  Partial
-operators (Klein factors) return None for the columns outside their
-validity window; partiality is data, not an error.  Two kinds build the
-rest.  A monomial sends a basis state to at most one basis state times an
-amplitude: a ladder operator is one `FockSpace.move`, the Klein factor one
-shift of a chirality block (`_klein_apply`), and H0, Q_r and multiples of
-the identity are diagonal.  Any other operator, a density (each bilinear
-two moves) or a sum or product, has dict columns.  `@` composes two
-monomials without building a dict and applies a monomial factor through its
-image; `linear` is one flat linear combination whose column adds its terms'
-columns left to right, a monomial term's one entry directly (`+`, `-` and
-scalar `*` are its short cases).  The operators the builders return keep
-their columns once read; a sum or product is read once per column, so it
-computes each column when read.
+image of one basis state (H0 is `twice_hamiltonian`, in units of pi / L, so
+its amplitudes are integers too).  Partial operators (Klein factors) return
+None for the columns outside their validity window; partiality is data, not
+an error.  Two kinds build the rest.  A monomial sends a basis state to at
+most one basis state times an amplitude: a ladder operator is one
+`FockSpace.move`, the Klein factor one shift of a chirality block
+(`_klein_apply`), and H0, Q_r and multiples of the identity are diagonal.
+Any other operator, a density (each bilinear two moves) or a sum or
+product, has dict columns.  `@` composes two monomials without building a
+dict and applies a monomial factor through its image; `linear` is one flat
+linear combination whose column adds its terms' columns left to right, a
+monomial term's one entry directly (`+`, `-` and scalar `*` are its short
+cases).  The operators the builders return keep their columns once read; a
+sum or product is read once per column, so it computes each column when
+read.
 """
 
 from __future__ import annotations
@@ -347,12 +346,6 @@ def _diagonal(space: FockSpace, value) -> SparseOperator:
         v = value(mask)
         return (mask, v) if v else (None, 0)
     return Monomial(space, image, keep=True)
-
-
-def free_hamiltonian(space: FockSpace) -> SparseOperator:
-    """H0 = sum_{r, k} |k| c^dag c over the window, diagonal, in units
-    2 pi / L (an int or a Fraction per state)."""
-    return _diagonal(space, space.energy)
 
 
 def twice_hamiltonian(space: FockSpace) -> SparseOperator:

@@ -21,8 +21,6 @@ from fractions import Fraction
 
 from ..errors import BadGeometry, TruncationTooLarge
 
-MAX_DIM = 2**28
-
 CHIRALITIES = (+1, -1)
 
 
@@ -44,9 +42,9 @@ class FockSpace:
     def __init__(self, K: int):
         if K < 1:
             raise BadGeometry("K must be >= 1")
+        if K > 7:
+            raise TruncationTooLarge(f"the Fock lab needs K <= 7, got K = {K}")
         nmodes = 4 * K
-        if 2**nmodes > MAX_DIM:
-            raise TruncationTooLarge(f"2^{nmodes} exceeds the 2^28 guard")
         self.K = K
         self.nmodes = nmodes
         self.dim = 2**nmodes
@@ -88,19 +86,9 @@ class FockSpace:
         up, down = self._charge_bits[r]
         return (mask & up).bit_count() - (mask & down).bit_count()
 
-    def mode_position(self, r: int, nu) -> int:
-        return self.positions[(r, twice(nu))]
-
-    def has_mode(self, r: int, nu) -> bool:
-        return (r, twice(nu)) in self.positions
-
     def fermion_modes(self):
         """All nu values in the window, descending (units 2 pi / L)."""
         return [Fraction(t, 2) for t in self.labels]
-
-    def edge(self) -> Fraction:
-        """Largest |nu| in the window."""
-        return Fraction(2 * self.K - 1, 2)
 
     def interior_window(self) -> Fraction:
         """Default interior energy E_int = K - 1 (units 2 pi / L)."""

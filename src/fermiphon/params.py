@@ -163,9 +163,10 @@ def check_grid(params: ModelParams, grid: MomentumGrid) -> None:
 
 
 def momentum_grid(L: float, K: int, a: float) -> MomentumGrid:
-    """Build the truncated grid with n_a = mode_count(L, a)."""
+    """Build the truncated grid with n_a = mode_count(L, a), which is 0 for
+    L/2 < a < L (no boson mode couples)."""
     if K < 1:
         raise BadGeometry("K must be >= 1")
-    if not (0 < a <= L / 2):
-        raise BadGeometry("need 0 < a <= L/2")
+    if not (0 < a < L):
+        raise BadGeometry("need 0 < a < L")
     return MomentumGrid(L=L, K=K, a=a, n_a=mode_count(L, a))

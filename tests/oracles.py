@@ -5,11 +5,11 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from fermiphon.bogoliubov import BogoliubovSolution
+from fermiphon.bogoliubov import BogoliubovSolution, Spectrum
 from fermiphon.correlators import (FLAVORS, CorrelatorSpec, InsertionPoint,
                                    klein_sign, npoint_continuum)
 from fermiphon.errors import (BadArgument, FermiphonError, ModeOutOfWindow,
@@ -17,8 +17,9 @@ from fermiphon.errors import (BadArgument, FermiphonError, ModeOutOfWindow,
 from fermiphon.focklab import (SUPPORTED_IDENTITIES, FockSpace,
                                SparseOperator, density_op, field_op,
                                identity_residual, klein_factor)
-from fermiphon.focklab.operators import _accumulate, linear
+from fermiphon.focklab.operators import _accumulate, _diagonal, linear
 from fermiphon.focklab.reconstruction import _cached
+from fermiphon.focklab.space import twice
 from fermiphon.vertex import (CHANNELS, _DIRECT_SUM_MAX, _U, VertexFactor,
                               _direct_rounding, _euler_maclaurin_log_sums)
 
@@ -29,6 +30,34 @@ class SelectionViolated(FermiphonError):
 
 class SingularConfiguration(FermiphonError):
     """Singular input configuration (e.g. sin(U_n - V_m) = 0)."""
+
+
+# --------------------------------------------------------------------------
+# spectrum levels one at a time
+
+
+class SpectrumEntry(NamedTuple):
+    """One eigenstate label set with its exact eigenvalue."""
+
+    q_plus: int
+    q_minus: int
+    m_p0: int
+    occupations: Tuple[Tuple[str, int, int], ...]  # (flavor, m, occupation)
+    energy: float
+    degeneracy: int
+
+
+def spectrum_entries(levels: Spectrum) -> List[SpectrumEntry]:
+    """The levels of a Spectrum as entries in spectrum order, each tree
+    node's occupations built as its parent's plus its own label."""
+    occupations = [()]
+    for up, label in zip(levels.parent[1:], levels.label[1:]):
+        occupations.append(occupations[up] + (label,))
+    columns = (levels.q_plus, levels.q_minus, levels.m_p0, levels.node,
+               levels.energy, levels.degeneracy)
+    return [SpectrumEntry(qp, qm, mp0, occupations[node], energy, deg)
+            for qp, qm, mp0, node, energy, deg in zip(
+                *(column.tolist() for column in columns))]
 
 
 # --------------------------------------------------------------------------
@@ -183,6 +212,32 @@ def pair_contraction(v1: VertexFactor, v2: VertexFactor):
 
 
 # --------------------------------------------------------------------------
+# lab routes only the tests take
+
+
+def mode_position(space: FockSpace, r: int, nu) -> int:
+    """The bit of fermion mode (r, nu) in the space's canonical order."""
+    return space.positions[(r, twice(nu))]
+
+
+def has_mode(space: FockSpace, r: int, nu) -> bool:
+    """Whether fermion mode (r, nu) lies in the window."""
+    return (r, twice(nu)) in space.positions
+
+
+def edge(space: FockSpace) -> Fraction:
+    """Largest |nu| in the window."""
+    return Fraction(2 * space.K - 1, 2)
+
+
+def free_hamiltonian(space: FockSpace) -> SparseOperator:
+    """H0 = sum_{r, k} |k| c^dag c over the window, diagonal, in units
+    2 pi / L (an int or a Fraction per state); the lab's identities use
+    `twice_hamiltonian`, 2 H0."""
+    return _diagonal(space, space.energy)
+
+
+# --------------------------------------------------------------------------
 # products and sums through dict columns
 
 
@@ -226,7 +281,7 @@ def density_from_fields(space: FockSpace, r: int, m: int) -> SparseOperator:
     linear combination of the products psi^dag_r(k) psi_r(k + p) with
     |k + p/2| <= edge - |p|/2 (both modes in the window), in descending k,
     each followed by -1 for m = 0 and r k < 0 (the vacuum part)."""
-    cutoff = space.edge() - Fraction(abs(m), 2)
+    cutoff = edge(space) - Fraction(abs(m), 2)
     terms = []
     for nu in space.fermion_modes():
         if abs(nu + Fraction(m, 2)) > cutoff:
@@ -299,17 +354,17 @@ def klein_apply(space: FockSpace, r: int, shift: int, mask: int):
             ops.append((False, r, born))
         else:
             nu2 = nu + shift
-            if not space.has_mode(r, nu2):
+            if not has_mode(space, r, nu2):
                 return None
             ops.append((True, r, nu2))
     # anticommuting R past each opposite-chirality creator gives one -1
     n_opp = sum(1 for dag, rr, _ in ops if rr != r)
     sign = -1 if n_opp & 1 else 1
     # start from R_r^{shift} Omega = c^dag_r(born) Omega
-    vec_mask, vec_sign = space.move(0, space.mode_position(r, born), True)
+    vec_mask, vec_sign = space.move(0, mode_position(space, r, born), True)
     vec = {vec_mask: sign * vec_sign}
     for dag, rr, nu in reversed(ops):
-        pos = space.mode_position(rr, nu)
+        pos = mode_position(space, rr, nu)
         out = {}
         for m0, amp in vec.items():
             new, s = space.move(m0, pos, dag)
@@ -364,7 +419,7 @@ def partition_reconstructed_field(space: FockSpace, r: int, nu,
     `ops` keeps the densities between calls, as in `reconstructed_field`."""
     ops = {} if ops is None else ops
     nu = Fraction(nu)
-    if not space.has_mode(r, nu):
+    if not has_mode(space, r, nu):
         raise ModeOutOfWindow(f"target momentum nu={nu} outside window")
     phi = klein_factor(space, r, dagger=(r == +1)).cols[state_index]
     if phi is None:

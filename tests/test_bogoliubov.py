@@ -10,6 +10,7 @@ from fermiphon.bogoliubov import (block_matrices, diagonalize_numeric,
                                   solve_closed_form, spectrum)
 from fermiphon.errors import DegenerateBranches, GridTooSmall, ZeroMode
 from fermiphon.focklab import degeneracy_counts
+from oracles import spectrum_entries
 
 TWO_PI = 2.0 * math.pi
 
@@ -174,7 +175,7 @@ def test_spectrum_charged_levels():
     sol = solve_closed_form(params)
     grid = momentum_grid(L=TWO_PI, K=12, a=math.pi / 2)
     g1 = sol.couplings.gamma1
-    entries = spectrum(params, sol, 1.2, grid)
+    entries = spectrum_entries(spectrum(params, sol, 1.2, grid))
     assert entries[0].q_plus == 0 and entries[0].q_minus == 0
     assert entries[0].energy == sol.e0
     assert entries[0].occupations == ()
@@ -221,8 +222,31 @@ def test_spectrum_charge_rows_stay_near_their_sectors():
     entries = spectrum(params, sol, e_max,
                        momentum_grid(L=params.L, K=8, a=params.a))
     assert time.perf_counter() - start < 2.0
+    entries = spectrum_entries(entries)
     assert len(entries) == 7145
     assert all(not e.occupations and e.m_p0 == 0 for e in entries)
+
+
+def test_spectrum_bare_modes_without_coupled_modes():
+    # L/2 < a < L: n_a = 0, E0 = 0, and every boson mode moves at its bare
+    # velocity, though the couplings renormalize vtilde
+    params = ModelParams(v_f=1.0, v_p=0.3, lam=1.0, g=0.2, a=12.0, L=20.0)
+    sol = solve_closed_form(params)
+    grid = momentum_grid(L=params.L, K=8, a=params.a)
+    assert grid.n_a == 0 and sol.e0 == 0.0
+    assert sol.vtilde_f != 1.0 and sol.vtilde_p != 0.3
+    spacing = TWO_PI / params.L
+    entries = spectrum_entries(spectrum(params, sol, 0.5, grid))
+    priced = set()
+    for e in entries:
+        if (e.q_plus, e.q_minus, e.m_p0) != (0, 0, 0):
+            continue
+        bare = sum(n * sol.v_bare(fl) * abs(m) * spacing
+                   for fl, m, n in e.occupations)
+        assert math.isclose(e.energy, bare, rel_tol=1e-12, abs_tol=1e-15)
+        priced.update((fl, m) for fl, m, _n in e.occupations)
+    assert {fl for fl, _m in priced} == {"F", "P"}
+    assert {m for _fl, m in priced} >= {1, -1, 2, -2}
 
 
 def test_spectrum_grid_too_small():
@@ -241,7 +265,7 @@ def test_free_spectrum_matches_fock_ladder(space_k3):
     sol = solve_closed_form(params)
     grid = momentum_grid(L=TWO_PI, K=16, a=math.pi / 2)
     e_max = 2.0
-    entries = spectrum(params, sol, e_max, grid)
+    entries = spectrum_entries(spectrum(params, sol, e_max, grid))
 
     counts = degeneracy_counts(space_k3, 2)
 

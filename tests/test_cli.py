@@ -293,16 +293,20 @@ def test_empty_insertion_tokens_ignored(config_file, tmp_path):
 
 
 def test_continuum_needs_no_vertex_grid(config_file, tmp_path, capsys):
-    # a > L / 2 leaves no coupled mode (n_a = 0); `solve` and the continuum
-    # correlator accept it, the finite one needs a grid and refuses it
+    # a > L / 2 leaves no coupled mode (n_a = 0), and both correlators, the
+    # finite one on its grid, accept it; a >= L is refused by both
     cfg = config_file(GENERIC_INI.replace("a = 0.05", "a = 12"))
     out = str(tmp_path / "corr.csv")
-    assert run_cli(["--config", cfg, "--output", out, "correlate",
-                    "--mode", "continuum"]) == 0
-    assert len(Path(out).read_text().splitlines()) == 6
-    assert run_cli(["--config", cfg, "--output", out, "correlate",
-                    "--mode", "finite"]) == 2
-    assert capsys.readouterr().err == "error: need 0 < a <= L/2\n"
+    for mode in ("continuum", "finite"):
+        assert run_cli(["--config", cfg, "--output", out, "correlate",
+                        "--mode", mode]) == 0
+        assert len(Path(out).read_text().splitlines()) == 6
+    cfg = config_file(GENERIC_INI.replace("a = 0.05", "a = 20"))
+    for mode in ("continuum", "finite"):
+        assert run_cli(["--config", cfg, "--output", out, "correlate",
+                        "--mode", mode]) == 2
+        assert capsys.readouterr().err \
+            == "invalid config: lengths must satisfy 0 < a < L\n"
 
 
 def test_correlate_finite_vs_continuum_trend(config_file, tmp_path):

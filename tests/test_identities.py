@@ -5,15 +5,15 @@ import pytest
 
 from fermiphon.errors import ModeOutOfWindow, UnknownIdentity
 from fermiphon.focklab import (SUPPORTED_IDENTITIES, build_space, charge_op,
-                               density_op, field_op, free_hamiltonian,
-                               identity_residual, klein_factor, ladder_op,
-                               reconstructed_field, reconstruction_report)
+                               density_op, field_op, identity_residual,
+                               klein_factor, ladder_op, reconstructed_field,
+                               reconstruction_report)
 from fermiphon.focklab import identities, operators
 from fermiphon.focklab.identities import _BUILDERS, _reconstruction_residuals
 from fermiphon.focklab.operators import Columns, Monomial, twice_hamiltonian
 from fermiphon.focklab.reconstruction import FieldSeries
 from fermiphon.focklab.space import FockSpace
-from oracles import run_identity_suite
+from oracles import free_hamiltonian, mode_position, run_identity_suite
 
 
 def test_full_suite_exact_k2(space_k2):
@@ -58,7 +58,7 @@ def test_fresh_operator_computes_columns(space_k2):
     # op.cols.get(c)` would pass on an operator that never evaluates
     sp = space_k2
     op = field_op(sp, +1, Fraction(1, 2), dagger=True)
-    one = sp.vacuum | 1 << sp.mode_position(+1, Fraction(1, 2))
+    one = sp.vacuum | 1 << mode_position(sp, +1, Fraction(1, 2))
     assert op.cols.get(sp.vacuum) == {one: 1}
     assert op.cols[sp.vacuum] == {one: 1}
 

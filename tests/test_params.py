@@ -119,7 +119,7 @@ def test_momentum_grid_rejects():
     with pytest.raises(BadGeometry):
         momentum_grid(L=10.0, K=0, a=0.5)
     with pytest.raises(BadGeometry):
-        momentum_grid(L=10.0, K=3, a=6.0)
+        momentum_grid(L=10.0, K=3, a=10.0)
 
 
 def test_default_omega0_one_mode_spacing():

@@ -6,7 +6,7 @@ from fermiphon.errors import ModeOutOfWindow
 from fermiphon.focklab import (build_space, field_op, klein_factor,
                                reconstructed_field, reconstruction_report)
 from fermiphon.focklab import reconstruction
-from oracles import partition_reconstructed_field
+from oracles import mode_position, partition_reconstructed_field
 
 HALF = Fraction(1, 2)
 
@@ -104,7 +104,7 @@ def test_recursion_matches_partition_sum(K):
 def test_klein_shift_out_of_window(space_k2):
     # R_+^{-1} shifts a + mode at -3 pi / L to -5 pi / L, outside K = 2
     sp = space_k2
-    state = 1 << sp.mode_position(+1, Fraction(-3, 2))
+    state = 1 << mode_position(sp, +1, Fraction(-3, 2))
     assert klein_factor(sp, +1, dagger=True).cols[state] is None
     with pytest.raises(ModeOutOfWindow):
         reconstructed_field(sp, +1, HALF, state)

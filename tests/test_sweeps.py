@@ -21,8 +21,7 @@ import pytest
 from fermiphon import ModelParams
 from fermiphon import cli
 from fermiphon.bogoliubov import (DEGENERACY_FLOOR, BogoliubovSolution,
-                                  SpectrumEntry, degeneracies,
-                                  solve_closed_form, spectrum)
+                                  degeneracies, solve_closed_form, spectrum)
 from fermiphon.correlators import (FLAVORS, SWEEP_BLOCK, CorrelatorSpec,
                                    InsertionPoint, _pair_exponent, klein_sign,
                                    npoint_continuum)
@@ -34,7 +33,8 @@ from fermiphon.params import (TWO_PI, DerivedCouplings, check_grid,
 from fermiphon.vertex import (_DIRECT_SUM_MAX, _HEAD_BLOCK_TERMS,
                               field_vertex, finite_correlator,
                               normal_order_product, vacuum_expectation)
-from oracles import pair_contraction, regulated_power
+from oracles import (SpectrumEntry, pair_contraction, regulated_power,
+                     spectrum_entries)
 
 
 def _fmt(x):
@@ -541,7 +541,7 @@ def _spectrum_pair(name):
     params, K, e_max = SPECTRA[name]
     sol = solve_closed_form(params)
     grid = momentum_grid(L=params.L, K=K, a=params.a)
-    return (spectrum(params, sol, e_max, grid),
+    return (spectrum_entries(spectrum(params, sol, e_max, grid)),
             oracle_spectrum(params, sol, e_max, grid))
 
 
@@ -560,8 +560,9 @@ def test_spectrum_configs_reach_their_cases():
     for name in ("free", "e_max-0", "e_max-negative", "e_max-on-a-level",
                  "bare-modes"):
         params, K, e_max = SPECTRA[name]
-        levels[name] = spectrum(params, solve_closed_form(params), e_max,
-                                momentum_grid(L=params.L, K=K, a=params.a))
+        levels[name] = spectrum_entries(spectrum(
+            params, solve_closed_form(params), e_max,
+            momentum_grid(L=params.L, K=K, a=params.a)))
     assert max(e.degeneracy for e in levels["free"]) > 1
     assert [e.occupations for e in levels["e_max-0"]] == [()]
     assert len(levels["e_max-negative"]) == 0

@@ -261,6 +261,34 @@ def test_finite_correlator_free_two_point(free_setup):
     assert abs(rep["value"] - f) <= rep["tail_bound"]
 
 
+@pytest.mark.parametrize("lam", [1.0, -1.5])
+@pytest.mark.parametrize("word", [
+    ((+1, -1, 0.0), (+1, +1, 0.0)),
+    ((+1, -1, 0.3), (-1, +1, 1.1), (-1, -1, -0.4), (+1, +1, 2.5)),
+], ids=["2pt", "4pt-mixed"])
+def test_finite_correlator_free_without_coupled_modes(lam, word):
+    # L/2 < a < L: no boson mode couples (n_a = 0), so at t = 0 the
+    # interacting correlator is the free one, free_finite_L after the
+    # e^{N pi reg / 2L} kernel factor, within the reported bound
+    params = ModelParams(v_f=1.0, v_p=0.3, lam=lam, g=0.2, a=12.0, L=L)
+    grid = momentum_grid(L=L, K=8, a=params.a)
+    assert grid.n_a == 0
+    reg = 1e-3
+    spec = CorrelatorSpec(
+        insertions=tuple(InsertionPoint(r, q, x, 0.0) for r, q, x in word),
+        ell=1.0, regulator=reg)
+    xs = [0.5, 1.7, 3.9]
+    reps = finite_correlator(spec, params, solve_closed_form(params), grid,
+                             xs=xs)
+    for x, rep in zip(xs, reps):
+        moved = CorrelatorSpec(
+            insertions=(InsertionPoint(word[0][0], word[0][1], x, 0.0),)
+            + spec.insertions[1:], ell=1.0, regulator=reg)
+        f = free_finite_L(moved, L) * math.exp(len(word) * math.pi * reg
+                                               / (2 * L))
+        assert abs(rep["value"] - f) <= rep["tail_bound"], x
+
+
 def test_finite_correlator_momentum_series(free_setup):
     # fock-lab-independent check: the free 2-point equals the damped
     # momentum sum (1/L) sum_{k>0} e^{ik(x-x') - reg k} resummed
