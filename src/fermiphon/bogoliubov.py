@@ -178,6 +178,7 @@ _INVALID = 1        # non-finite lambda or g, or unstable couplings
 _DEGENERATE = 2     # W below the branch-identification floor
 _BOUNDARY = 3       # vtilde_P^2 rounds to <= 0 near the stability boundary
 _UNDERFLOW = 4      # g^2 underflows, so the mixing angle is lost
+_OVERFLOW = 5       # W or a solution field overflows to inf or nan
 
 
 def closed_form(params: ModelParams) -> Tuple[BogoliubovSolution, np.ndarray]:
@@ -228,6 +229,15 @@ def closed_form(params: ModelParams) -> Tuple[BogoliubovSolution, np.ndarray]:
         sigma_f = np.sqrt(vf / vt_f) * g2 * vp * (vt_f - vf * (1.0 - g1)) / den_f
         rho_p = -np.sqrt(vf / vt_p) * g2 * vp * (vt_p + vf * (1.0 - g1)) / den_p
         sigma_p = -np.sqrt(vf / vt_p) * g2 * vp * (vt_p - vf * (1.0 - g1)) / den_p
+        vt_f = np.where(decoupled, vt_f0, vt_f)
+        vt_p = np.where(decoupled, vp, vt_p)
+        rho_f = np.where(decoupled, rho_f0, rho_f)
+        rho_p = np.where(decoupled, 0.0, rho_p)
+        sigma_f = np.where(decoupled, sigma_f0, sigma_f)
+        sigma_p = np.where(decoupled, 0.0, sigma_p)
+        e0 = 0.5 * (vt_f - vf + vt_p - vp) * coupled_abs_p_sum(params.L,
+                                                               params.a)
+        fields = (vt_f, vt_p, rho_f, rho_p, sigma_f, sigma_p, e0)
         # in the order a scalar evaluation meets them
         status = np.select(
             [~(np.isfinite(lam) & np.isfinite(g)) | np.logical_or(
@@ -235,18 +245,11 @@ def closed_form(params: ModelParams) -> Tuple[BogoliubovSolution, np.ndarray]:
              W <= DEGENERACY_FLOOR * vf * vf,
              ~decoupled & (vt_p_sq < 0.0),
              ~decoupled & ((gap_f == 0.0) | (gap_p == 0.0)),
-             ~decoupled & (vt_p == 0.0)],
-            [_INVALID, _DEGENERATE, _BOUNDARY, _UNDERFLOW, _BOUNDARY], 0)
-        vt_f = np.where(decoupled, vt_f0, vt_f)
-        vt_p = np.where(decoupled, vp, vt_p)
-        e0 = 0.5 * (vt_f - vf + vt_p - vp) * coupled_abs_p_sum(params.L,
-                                                               params.a)
-    sol = BogoliubovSolution(
-        params=params, couplings=cpl, vtilde_f=vt_f, vtilde_p=vt_p,
-        rho_f=np.where(decoupled, rho_f0, rho_f),
-        rho_p=np.where(decoupled, 0.0, rho_p),
-        sigma_f=np.where(decoupled, sigma_f0, sigma_f),
-        sigma_p=np.where(decoupled, 0.0, sigma_p), e0=e0)
+             ~decoupled & (vt_p == 0.0),
+             ~np.isfinite(np.array((W, *fields))).all(axis=0)],
+            [_INVALID, _DEGENERATE, _BOUNDARY, _UNDERFLOW, _BOUNDARY,
+             _OVERFLOW], 0)
+    sol = BogoliubovSolution(params, cpl, *fields)
     return sol, status
 
 
@@ -271,6 +274,10 @@ def solve_closed_form(params: ModelParams) -> BogoliubovSolution:
         raise BadArgument(
             f"g = {params.g:.3g} is too small to resolve the branch "
             "mixing (g^2 underflows)")
+    if status[0] == _OVERFLOW:
+        raise BadArgument(
+            "the closed form overflows: W, a renormalized velocity, a mixing "
+            f"coefficient or E0 is not finite at v_f = {params.v_f:.3g}")
     return BogoliubovSolution(
         params=params, couplings=cpl, vtilde_f=float(sol.vtilde_f[0]),
         vtilde_p=float(sol.vtilde_p[0]), rho_f=float(sol.rho_f[0]),

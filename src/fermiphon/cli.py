@@ -40,7 +40,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
-from itertools import islice
 from typing import TYPE_CHECKING, Iterable, List, NamedTuple
 
 from .bogoliubov import closed_form, solve_closed_form, spectrum
@@ -142,18 +141,14 @@ def _write(out, fmt: str, payload):
     else:
         obj = "{\n    %s\n  }" % ",\n    ".join(
             f'"{name}": "%s"' for name in payload.header)
-        rows, take = iter(payload.rows), 1
         sep = "[\n  "
-        # a block of about 2048 lines is split into fields at once and fills
-        # one template of as many objects; a row holds one line or a block
-        # of them, so the first block is one row and each next block as
-        # many rows as held 2048 lines in the last
-        while block := list(islice(rows, take)):
-            fields = "".join(block)[:-2].replace("\r\n", ",").split(",")
+        # a row holds one line or a block of them (run_tasks' blocks): its
+        # fields are split at once and fill one template of as many objects
+        for row in payload.rows:
+            fields = row[:-2].replace("\r\n", ",").split(",")
             lines = len(fields) // len(payload.header)
             out.write(sep + ",\n  ".join([obj] * lines) % tuple(fields))
             sep = ",\n  "
-            take = max(1, take * 2048 // lines)
         out.write("[]\n" if sep == "[\n  " else "\n]\n")
 
 

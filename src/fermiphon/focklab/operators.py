@@ -9,13 +9,14 @@ most one basis state times an amplitude: a ladder operator is one
 `FockSpace.move`, the Klein factor one shift of a chirality block
 (`_klein_apply`), and H0, Q_r and multiples of the identity are diagonal.
 Any other operator, a density (each bilinear two moves) or a sum or
-product, has dict columns.  `@` composes two monomials without building a
-dict and applies a monomial factor through its image; `linear` is one flat
-linear combination whose column adds its terms' columns left to right, a
-monomial term's one entry directly (`+`, `-` and scalar `*` are its short
-cases).  The operators the builders return keep their columns once read; a
-sum or product is read once per column, so it computes each column when
-read.
+product, has dict columns.  `linear` is one flat linear combination of
+operators and products whose column adds its terms' columns left to right;
+`+`, `-` and scalar `*` are its short cases, and every `@` is a one-term
+`Linear`.  It classifies each product once, by its factors' kinds: two
+monomials compose their images and a monomial factor applies through its
+image, without a dict; two dict factors build the product's column whole.
+A density keeps its columns once read; every other operator computes a
+column each time it is read.
 """
 
 from __future__ import annotations
@@ -74,9 +75,8 @@ def _accumulate(out: dict, col: dict, scale=1) -> dict:
 
 
 class SparseOperator:
-    """Exact sparse matrix over a FockSpace basis, given column by column.
-    The operators the builders return keep each column once read; sums and
-    products compute a column each time it is read."""
+    """Exact sparse matrix over a FockSpace basis, given column by column;
+    with `keep` set (densities), each column is kept once read."""
 
     def __init__(self, space: FockSpace, column, keep=False):
         self.space = space
@@ -109,30 +109,10 @@ class SparseOperator:
         return out
 
     def __matmul__(self, other):
-        """self @ other; a result column is None unless every basis state
-        reached by the corresponding column of `other` is a column of `self`
-        inside its validity window.  A product of two monomials composes
-        their images and builds no dict; a product with one monomial factor
-        is a one-term `Linear`, which adds through the monomial's image;
-        otherwise self's columns are added, scaled by other's entries."""
-        if isinstance(self, Monomial) and isinstance(other, Monomial):
-            return Composite(self.space, self.image, other.image)
-        if isinstance(self, Monomial) or isinstance(other, Monomial):
-            return Linear(self.space, [(1, self, other)])
-        left, right = self.cols, other.cols.reader()
-
-        def column(c):
-            col = right(c)
-            if col is None:
-                return None
-            out = {}
-            for r, amp in col.items():
-                lcol = left[r]
-                if lcol is None:
-                    return None
-                _accumulate(out, lcol, amp)
-            return out
-        return SparseOperator(self.space, column)
+        """self @ other, a one-term `Linear`; a result column is None unless
+        every basis state reached by the corresponding column of `other` is
+        a column of `self` inside its validity window."""
+        return Linear(self.space, [(1, self, other)])
 
     def commutator(self, other):
         return self @ other - other @ self
@@ -169,49 +149,50 @@ class Monomial(SparseOperator):
     operators, fields and Klein factors, the energy or charge for H0 and
     Q_r, and the scalar for a multiple of the identity."""
 
-    def __init__(self, space: FockSpace, image, keep=False):
+    def __init__(self, space: FockSpace, image):
         self.image = image
 
         def column(c):
             im = image(c)
             return None if im is None else {} if im[0] is None else {
                 im[0]: im[1]}
-        super().__init__(space, column, keep)
+        super().__init__(space, column)
 
 
-class Composite(Monomial):
-    """outer @ inner of two monomials, given by their images: image(c) is
-    outer's image of inner's image of c."""
-
-    def __init__(self, space: FockSpace, outer, inner):
-        self.factors = inner, outer
-
-        def image(c):
-            im = inner(c)
-            if im is None or im[0] is None:
-                return im
-            im2 = outer(im[0])
-            if im2 is None or im2[0] is None:
-                return im2
-            return im2[0], im[1] * im2[1]
-        super().__init__(space, image)
+def _product(left, right, c):
+    """Column c of left @ right, given left's `Columns` and right's column
+    reader: left's columns added, scaled by the entries of right's column
+    c."""
+    col = right(c)
+    if col is None:
+        return None
+    out = {}
+    for r, amp in col.items():
+        lcol = left[r]
+        if lcol is None:
+            return None
+        _accumulate(out, lcol, amp)
+    return out
 
 
-# the kinds of a `Linear` term: an operator with dict columns, a monomial, a
-# product of two monomials, and a product whose one monomial factor is on
-# the right or on the left
-_DICT, _MONOMIAL, _RIGHT, _LEFT, _COMPOSITE = range(5)
+# the kinds of a `Linear` term: an operator with dict columns (a product of
+# two of them included), a monomial, and a product of two monomials or with
+# one monomial factor on the right or on the left
+_DICT, _MONOMIAL, _MONOMIALS, _RIGHT, _LEFT = range(5)
 
 
 class Linear(SparseOperator):
     """A flat linear combination: `terms` is its list of (scale, op) and
-    (scale, left, right) terms, the latter the product left @ right of a
-    monomial and an operator with dict columns.  A product term adds the
-    dict factor's column through the monomial's image, as a column of the
-    product would be built, without a dict of its own: on the right, the
-    monomial picks one column of `left`; on the left, it moves each entry
-    of right's column, and since a monomial sends distinct basis states to
-    distinct ones, no two of those entries meet."""
+    (scale, left, right) terms, the latter the product left @ right.  Each
+    term is classified once, by the kinds of its factors.  A product of two
+    monomials composes their images; one with a single monomial factor adds
+    the other factor's column through the monomial's image, as a column of
+    the product would be built, without a dict of its own: on the right,
+    the monomial picks one column of `left`; on the left, it moves each
+    entry of right's column, and since a monomial sends distinct basis
+    states to distinct ones, no two of those entries meet.  A product of
+    two operators with dict columns builds its column whole and adds it
+    scaled."""
 
     def __init__(self, space: FockSpace, terms):
         self.terms = terms
@@ -219,13 +200,17 @@ class Linear(SparseOperator):
         for scale, *ops in terms:
             if len(ops) == 2:
                 left, right = ops
-                if isinstance(right, Monomial):
-                    kind, mono, other = _RIGHT, right, left
+                if isinstance(left, Monomial) and isinstance(right, Monomial):
+                    parts.append((_MONOMIALS, scale, right.image, left.image))
+                elif isinstance(right, Monomial):
+                    parts.append((_RIGHT, scale, right.image,
+                                  left.cols.reader()))
+                elif isinstance(left, Monomial):
+                    parts.append((_LEFT, scale, left.image,
+                                  right.cols.reader()))
                 else:
-                    kind, mono, other = _LEFT, left, right
-                parts.append((kind, scale, mono.image, other.cols.reader()))
-            elif isinstance(ops[0], Composite):
-                parts.append((_COMPOSITE, scale, *ops[0].factors))
+                    parts.append((_DICT, scale, None, partial(
+                        _product, left.cols, right.cols.reader())))
             elif isinstance(ops[0], Monomial):
                 parts.append((_MONOMIAL, scale, ops[0].image, None))
             else:
@@ -257,7 +242,7 @@ class Linear(SparseOperator):
                         continue
                     if kind == _MONOMIAL:
                         _add(out, im[0], im[1] * scale)
-                    elif kind == _COMPOSITE:   # cols is the outer image
+                    elif kind == _MONOMIALS:   # cols is the outer image
                         im2 = cols(im[0])
                         if im2 is None:
                             return None
@@ -304,7 +289,7 @@ def ladder_op(space: FockSpace, r: int, nu, dagger=False) -> SparseOperator:
     if pos is None:
         raise ModeOutOfWindow(f"mode (r={r:+d}, nu={nu}) outside window")
     move = space.move
-    return Monomial(space, lambda mask: move(mask, pos, dagger), keep=True)
+    return Monomial(space, lambda mask: move(mask, pos, dagger))
 
 
 def field_op(space: FockSpace, r: int, nu, dagger=False) -> SparseOperator:
@@ -345,7 +330,7 @@ def _diagonal(space: FockSpace, value) -> SparseOperator:
     def image(mask):
         v = value(mask)
         return (mask, v) if v else (None, 0)
-    return Monomial(space, image, keep=True)
+    return Monomial(space, image)
 
 
 def twice_hamiltonian(space: FockSpace) -> SparseOperator:
@@ -400,4 +385,4 @@ def klein_factor(space: FockSpace, r: int, dagger=False) -> SparseOperator:
     adjoint shifts down with R_r^dag Omega = c^dag_r(-pi/L) Omega.  Columns
     whose shifted image leaves the window are None.
     """
-    return Monomial(space, partial(_klein_apply, space, r, dagger), keep=True)
+    return Monomial(space, partial(_klein_apply, space, r, dagger))

@@ -113,6 +113,62 @@ def test_solve_unstable_exit_2(config_file, capsys):
     assert "lambda < 2 pi v_f" in err
 
 
+# models whose closed form overflows although validate_params accepts them:
+# W squares d ~ v_f^2, which overflows past v_f ~ 1.2e77, and E0 multiplies
+# the velocities by the coupled |p| sum, about 1e161 at a = 1e-80
+OVERFLOW_EDITS = {
+    "W": ("v_f = 1.0", "v_f = 1e78", "v_p = 0.3", "v_p = 1e77",
+          "lambda = 1.0", "lambda = 1e78", "g = 0.2", "g = 1e77"),
+    "e0": ("v_f = 1.0", "v_f = 1e150", "v_p = 0.3", "v_p = 1e149",
+           "lambda = 1.0", "lambda = 1e150", "g = 0.2", "g = 0",
+           "a = 0.05", "a = 1e-80"),
+}
+
+
+def overflow_ini(name):
+    text = GENERIC_INI
+    edits = OVERFLOW_EDITS[name]
+    for old, new in zip(edits[::2], edits[1::2]):
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+@pytest.mark.parametrize("name", list(OVERFLOW_EDITS))
+def test_solve_overflow_exit_2(config_file, tmp_path, capsys, name):
+    # no "W": Infinity, "vtilde_p": NaN or "e0": -Infinity in the document:
+    # those are not JSON; the point has no solution instead
+    cfg = config_file(overflow_ini(name))
+    assert run_cli(["--config", cfg, "--output", str(tmp_path / "out"),
+                    "solve"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == [
+        "error: the closed form overflows: W, a renormalized velocity, a "
+        f"mixing coefficient or E0 is not finite at v_f = "
+        f"{cli.load_config(cfg).model.v_f:.3g}"]
+
+
+@pytest.mark.parametrize("name", list(OVERFLOW_EDITS))
+def test_scan_overflow_rows_unstable(config_file, tmp_path, name):
+    # every row of the overflowing models, g = 0 and g != 0 alike, has no
+    # solution: empty fields and stable 0
+    text = overflow_ini(name).replace("g_min = 0.0", "g_min = -1e77").replace(
+        "g_max = 0.0", "g_max = 1e77").replace("n_g = 1", "n_g = 3")
+    cfg = config_file(text)
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"scan.{fmt}"
+        assert run_cli(["--config", cfg, "--output", str(out), "--format",
+                        fmt, "scan"]) == 0
+        data = out.read_text()
+        assert "nan" not in data and "inf" not in data
+    rows = json.loads(data)
+    assert len(rows) == 39
+    assert {float(r["g"]) for r in rows} == {-1e77, 0.0, 1e77}
+    for row in rows:
+        assert row["stable"] == "0" and row["vtilde_f"] == "", row
+
+
 def test_solve_round_trip(config_file, tmp_path):
     cfg = config_file(GENERIC_INI)
     out = str(tmp_path / "sol.json")

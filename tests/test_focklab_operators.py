@@ -253,6 +253,35 @@ def test_linear_monomial_terms_match_dict_sum():
                                 sp, i)
 
 
+def test_products_of_products_match_dict_oracles():
+    # a product whose factors are products, of monomials or of operators
+    # with dict columns, and a sum of such products, have the columns of
+    # the same expressions read off dict columns only, entry order and None
+    # included
+    for K in (1, 2, 3):
+        sp = build_space(K)
+        up = sp.fermion_modes()[sp.K - 1]
+        f, fd = field_op(sp, +1, up), field_op(sp, +1, up, dagger=True)
+        R, Rd = klein_factor(sp, +1), klein_factor(sp, +1, dagger=True)
+        J, Jp = density_op(sp, +1, 1), density_op(sp, +1, -1)
+        ffd, JJp, JpJ, JR = (dict_product(f, fd), dict_product(J, Jp),
+                             dict_product(Jp, J), dict_product(J, R))
+        cases = [
+            ("(f f^dag) R", (f @ fd) @ R, dict_product(ffd, R)),
+            ("R (f f^dag)", R @ (f @ fd), dict_product(R, ffd)),
+            ("(J J') R", (J @ Jp) @ R, dict_product(JJp, R)),
+            ("R^dag (J R)", Rd @ (J @ R), dict_product(Rd, JR)),
+            ("(J J') (J' J)", (J @ Jp) @ (Jp @ J), dict_product(JJp, JpJ)),
+            ("sum", linear(sp, (1, (J @ Jp) @ R), (-2, R @ (f @ fd)),
+                           (Fraction(1, 2), (J @ Jp) @ (Jp @ J))),
+             dict_linear(sp, (1, dict_product(JJp, R)),
+                         (-2, dict_product(R, ffd)),
+                         (Fraction(1, 2), dict_product(JJp, JpJ)))),
+        ]
+        for name, op, oracle in cases:
+            assert_same_columns(op, oracle, sp, name)
+
+
 def test_klein_map_matches_oracle():
     # the closed-form bit map equals the Klein factor built from fermion
     # operators, on every basis state and both shifts of both chiralities
